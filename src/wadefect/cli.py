@@ -16,7 +16,7 @@ import time
 from . import catalog
 from .engine import Scenario, ScenarioError, defect, verify_cover
 from .groups import GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
-from .modules import ModuleError, free_cover, h1_bar, tate_h_minus1
+from .modules import FreeCover, ModuleError, free_cover, h1_bar, tate_h_minus1
 from .scenario_io import SchemaError, dumps_result, load_scenario, render_text, result_document
 from .selfcheck import run_selfcheck
 
@@ -63,8 +63,7 @@ def _oracle_subgroups(sc: Scenario) -> list[Subgroup]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _run_bar_oracle(sc: Scenario) -> None:
-    cover = free_cover(sc.module)
+def _run_bar_oracle(sc: Scenario, cover: FreeCover) -> None:
     lat = cover.kernel_lattice
     for H in _oracle_subgroups(sc):
         via_cover = tate_h_minus1(lat, H)
@@ -80,12 +79,13 @@ def _cmd_compute(args) -> int:
     t0 = time.perf_counter()
     sc = load_scenario(args.scenario, group_cap=_group_cap())
     t1 = time.perf_counter()
+    cover = free_cover(sc.module) if args.check or args.oracle else None
     if args.check:
-        verify_cover(free_cover(sc.module))
+        verify_cover(cover)
     result = defect(sc)
     t2 = time.perf_counter()
     if args.oracle == "bar":
-        _run_bar_oracle(sc)
+        _run_bar_oracle(sc, cover)
     doc = result_document(
         result.invariants,
         shortcut=result.shortcut,

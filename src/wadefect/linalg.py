@@ -2,8 +2,10 @@
 
 Smith and Hermite normal forms, saturated kernels, lattice sums and
 intersections, and invariant factors of finitely presented abelian groups.
-Everything runs on Python's arbitrary-precision integers, so intermediate
-entry growth is expected and harmless; there is no overflow mode.
+Everything runs on Python's arbitrary-precision integers; there is no
+overflow mode.  Kernels, solves and intersections come from the column
+Hermite form of a stacked matrix, whose size reduction keeps entries small;
+the Smith form is used only for invariant factors and torsion generators.
 
 Lattices are column spans of integer matrices.  The canonical form is the
 column Hermite normal form produced by :func:`hermite_column_form`: two
@@ -36,8 +38,6 @@ __all__ = [
     "lattice_intersection",
     "finite_quotient",
     "membership",
-    "solve_columns",
-    "unimodular_inverse",
     "ColumnSolver",
     "hstack",
     "vstack",
@@ -248,10 +248,6 @@ class SmithDecomposition:
     V: IntMatrix
     diagonal: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
 
 def _smith_eliminate(A: IntMatrix, track: bool):
     m, n = A.rows, A.cols
@@ -440,61 +436,69 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=m)
 
 
+def _hermite_split(top: IntMatrix, bottom: IntMatrix) -> tuple[list[tuple[int, ...]], IntMatrix]:
+    """Hermite form of [top; bottom], split at the first column with zero top.
+
+    Pivot rows increase left to right, so the columns before the split have
+    nonzero tops, which form an echelon basis of span(top).  The bottoms of
+    the columns after it are a basis, in canonical Hermite form, of the
+    bottoms of the vectors in the span whose top is zero.
+    """
+    m = top.rows
+    cols = hermite_column_form(vstack([top, bottom])).columns()
+    k = next((k for k, c in enumerate(cols) if not any(c[:m])), len(cols))
+    return cols[:k], IntMatrix.from_columns([c[m:] for c in cols[k:]], rows=bottom.rows)
+
+
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the full integer kernel {x : A @ x = 0}, in canonical Hermite form.
 
     The basis spans the saturated kernel lattice, not a finite-index
-    sublattice: the kernel columns of the Smith V factor are part of a basis
-    of the whole coefficient space.
+    sublattice: the columns of A stacked over the identity span every pair
+    (A x; x), and the kernel is the set of bottoms x with zero top.
     """
-    snf = smith_normal_form(A)
-    r = snf.rank
-    cols = [snf.V.column(j) for j in range(r, A.cols)]
-    return hermite_column_form(IntMatrix.from_columns(cols, rows=A.cols))
+    return _hermite_split(A, IntMatrix.identity(A.cols))[1]
 
 
 class ColumnSolver:
-    """Exact integral solving A @ x = b for a fixed A, reusing one Smith form."""
+    """Exact integral solving A @ x = b for a fixed A.
+
+    Back-substitutes against an echelon basis of span(A) whose columns carry
+    their preimages, from the Hermite form of A stacked over the identity.
+    """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        self._snf = smith_normal_form(A)
+        echelon = _hermite_split(A, IntMatrix.identity(A.cols))[0]
+        # (pivot row, column of [A; I]) in increasing pivot order
+        self._echelon = [(next(i for i, e in enumerate(c) if e), c) for c in echelon]
 
     def solve(self, B: IntMatrix) -> IntMatrix | None:
         """Return X with A @ X = B, or None if some column has no integer solution."""
         A = self.A
         if B.rows != A.rows:
             raise DimensionError(f"cannot solve {A.rows}x{A.cols} against {B.rows} rows")
-        snf = self._snf
         m, n = A.rows, A.cols
-        size = len(snf.diagonal)
-        C = snf.U @ B
-        ycols: list[list[int]] = []
+        xcols: list[list[int]] = []
         for j in range(B.cols):
-            c = C.column(j)
-            y = [0] * n
-            for i in range(size):
-                d = snf.diagonal[i]
-                if d:
-                    if c[i] % d:
-                        return None
-                    y[i] = c[i] // d
-                elif c[i]:
-                    return None
-            for i in range(size, m):
-                if c[i]:
-                    return None
-            ycols.append(y)
-        Y = IntMatrix.from_columns(ycols, rows=n)
-        return snf.V @ Y
+            r = list(B.column(j))
+            x = [0] * n
+            for p, c in self._echelon:
+                # later basis columns are zero at row p, so a remainder there
+                # survives to the final check
+                q = r[p] // c[p]
+                if q:
+                    for i in range(p, m):
+                        r[i] -= q * c[i]
+                    for i in range(n):
+                        x[i] += q * c[m + i]
+            if any(r):
+                return None
+            xcols.append(x)
+        return IntMatrix.from_columns(xcols, rows=n)
 
     def contains(self, B: IntMatrix) -> bool:
         return self.solve(B) is not None
-
-
-def solve_columns(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """One-shot form of :meth:`ColumnSolver.solve`."""
-    return ColumnSolver(A).solve(B)
 
 
 def membership(v: Sequence[int], B: IntMatrix) -> bool:
@@ -503,19 +507,6 @@ def membership(v: Sequence[int], B: IntMatrix) -> bool:
     if len(v) != B.rows:
         raise DimensionError(f"vector of length {len(v)} against {B.rows} rows")
     return ColumnSolver(B).contains(IntMatrix.from_columns([v], rows=B.rows))
-
-
-def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    if U.rows != U.cols:
-        raise DimensionError("only square matrices can be unimodular")
-    snf = smith_normal_form(U)
-    if any(d != 1 for d in snf.diagonal):
-        raise ValueError("matrix is not unimodular")
-    inv = snf.V @ snf.U
-    if inv @ U != IntMatrix.identity(U.rows):
-        raise AssertionError("unimodular inverse failed to verify")
-    return inv
 
 
 @dataclass(frozen=True)
@@ -610,17 +601,17 @@ def cokernel_invariants(P: AbelianPresentation) -> FinAbInvariants:
 def torsion_generators(P: AbelianPresentation) -> SubgroupGens:
     """Vectors generating exactly the torsion subgroup of Z^n / relations.
 
-    In the coordinates diagonalizing the relations the torsion subgroup is
-    spanned by the unit vectors at diagonal entries >= 2; pulling those back
-    through the unimodular row transform gives ambient-coordinate
-    generators, one per torsion invariant factor.
+    With H the Hermite form of the relations and U @ H @ V = D its Smith
+    form, H @ V = U^-1 @ D.  The columns of U^-1 at diagonal entries >= 2
+    generate the torsion, one per torsion invariant factor, and column i of
+    H @ V is d_i times column i of U^-1.
     """
-    snf = smith_normal_form(P.relations)
-    idx = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    if not idx:
-        return SubgroupGens(ambient=P, generators=())
-    uinv = unimodular_inverse(snf.U)
-    return SubgroupGens(ambient=P, generators=tuple(uinv.column(i) for i in idx))
+    H = hermite_column_form(P.relations)
+    snf = smith_normal_form(H)
+    gens = tuple(
+        tuple(e // d for e in H.times_vector(snf.V.column(i))) for i, d in enumerate(snf.diagonal) if d > 1
+    )
+    return SubgroupGens(ambient=P, generators=gens)
 
 
 def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
@@ -631,12 +622,15 @@ def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
 
 
 def lattice_intersection(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
-    """Canonical basis of span(B1) ∩ span(B2), via the kernel of [B1 | -B2]."""
+    """Canonical basis of span(B1) ∩ span(B2), by Zassenhaus' method.
+
+    The columns of [B1 B2; B1 0] span the pairs (B1 x + B2 y; B1 x); those
+    with zero top have B1 x = -B2 y, so the bottoms of the Hermite columns
+    with zero top are a basis of the intersection, in canonical form.
+    """
     if B1.rows != B2.rows:
         raise DimensionError(f"lattice intersection of spans in Z^{B1.rows} and Z^{B2.rows}")
-    K = kernel_basis(hstack([B1, -B2]))
-    coeffs = IntMatrix.from_rows([K.row(i) for i in range(B1.cols)], cols=K.cols)
-    return hermite_column_form(B1 @ coeffs)
+    return _hermite_split(hstack([B1, B2]), hstack([B1, IntMatrix.zeros(B1.rows, B2.cols)]))[1]
 
 
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:

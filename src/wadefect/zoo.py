@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from .groups import CayleyGroup, Subgroup, cyclic_subgroups, from_permutations, subgroup_closure
-from .linalg import IntMatrix, hermite_column_form, unimodular_inverse
+from .linalg import ColumnSolver, IntMatrix, hermite_column_form
 from .modules import GammaModule, direct_sum, free_module, induced_module, norm_one_module, trivial_module, validate
 
 __all__ = [
@@ -124,7 +124,7 @@ def _twist(M: GammaModule, chi: Sequence[int]) -> GammaModule:
 
 
 def _conjugate(M: GammaModule, U: IntMatrix) -> GammaModule:
-    Uinv = unimodular_inverse(U)
+    Uinv = ColumnSolver(U).solve(IntMatrix.identity(M.n))
     action = [U @ mat @ Uinv for mat in M.action]
     relations = U @ M.relations
     return GammaModule(M.group, M.n, relations, action)

@@ -59,6 +59,24 @@ class TestComputeCommand:
         path = write_scenario(tmp_path, klein_doc())
         assert main(["compute", path, "--oracle", "bar", "--check"]) == 0
 
+    def test_check_and_oracle_build_the_cover_once(self, tmp_path, capsys, monkeypatch):
+        # one cover serves --check and --oracle; defect builds its own
+        import wadefect.cli as cli_mod
+        import wadefect.engine as engine_mod
+
+        calls = []
+        real = cli_mod.free_cover
+
+        def counting(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(cli_mod, "free_cover", counting)
+        monkeypatch.setattr(engine_mod, "free_cover", counting)
+        path = write_scenario(tmp_path, klein_doc())
+        assert main(["compute", path, "--oracle", "bar", "--check"]) == 0
+        assert 1 <= len(calls) <= 2
+
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1
 

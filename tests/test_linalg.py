@@ -1,4 +1,5 @@
 import random
+from math import isqrt, prod
 
 import pytest
 
@@ -13,14 +14,13 @@ from wadefect.linalg import (
     cokernel_invariants,
     finite_quotient,
     hermite_column_form,
+    hstack,
     kernel_basis,
     lattice_intersection,
     lattice_sum,
     membership,
     smith_normal_form,
-    solve_columns,
     torsion_generators,
-    unimodular_inverse,
     xgcd,
 )
 from wadefect.oracles import (
@@ -39,6 +39,10 @@ def cols(*vecs, rows=None):
 def random_matrix(rng, max_dim=6, bound=9):
     r, c = rng.randint(1, max_dim), rng.randint(1, max_dim)
     return IntMatrix(r, c, (rng.randint(-bound, bound) for _ in range(r * c)))
+
+
+def max_bits(m):
+    return max((abs(e).bit_length() for e in m.entries), default=0)
 
 
 class TestIntMatrix:
@@ -153,6 +157,24 @@ class TestKernel:
                 assert ColumnSolver(basis).contains(cols(*found, rows=c))
 
 
+class TestEntryGrowth:
+    # h is the bit length of the product of A's row norms, Hadamard's bound
+    # on the minors of A; kernel and solution entries stay within it
+    @pytest.mark.parametrize("rows,cols_", [(40, 45), (60, 65)])
+    def test_kernel_and_solve_stay_within_hadamard(self, rows, cols_):
+        rng = random.Random(rows)
+        a = IntMatrix(rows, cols_, (rng.randint(-9, 9) for _ in range(rows * cols_)))
+        h = isqrt(prod(sum(e * e for e in a.row(i)) for i in range(rows))).bit_length()
+        basis = kernel_basis(a)
+        assert basis.cols == cols_ - rows
+        assert (a @ basis).is_zero()
+        assert max_bits(basis) <= h
+        b = a @ IntMatrix(cols_, 3, (rng.randint(-9, 9) for _ in range(cols_ * 3)))
+        sol = ColumnSolver(a).solve(b)
+        assert a @ sol == b
+        assert max_bits(sol) <= h + max_bits(b) + cols_.bit_length()
+
+
 class TestHermite:
     def test_canonical_under_column_shuffles(self):
         rng = random.Random(3)
@@ -212,6 +234,16 @@ class TestLatticeOps:
             inter = lattice_intersection(b1, b2)
             assert ColumnSolver(hermite_column_form(b1)).contains(inter)
             assert ColumnSolver(hermite_column_form(b2)).contains(inter)
+        # for full-rank pairs, (L1 + L2) / L2 and L1 / (L1 ∩ L2) are isomorphic
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            k1, k2 = rng.randint(n, 5), rng.randint(n, 5)
+            b1 = IntMatrix(n, k1, (rng.randint(-4, 4) for _ in range(n * k1)))
+            b2 = IntMatrix(n, k2, (rng.randint(-4, 4) for _ in range(n * k2)))
+            if hermite_column_form(b1).cols < n or hermite_column_form(b2).cols < n:
+                continue
+            inter = lattice_intersection(b1, b2)
+            assert finite_quotient(lattice_sum(b1, b2), b2) == finite_quotient(b1, inter)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -232,9 +264,20 @@ class TestMembershipSolve:
             a = random_matrix(rng, max_dim=4, bound=4)
             x = IntMatrix(a.cols, 2, (rng.randint(-3, 3) for _ in range(a.cols * 2)))
             b = a @ x
-            sol = solve_columns(a, b)
+            sol = ColumnSolver(a).solve(b)
             assert sol is not None
             assert a @ sol == b
+
+    def test_solve_fails_exactly_outside_the_span(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            a = random_matrix(rng, max_dim=5, bound=4)
+            b = IntMatrix(a.rows, 1, (rng.randint(-4, 4) for _ in range(a.rows)))
+            outside = hermite_column_form(hstack([a, b])) != hermite_column_form(a)
+            sol = ColumnSolver(a).solve(b)
+            assert (sol is None) == outside
+            if sol is not None:
+                assert a @ sol == b
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionError):
@@ -242,13 +285,13 @@ class TestMembershipSolve:
 
 
 class TestUnimodularInverse:
+    # the inverse of a square U is the solution of U @ X = I
     def test_round_trip(self):
         u = IntMatrix.from_rows([[1, 2], [0, 1]])
-        assert unimodular_inverse(u) @ u == IntMatrix.identity(2)
+        assert ColumnSolver(u).solve(IntMatrix.identity(2)) @ u == IntMatrix.identity(2)
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        assert ColumnSolver(IntMatrix.from_rows([[2, 0], [0, 1]])).solve(IntMatrix.identity(2)) is None
 
 
 class TestPresentations:
@@ -284,7 +327,7 @@ class TestPresentations:
         rng = random.Random(23)
         for _ in range(25):
             n = rng.randint(1, 4)
-            k = rng.randint(0, 4)
+            k = rng.randint(0, 12)
             rel = IntMatrix(n, k, (rng.randint(-4, 4) for _ in range(n * k)))
             p = AbelianPresentation(n, rel)
             inv = cokernel_invariants(p)
@@ -293,6 +336,9 @@ class TestPresentations:
             for v, d in zip(gens.generators, inv.factors):
                 assert membership(tuple(d * e for e in v), rel)
                 assert not membership(v, rel) if d > 1 else True
+            # the quotient by the generators is torsion-free, so they reach all torsion
+            g = IntMatrix.from_columns(list(gens.generators), rows=n) if gens.generators else IntMatrix(n, 0, ())
+            assert cokernel_invariants(AbelianPresentation(n, hstack([rel, g]))) == FinAbInvariants((), inv.free_rank)
 
 
 class TestFiniteQuotient:
