@@ -55,7 +55,6 @@ from .linalg import (
 )
 from .modules import (
     FreeCover,
-    GammaLattice,
     GammaModule,
     ModuleError,
     coinvariants,

@@ -64,9 +64,8 @@ def _oracle_subgroups(sc: Scenario) -> list[Subgroup]:
 
 
 def _run_bar_oracle(sc: Scenario, cover: FreeCover) -> None:
-    lat = cover.kernel_lattice
     for H in _oracle_subgroups(sc):
-        via_cover = tate_h_minus1(lat, H)
+        via_cover = tate_h_minus1(cover.kernel, H)
         via_bar = h1_bar(sc.module, H)
         if via_cover != via_bar:
             raise OracleMismatchError(
@@ -125,7 +124,7 @@ def _cmd_h1(args) -> int:
     cover = free_cover(sc.module)
     if args.check:
         verify_cover(cover)
-    inv = tate_h_minus1(cover.kernel_lattice, H)
+    inv = tate_h_minus1(cover.kernel, H)
     if args.oracle == "bar":
         via_bar = h1_bar(sc.module, H)
         if via_bar != inv:

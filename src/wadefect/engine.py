@@ -39,7 +39,6 @@ from .linalg import (
 )
 from .modules import (
     FreeCover,
-    GammaLattice,
     GammaModule,
     ModuleError,
     coinvariants,
@@ -114,9 +113,9 @@ def local_image(cover: FreeCover, delta: Subgroup) -> SubgroupGens:
     Torsion generators of the subgroup coinvariants of the cover kernel,
     re-read as vectors of the full-group coinvariant presentation.
     """
-    lat = cover.kernel_lattice
-    ambient = coinvariants(lat, full_subgroup(lat.group))
-    local = coinvariants(lat, delta)
+    Y = cover.kernel
+    ambient = coinvariants(Y, full_subgroup(Y.group))
+    local = coinvariants(Y, delta)
     gens = torsion_generators(local)
     return SubgroupGens(ambient=ambient, generators=gens.generators)
 
@@ -126,17 +125,17 @@ def _gens_matrix(gens: SubgroupGens, rank: int) -> IntMatrix:
 
 
 def _image_quotient(
-    lat: GammaLattice,
+    Y: GammaModule,
     s_subgroups: Sequence[Subgroup],
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
-    G = lat.group
-    ambient = coinvariants(lat, full_subgroup(G))
+    G = Y.group
+    ambient = coinvariants(Y, full_subgroup(G))
     rank = ambient.ambient_rank
     base = hermite_column_form(ambient.relations)
 
     def image(H: Subgroup) -> IntMatrix:
-        return _gens_matrix(torsion_generators(coinvariants(lat, H)), rank)
+        return _gens_matrix(torsion_generators(coinvariants(Y, H)), rank)
 
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
     numerator = base
@@ -217,7 +216,7 @@ def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
         if short is not None:
             return short
     cover = free_cover(sc.module)
-    inv, s_nc = _image_quotient(cover.kernel_lattice, sc.s_subgroups, sc.sc_subgroups)
+    inv, s_nc = _image_quotient(cover.kernel, sc.s_subgroups, sc.sc_subgroups)
     return DefectResult(inv, s_nc, shortcut=None)
 
 
@@ -236,23 +235,21 @@ def ch1_torus(
     for k, H in enumerate(tuple(s_subgroups) + tuple(sc_subgroups)):
         if not is_subgroup(group, H):
             raise ScenarioError(f"subgroup {k} is not a subgroup of the group")
-    lat = GammaLattice.from_module(y_module)
-    inv, _ = _image_quotient(lat, tuple(s_subgroups), tuple(sc_subgroups))
+    inv, _ = _image_quotient(y_module, tuple(s_subgroups), tuple(sc_subgroups))
     return inv
 
 
 def verify_cover(cover: FreeCover) -> None:
     """Deep consistency checks for a free cover; raises AssertionError on failure.
 
-    The kernel action must satisfy the group law exactly, and the
+    The kernel action must satisfy the group law exactly, which `validate`
+    checks on the identity and every (element, generator) pair, and the
     projection must kill the kernel modulo the module relations.
     """
-    G = cover.module.group
-    mats = cover.kernel_action
-    for g in range(G.order):
-        for h in range(G.order):
-            if mats[g] @ mats[h] != mats[G.table[g][h]]:
-                raise AssertionError(f"kernel action violates the group law on ({g}, {h})")
+    try:
+        validate(cover.kernel)
+    except ModuleError as exc:
+        raise AssertionError(f"cover kernel: {exc}") from exc
     rel = ColumnSolver(cover.module.relations)
     if not rel.contains(cover.projection @ cover.kernel_basis):
         raise AssertionError("projection does not kill the cover kernel")

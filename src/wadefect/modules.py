@@ -4,10 +4,12 @@ A :class:`GammaModule` presents the abelian group Z^n modulo a relation
 lattice, together with one action matrix per designated group generator.
 Action matrices for arbitrary elements are derived from the stored
 generator words and are only required to satisfy the group law modulo the
-relation lattice.
+relation lattice.  A relation-free module is a lattice, and its action
+matrices satisfy the group law exactly.
 
-The homology entry points are :func:`h1` (through a free cover: H_1 of a
-module is the torsion of the coinvariants of the cover's kernel lattice)
+The homology entry points are :func:`h1` (through a free cover
+0 -> Y -> Z[G]^d -> M -> 0 on a greedy generating set of M: H_1 of M is
+the torsion of the coinvariants of the relation-free kernel module Y)
 and :func:`h1_bar` (directly from the inhomogeneous bar complex).  The two
 must always agree; h1_bar exists to be the independent cross-check.
 """
@@ -26,11 +28,11 @@ from .linalg import (
     hermite_column_form,
     hstack,
     kernel_basis,
+    membership,
 )
 
 __all__ = [
     "GammaModule",
-    "GammaLattice",
     "FreeCover",
     "ModuleError",
     "DEFAULT_BAR_CAP",
@@ -134,43 +136,18 @@ def validate(M: GammaModule) -> None:
     M._element_matrices = tuple(derived)
 
 
-class GammaLattice:
-    """Torsion-free lattice with an exact group action.
-
-    Unlike a general module there are no relations, so the action matrices
-    must satisfy the group law on the nose.
-    """
-
-    __slots__ = ("group", "rank", "matrices")
-
-    def __init__(self, group: CayleyGroup, rank: int, matrices: Sequence[IntMatrix]):
-        self.group = group
-        self.rank = int(rank)
-        self.matrices = tuple(matrices)
-        if len(self.matrices) != group.order:
-            raise ModuleError("one action matrix per group element is required")
-
-    @classmethod
-    def from_module(cls, M: GammaModule) -> "GammaLattice":
-        if M.relations.cols:
-            raise ModuleError("only a relation-free module is a lattice")
-        validate(M)
-        return cls(M.group, M.n, M.element_matrices())
-
-    def action(self, g: int) -> IntMatrix:
-        return self.matrices[g]
-
-
 class FreeCover:
-    """The exact sequence 0 -> Y -> Z[G]^n -> M -> 0 at the matrix level.
+    """The exact sequence 0 -> Y -> Z[G]^d -> M -> 0 at the matrix level.
 
-    The middle term has basis (g, i) at index g*n + i (element index major);
-    the projection sends (g, i) to g acting on the i-th generator of M.  Y
-    is the saturated kernel, with the left-translation action restricted to
-    it; since Y is free, its action matrices satisfy the group law exactly.
+    The d copies of Z[G] cover a greedy Z[G]-generating set e_{i_0}, ...,
+    e_{i_{d-1}} of M.  The middle term has basis (g, k) at index g*d + k
+    (element index major); the projection sends (g, k) to g acting on
+    e_{i_k}.  Y is the saturated kernel, returned as the relation-free
+    module `kernel` under left translation; since Y is free, its action
+    satisfies the group law exactly.
     """
 
-    __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel_action")
+    __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
 
     def __init__(
         self,
@@ -178,36 +155,47 @@ class FreeCover:
         cover_rank: int,
         projection: IntMatrix,
         kernel_basis: IntMatrix,
-        kernel_action: Sequence[IntMatrix],
+        kernel: GammaModule,
     ):
         self.module = module
         self.cover_rank = cover_rank
         self.projection = projection
         self.kernel_basis = kernel_basis
-        self.kernel_action = tuple(kernel_action)
-
-    @property
-    def kernel_lattice(self) -> GammaLattice:
-        return GammaLattice(self.module.group, self.kernel_basis.cols, self.kernel_action)
+        self.kernel = kernel
 
 
-def _cover_shift_rows(G: CayleyGroup, n: int, B: IntMatrix, g: int) -> IntMatrix:
-    # left translation by g on Z[G]^n permutes basis blocks: (h, i) -> (g*h, i)
+def _cover_shift_rows(G: CayleyGroup, d: int, B: IntMatrix, g: int) -> IntMatrix:
+    # left translation by g on Z[G]^d permutes basis blocks: (h, k) -> (g*h, k)
     rows: list[tuple[int, ...]] = [()] * B.rows
     for h in range(G.order):
         target = G.table[g][h]
-        for i in range(n):
-            rows[target * n + i] = B.row(h * n + i)
+        for k in range(d):
+            rows[target * d + k] = B.row(h * d + k)
     return IntMatrix.from_rows(rows, cols=B.cols)
 
 
 def free_cover(M: GammaModule) -> "FreeCover":
-    """Canonical free cover of M with its kernel lattice and induced action."""
+    """Free cover of M on a greedy generating set, with its kernel module.
+
+    Basis vectors of M are scanned in order; e_i is kept when it is not in
+    the lattice spanned by the relations and the orbits of the vectors kept
+    so far.  The kernel action is solved for the designated generators only.
+    """
     validate(M)
     G = M.group
     n = M.n
-    cover_rank = G.order * n
-    projection = hstack([M.element_matrices()[g] for g in range(G.order)], rows=n)
+    mats = M.element_matrices()
+    kept: list[int] = []
+    span = hermite_column_form(M.relations)
+    for i in range(n):
+        if membership([int(r == i) for r in range(n)], span):
+            continue
+        kept.append(i)
+        orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
+        span = hermite_column_form(hstack([span, orbit]))
+    d = len(kept)
+    cover_rank = G.order * d
+    projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
     stacked = hstack([projection, -M.relations])
     K = kernel_basis(stacked)
     top = IntMatrix.from_rows([K.row(i) for i in range(cover_rank)], cols=K.cols)
@@ -223,40 +211,41 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     solver = ColumnSolver(basis)
     matrices = []
-    for g in range(G.order):
-        shifted = _cover_shift_rows(G, n, basis, g)
-        C = solver.solve(shifted)
+    for g in G.generator_indices:
+        C = solver.solve(_cover_shift_rows(G, d, basis, g))
         if C is None:
             raise AssertionError("cover kernel is not stable under the group action")
         matrices.append(C)
-    return FreeCover(M, cover_rank, projection, basis, matrices)
+    kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), matrices)
+    return FreeCover(M, cover_rank, projection, basis, kernel)
 
 
-def coinvariants(lat: GammaLattice, delta: Subgroup) -> AbelianPresentation:
-    """Presentation of the coinvariants of `lat` under a subgroup.
+def coinvariants(M: GammaModule, delta: Subgroup) -> AbelianPresentation:
+    """Presentation of the coinvariants of M under a subgroup.
 
-    Relations are the columns of (action(g) - 1) for g running over the
-    subgroup's generators; generator differences span the same lattice as
-    differences over the whole subgroup.
+    Z^n modulo the relations of M and the columns of (rho(g) - 1) for g
+    running over the subgroup's generators; generator differences span the
+    same lattice as differences over the whole subgroup.
     """
-    G = lat.group
+    G = M.group
     if subgroup_closure(G, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    ident = IntMatrix.identity(lat.rank)
-    blocks = [lat.action(g) - ident for g in delta.generators]
-    relations = hstack(blocks, rows=lat.rank) if blocks else IntMatrix(lat.rank, 0, ())
-    return AbelianPresentation(ambient_rank=lat.rank, relations=relations)
+    ident = IntMatrix.identity(M.n)
+    blocks = [M.relations] + [M.element_matrix(g) - ident for g in delta.generators]
+    return AbelianPresentation(ambient_rank=M.n, relations=hstack(blocks, rows=M.n))
 
 
-def tate_h_minus1(lat: GammaLattice, delta: Subgroup) -> FinAbInvariants:
+def tate_h_minus1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     """Torsion of the coinvariants: Tate cohomology in degree -1 for a torsion-free module."""
-    inv = cokernel_invariants(coinvariants(lat, delta))
+    if M.relations.cols:
+        raise ModuleError("Tate H^-1 needs a relation-free module")
+    inv = cokernel_invariants(coinvariants(M, delta))
     return FinAbInvariants(factors=inv.factors, free_rank=0)
 
 
 def h1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     """First group homology of `delta` with coefficients in M, via the free cover."""
-    return tate_h_minus1(free_cover(M).kernel_lattice, delta)
+    return tate_h_minus1(free_cover(M).kernel, delta)
 
 
 def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> FinAbInvariants:

@@ -12,6 +12,7 @@ from wadefect.engine import Scenario, defect, reduce_to_noncyclic
 from wadefect.groups import (
     abelianization,
     conjugate_subgroup,
+    from_permutations,
     full_subgroup,
     subgroup_cayley,
     subgroup_closure,
@@ -36,7 +37,18 @@ from wadefect.modules import (
 )
 from wadefect.oracles import all_subgroups_2gen, box_kernel_vectors, det_bareiss
 from wadefect.scenario_io import parse_scenario
-from wadefect.zoo import a4, cyclic, d4, klein, q8, random_module, random_subgroup, s3
+from wadefect.zoo import (
+    _conjugate,
+    a4,
+    cyclic,
+    d4,
+    klein,
+    q8,
+    random_module,
+    random_subgroup,
+    random_unimodular,
+    s3,
+)
 
 # the zoo named by the criteria: order <= 12, every subgroup is 2-generated,
 # so the 2-generator enumeration below is the full subgroup lattice
@@ -88,7 +100,19 @@ def test_criterion_2_schur_multiplier():
         H = subgroup_closure(G, (g,))
         assert len(H.elements) == 2
         assert h1(M, H).is_trivial()
-    report(2, "H_1(Klein, I) = Z/2 and H_1 over each order-2 subgroup vanishes")
+    # H_1(G, I_G) = H_2(G, Z) at orders 24 and 8, also as the defect with S = {G}
+    budget = 2.0
+    s4 = from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    z2_cubed = from_permutations([(1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 0, 1, 6, 7, 4, 5), (4, 5, 6, 7, 0, 1, 2, 3)])
+    for G, schur in ((s4, (2,)), (z2_cubed, (2, 2, 2))):
+        M = norm_one_module(G)
+        full = full_subgroup(G)
+        t0 = time.monotonic()
+        assert h1(M, full) == FinAbInvariants(schur)
+        assert defect(Scenario(G, M, (full,), ()), use_shortcuts=False).invariants == FinAbInvariants(schur)
+        dt = time.monotonic() - t0
+        assert dt < budget, f"order {G.order} took {dt:.2f}s"
+    report(2, "H_1(G, I) is the Schur multiplier for Klein, S4 and (Z/2)^3; it vanishes over order-2 subgroups")
 
 
 def test_criterion_3_oracle_equivalence():
@@ -113,9 +137,8 @@ def test_criterion_4_free_module_vanishing():
         for k in (1, 2):
             M = free_module(G, k)
             cover = free_cover(M)
-            lat = cover.kernel_lattice
             for H in subgroups:
-                assert tate_h_minus1(lat, H).is_trivial()
+                assert tate_h_minus1(cover.kernel, H).is_trivial()
                 if len(H.elements) <= 12:
                     assert h1_bar(M, H).is_trivial()
                 checked += 1
@@ -163,22 +186,33 @@ def test_criterion_6_reduction_laws():
 def test_criterion_7_cover_independence():
     rng = random.Random(777)
     trials = 10
+    different_covers = 0
     for _ in range(trials):
         G = rng.choice([klein(), s3(), d4(), cyclic(4), cyclic(6)])
         M = random_module(rng, G)
         M2 = with_doubled_generators(M)
         validate(M2)
+        # a change of basis moves the greedy generating set, and so the cover
+        M3 = _conjugate(M, random_unimodular(rng, M.n))
+        validate(M3)
         s = tuple(random_subgroup(rng, G) for _ in range(rng.randint(1, 2)))
         scs = tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 1)))
         a = defect(Scenario(G, M, s, scs), use_shortcuts=False).invariants
         b = defect(Scenario(G, M2, s, scs), use_shortcuts=False).invariants
-        assert a == b
+        c = defect(Scenario(G, M3, s, scs), use_shortcuts=False).invariants
+        assert a == b == c
+        cover, cover3 = free_cover(M), free_cover(M3)
+        if (cover.cover_rank, cover.kernel_basis) != (cover3.cover_rank, cover3.kernel_basis):
+            different_covers += 1
+    # the comparison is only a test if some covers actually differ
+    assert different_covers > 0
     # the Klein value survives the doubled cover too
     G = klein()
     M2 = with_doubled_generators(norm_one_module(G))
     full = full_subgroup(G)
     assert defect(Scenario(G, M2, (full, full), ()), use_shortcuts=False).invariants.factors == (2,)
-    report(7, f"canonical and doubled-generator covers agree on {trials} scenarios")
+    report(7, f"original, doubled-generator and conjugated modules agree on {trials} scenarios, "
+              f"{different_covers} with a different cover")
 
 
 def test_criterion_8_linear_algebra_postconditions():

@@ -4,13 +4,15 @@ import pytest
 
 from wadefect.groups import full_subgroup, subgroup_closure, trivial_subgroup
 from wadefect.linalg import (
+    AbelianPresentation,
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
+    hermite_column_form,
+    hstack,
 )
 from wadefect.modules import (
-    GammaLattice,
     GammaModule,
     ModuleError,
     coinvariants,
@@ -28,7 +30,18 @@ from wadefect.modules import (
     with_doubled_generators,
 )
 from wadefect.oracles import all_subgroups_2gen, quotient_element_orders
-from wadefect.zoo import a4, cyclic, group_zoo, klein, q8, random_module, random_subgroup, s3
+from wadefect.zoo import (
+    _conjugate,
+    a4,
+    cyclic,
+    group_zoo,
+    klein,
+    q8,
+    random_module,
+    random_subgroup,
+    random_unimodular,
+    s3,
+)
 
 
 def sign_module(G):
@@ -88,7 +101,7 @@ class TestFreeCover:
         cover = free_cover(trivial_module(G))
         assert cover.cover_rank == 2
         assert cover.kernel_basis.columns() == [(1, -1)]
-        assert cover.kernel_action[1] == IntMatrix.from_rows([[-1]])
+        assert cover.kernel.element_matrix(1) == IntMatrix.from_rows([[-1]])
 
     def test_z_mod_2_over_trivial_group(self):
         G = cyclic(1)
@@ -107,14 +120,31 @@ class TestFreeCover:
         for G in (klein(), s3()):
             M = norm_one_module(G)
             cover = free_cover(M)
-            assert cover.kernel_basis.cols == G.order * M.n - M.n
+            assert cover.kernel_basis.cols == cover.cover_rank - M.n
+
+    def test_projection_is_onto_and_cover_is_small(self):
+        rng = random.Random(3)
+        for G in group_zoo():
+            for _ in range(4):
+                M = random_module(rng, G)
+                cover = free_cover(M)
+                onto = hermite_column_form(hstack([cover.projection, M.relations]))
+                assert onto == IntMatrix.identity(M.n)
+                d, rest = divmod(cover.cover_rank, G.order)
+                assert rest == 0 and d <= M.n
+                free_rank = cokernel_invariants(AbelianPresentation(M.n, M.relations)).free_rank
+                assert cover.kernel_basis.cols == cover.cover_rank - free_rank
+
+    def test_klein_augmentation_ideal_needs_two_generators(self):
+        # d = 2: the augmentation ideal of the Klein group is not cyclic
+        assert free_cover(norm_one_module(klein())).cover_rank == 8
 
     def test_kernel_action_satisfies_group_law_exactly(self):
         rng = random.Random(2)
         for G in (klein(), s3()):
             M = random_module(rng, G)
             cover = free_cover(M)
-            mats = cover.kernel_action
+            mats = cover.kernel.element_matrices()
             for g in range(G.order):
                 for h in range(G.order):
                     assert mats[g] @ mats[h] == mats[G.table[g][h]]
@@ -134,45 +164,47 @@ class TestFreeCover:
 
 class TestCoinvariants:
     def test_trivial_subgroup(self):
-        lat = GammaLattice.from_module(norm_one_module(klein()))
-        P = coinvariants(lat, trivial_subgroup(klein()))
+        P = coinvariants(norm_one_module(klein()), trivial_subgroup(klein()))
         assert P.relations.cols == 0
 
     def test_sign_action(self):
         G = cyclic(2)
-        lat = GammaLattice.from_module(sign_module(G))
-        P = coinvariants(lat, full_subgroup(G))
+        P = coinvariants(sign_module(G), full_subgroup(G))
         assert P.ambient_rank == 1
         assert P.relations.columns() == [(-2,)]
         assert cokernel_invariants(P) == FinAbInvariants((2,))
 
     def test_free_module_coinvariants_torsion_free(self):
         G = cyclic(2)
-        lat = GammaLattice.from_module(free_module(G))
-        inv = cokernel_invariants(coinvariants(lat, full_subgroup(G)))
+        inv = cokernel_invariants(coinvariants(free_module(G), full_subgroup(G)))
         assert inv == FinAbInvariants((), 1)
+
+    def test_relations_are_honoured(self):
+        # Z/4 with C2 acting by 3: Z / (4, 3 - 1) = Z/2
+        G = cyclic(2)
+        M = GammaModule(G, 1, IntMatrix.from_columns([(4,)], rows=1), [IntMatrix.from_rows([[3]])])
+        assert cokernel_invariants(coinvariants(M, full_subgroup(G))) == FinAbInvariants((2,))
 
 
 class TestTateHMinus1:
     def test_free_module_trivial(self):
         for G in (cyclic(2), klein(), s3()):
-            lat = GammaLattice.from_module(free_module(G))
+            M = free_module(G)
             for H in all_subgroups_2gen(G):
-                assert tate_h_minus1(lat, H).is_trivial()
+                assert tate_h_minus1(M, H).is_trivial()
 
     def test_sign_action(self):
         G = cyclic(2)
-        lat = GammaLattice.from_module(sign_module(G))
-        assert tate_h_minus1(lat, full_subgroup(G)) == FinAbInvariants((2,))
+        assert tate_h_minus1(sign_module(G), full_subgroup(G)) == FinAbInvariants((2,))
 
     def test_augmentation_ideal_of_klein(self):
         # torsion of the full coinvariants of the rank-3 augmentation lattice;
         # coset enumeration gives a group of order 4 and exponent 2
         G = klein()
-        lat = GammaLattice.from_module(norm_one_module(G))
-        P = coinvariants(lat, full_subgroup(G))
+        M = norm_one_module(G)
+        P = coinvariants(M, full_subgroup(G))
         assert quotient_element_orders(P.relations) == [1, 2, 2, 2]
-        assert tate_h_minus1(lat, full_subgroup(G)) == FinAbInvariants((2, 2))
+        assert tate_h_minus1(M, full_subgroup(G)) == FinAbInvariants((2, 2))
 
 
 class TestH1:
@@ -246,8 +278,9 @@ class TestH1:
             M = random_module(rng, G)
             M2 = with_doubled_generators(M)
             validate(M2)
+            M3 = _conjugate(M, random_unimodular(rng, M.n))
             for H in (full_subgroup(G), random_subgroup(rng, G)):
-                assert h1(M, H) == h1(M2, H)
+                assert h1(M, H) == h1(M2, H) == h1(M3, H)
 
     def test_abelianization_comparison(self):
         from wadefect.groups import abelianization, subgroup_cayley
@@ -332,4 +365,4 @@ class TestConstructions:
         G = cyclic(2)
         M = GammaModule(G, 1, IntMatrix.from_columns([(2,)], rows=1), [IntMatrix.identity(1)])
         with pytest.raises(ModuleError):
-            GammaLattice.from_module(M)
+            tate_h_minus1(M, full_subgroup(G))
