@@ -243,8 +243,9 @@ def verify_cover(cover: FreeCover) -> None:
     """Deep consistency checks for a free cover; raises AssertionError on failure.
 
     The kernel action must satisfy the group law exactly, which `validate`
-    checks on the identity and every (element, generator) pair, and the
-    projection must kill the kernel modulo the module relations.
+    checks along the group's generating positions and once per designated
+    generator, and the projection must kill the kernel modulo the module
+    relations.
     """
     try:
         validate(cover.kernel)

@@ -48,36 +48,30 @@ class GroupError(ValueError):
 class CayleyGroup:
     """A finite group with a full multiplication table.
 
-    `table[i][j]` is the index of g_i * g_j.  `words[i]` is a fixed word in
-    the designated generators (by position in `generator_indices`) whose
-    left-to-right product is element i.
+    `table[i][j]` is the index of g_i * g_j.  `generating_positions` lists,
+    in increasing order, the positions in `generator_indices` of a greedy
+    irredundant generating subset of the designated generators: a position
+    is kept when its element is outside the subgroup generated by those kept
+    before it.  Per-generator loops run over this subset; the designated
+    generators themselves must generate the whole table.
     """
 
-    __slots__ = ("order", "table", "identity", "inverses", "generator_indices", "words")
+    __slots__ = ("order", "table", "identity", "inverses", "generator_indices", "generating_positions")
 
-    def __init__(self, table, identity, inverses, generator_indices, words):
+    def __init__(self, table, identity, inverses, generator_indices):
         object.__setattr__(self, "order", len(table))
         object.__setattr__(self, "table", tuple(tuple(row) for row in table))
         object.__setattr__(self, "identity", int(identity))
         object.__setattr__(self, "inverses", tuple(inverses))
         object.__setattr__(self, "generator_indices", tuple(generator_indices))
-        object.__setattr__(self, "words", tuple(tuple(w) for w in words))
-        self._check_words()
+        kept, reached = _span(self.table, self.identity, self.generator_indices)
+        if len(reached) != self.order:
+            raise GroupError(f"the designated generators generate {len(reached)} of {self.order} elements")
+        # index() finds the kept occurrence: later duplicates are never kept
+        object.__setattr__(self, "generating_positions", tuple(self.generator_indices.index(g) for g in kept))
 
     def __setattr__(self, name, value):
         raise AttributeError("CayleyGroup is immutable")
-
-    def _check_words(self):
-        if len(self.words) != self.order:
-            raise GroupError("one word per element is required")
-        for i, word in enumerate(self.words):
-            x = self.identity
-            for k in word:
-                if not (0 <= k < len(self.generator_indices)):
-                    raise GroupError(f"word for element {i} uses unknown generator position {k}")
-                x = self.table[x][self.generator_indices[k]]
-            if x != i:
-                raise GroupError(f"word for element {i} evaluates to {x}")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -135,19 +129,30 @@ def _find_identity(table: list[list[int]]) -> int:
     raise GroupError("table has no two-sided identity")
 
 
-def _closure_under_table(table, seed, identity) -> set[int]:
-    elems = {identity} | set(seed)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for p in (table[a][b], table[b][a]):
-                    if p not in elems:
-                        elems.add(p)
-                        nxt.append(p)
-        frontier = nxt
-    return elems
+def _span(table, identity, candidates) -> tuple[list[int], set[int]]:
+    """Keep each candidate outside the closure of those kept before it; return (kept, closure).
+
+    The closure is a breadth-first search from the identity by right
+    multiplication, so every reached element is a left-nested product of kept ones.
+    """
+    kept: list[int] = []
+    reached = {identity}
+    for c in candidates:
+        if c in reached:
+            continue
+        kept.append(c)
+        frontier = list(reached)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                row = table[x]
+                for k in kept:
+                    y = row[k]
+                    if y not in reached:
+                        reached.add(y)
+                        nxt.append(y)
+            frontier = nxt
+    return kept, reached
 
 
 def _light_associativity(table, gens) -> tuple[int, int, int] | None:
@@ -165,16 +170,6 @@ def _light_associativity(table, gens) -> tuple[int, int, int] | None:
     return None
 
 
-def _generating_set(table, identity) -> list[int]:
-    gens: list[int] = []
-    closed = {identity}
-    for x in range(len(table)):
-        if x not in closed:
-            gens.append(x)
-            closed = _closure_under_table(table, closed | {x}, identity)
-    return gens
-
-
 def from_table(table: Sequence[Sequence[int]], *, assoc_bound: int = DEFAULT_ASSOC_BOUND) -> CayleyGroup:
     """Validate a full multiplication table; generators default to all elements."""
     rows = [list(r) for r in table]
@@ -190,7 +185,7 @@ def from_table(table: Sequence[Sequence[int]], *, assoc_bound: int = DEFAULT_ASS
     _validate_latin(rows)
     identity = _find_identity(rows)
     if n <= assoc_bound:
-        bad = _light_associativity(rows, _generating_set(rows, identity))
+        bad = _light_associativity(rows, _span(rows, identity, range(n))[0])
         if bad is not None:
             x, a, y = bad
             raise GroupError(f"associativity fails on ({x}, {a}, {y})")
@@ -205,7 +200,6 @@ def from_table(table: Sequence[Sequence[int]], *, assoc_bound: int = DEFAULT_ASS
         identity=identity,
         inverses=inverses,
         generator_indices=range(n),
-        words=[(i,) for i in range(n)],
     )
 
 
@@ -223,18 +217,16 @@ def from_permutations(gens: Sequence[Sequence[int]], *, order_cap: int = DEFAULT
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    words: list[tuple[int, ...]] = [()]
     pos = 0
     while pos < len(elements):
         x = elements[pos]
-        for k, g in enumerate(perms):
+        for g in perms:
             y = tuple(x[g[i]] for i in range(degree))
             if y not in index:
                 if len(elements) >= order_cap:
                     raise GroupError(f"group order exceeds the cap of {order_cap}")
                 index[y] = len(elements)
                 elements.append(y)
-                words.append(words[pos] + (k,))
         pos += 1
 
     n = len(elements)
@@ -245,7 +237,6 @@ def from_permutations(gens: Sequence[Sequence[int]], *, order_cap: int = DEFAULT
         identity=0,
         inverses=inverses,
         generator_indices=[index[g] for g in perms],
-        words=words,
     )
 
 
@@ -256,11 +247,11 @@ def _check_indices(G: CayleyGroup, indices) -> None:
 
 
 def subgroup_closure(G: CayleyGroup, seed: Sequence[int]) -> Subgroup:
-    """Least subgroup of G containing the seed elements."""
+    """Least subgroup of G containing the seed elements, generated by the seeds `_span` keeps."""
     seed = [int(s) for s in seed]
     _check_indices(G, seed)
-    elems = _closure_under_table(G.table, seed, G.identity)
-    return Subgroup(elements=tuple(sorted(elems)), generators=tuple(seed))
+    kept, reached = _span(G.table, G.identity, seed)
+    return Subgroup(elements=tuple(reached), generators=tuple(kept))
 
 
 def element_order(G: CayleyGroup, g: int) -> int:
@@ -310,7 +301,8 @@ def conjugate_subgroup(G: CayleyGroup, H: Subgroup, g: int) -> Subgroup:
 
 
 def full_subgroup(G: CayleyGroup) -> Subgroup:
-    return Subgroup(elements=tuple(range(G.order)), generators=G.generator_indices)
+    gens = tuple(G.generator_indices[k] for k in G.generating_positions)
+    return Subgroup(elements=tuple(range(G.order)), generators=gens)
 
 
 def trivial_subgroup(G: CayleyGroup) -> Subgroup:
@@ -318,19 +310,15 @@ def trivial_subgroup(G: CayleyGroup) -> Subgroup:
 
 
 def is_subgroup(G: CayleyGroup, H: Subgroup) -> bool:
-    """Whether H's element set is closed and its generators generate it."""
+    """Whether H's generators generate exactly its element set.
+
+    The closure of the generators is a subgroup, so this also settles that
+    the element set is closed.
+    """
     elems = set(H.elements)
-    if not elems or not all(0 <= e < G.order for e in elems):
+    if not all(0 <= e < G.order for e in elems):
         return False
-    if G.identity not in elems:
-        return False
-    for a in elems:
-        if G.inverses[a] not in elems:
-            return False
-        for b in elems:
-            if G.table[a][b] not in elems:
-                return False
-    return _closure_under_table(G.table, H.generators, G.identity) == elems
+    return _span(G.table, G.identity, H.generators)[1] == elems
 
 
 def is_cyclic_subgroup(G: CayleyGroup, H: Subgroup) -> bool:

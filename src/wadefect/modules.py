@@ -2,10 +2,10 @@
 
 A :class:`GammaModule` presents the abelian group Z^n modulo a relation
 lattice, together with one action matrix per designated group generator.
-Action matrices for arbitrary elements are derived from the stored
-generator words and are only required to satisfy the group law modulo the
-relation lattice.  A relation-free module is a lattice, and its action
-matrices satisfy the group law exactly.
+Action matrices for arbitrary elements are derived by a breadth-first
+search over the group's generating positions and are only required to
+satisfy the group law modulo the relation lattice.  A relation-free module
+is a lattice, and its action matrices satisfy the group law exactly.
 
 The homology entry points are :func:`h1` (through a free cover
 0 -> Y -> Z[G]^d -> M -> 0 on a greedy generating set of M: H_1 of M is
@@ -25,6 +25,7 @@ from .linalg import (
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
+    finite_quotient,
     hermite_column_form,
     hstack,
     kernel_basis,
@@ -84,7 +85,7 @@ class GammaModule:
         return self._element_matrices is not None
 
     def element_matrix(self, g: int) -> IntMatrix:
-        """Action matrix of an arbitrary element, derived from its word."""
+        """Action matrix of an arbitrary element, derived by `validate`."""
         validate(self)
         return self._element_matrices[g]
 
@@ -96,19 +97,21 @@ class GammaModule:
         return f"GammaModule(n={self.n}, relations={self.relations.cols}, group_order={self.group.order})"
 
 
-def _congruent_mod(solver: ColumnSolver, A: IntMatrix, B: IntMatrix) -> bool:
-    # A == B up to columns of the relation lattice
-    return solver.contains(A - B)
-
-
 def validate(M: GammaModule) -> None:
     """Check all module invariants; derive and cache per-element action matrices.
 
-    Raises :class:`ModuleError` naming the violating pair when the action
-    fails the group law modulo the relations, or when a generator does not
-    preserve the relation lattice.  Checking every (element, generator)
-    product is equivalent to checking all pairs: words multiply out along
-    the BFS tree, and congruences propagate through lattice-stable factors.
+    Every generator must preserve the relation lattice.  A breadth-first
+    search from the identity, acting by I, over the generating positions
+    sets D[g s_k] = D[g] A[k] for each new element; every other product must
+    agree with the stored matrix.  Then each designated generator j must have
+    A[j] = D[s_j].  Equalities hold modulo the relations; a violation raises
+    :class:`ModuleError` naming it.
+
+    Together this is the group law on all pairs.  Congruences survive right
+    multiplication by any matrix and left multiplication by a lattice-stable
+    one such as D[g].  Along the search tree, D[g] D[e] = D[g] and
+    D[g] D[p] A[k] = D[gp] A[k] = D[gp s_k], so D[g] D[h] = D[gh] for all h,
+    and D[g] A[j] = D[g] D[s_j] = D[g s_j].
     """
     if M.validated:
         return
@@ -120,19 +123,24 @@ def validate(M: GammaModule) -> None:
                 f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
             )
     derived: list[IntMatrix | None] = [None] * G.order
-    ident = IntMatrix.identity(M.n)
-    for g in range(G.order):
-        mat = ident
-        for k in G.words[g]:
-            mat = mat @ M.action[k]
-        derived[g] = mat
-    if not _congruent_mod(rel_solver, derived[G.identity], ident):
-        raise ModuleError("identity element does not act as the identity modulo relations")
-    for g in range(G.order):
-        for k, gen_elem in enumerate(G.generator_indices):
-            product = G.table[g][gen_elem]
-            if not _congruent_mod(rel_solver, derived[g] @ M.action[k], derived[product]):
-                raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
+    derived[G.identity] = IntMatrix.identity(M.n)
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for k in G.generating_positions:
+                gen_elem = G.generator_indices[k]
+                product = G.table[g][gen_elem]
+                mat = derived[g] @ M.action[k]
+                if derived[product] is None:
+                    derived[product] = mat
+                    nxt.append(product)
+                elif not rel_solver.contains(mat - derived[product]):
+                    raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
+        frontier = nxt
+    for k, gen_elem in enumerate(G.generator_indices):
+        if not rel_solver.contains(M.action[k] - derived[gen_elem]):
+            raise ModuleError(f"incompatible action of generator {k} (element {gen_elem})")
     M._element_matrices = tuple(derived)
 
 
@@ -299,19 +307,11 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
             rel_cols.append(col)
     rel_chains = IntMatrix.from_columns(rel_cols, rows=c1_rank) if rel_cols else IntMatrix(c1_rank, 0, ())
 
-    # cycles: ambient chains whose boundary lands in the relation lattice of M
+    # cycles: ambient chains whose boundary lands in the relation lattice of M;
+    # H_1 of a finite group with finitely generated coefficients is finite
     K = kernel_basis(hstack([d1, -M.relations]))
-    cycles = hermite_column_form(
-        IntMatrix.from_rows([K.row(i) for i in range(c1_rank)], cols=K.cols)
-    )
-    boundaries = hermite_column_form(hstack([d2, rel_chains]))
-    X = ColumnSolver(cycles).solve(boundaries)
-    if X is None:
-        raise AssertionError("bar boundaries escape the cycle lattice")
-    inv = cokernel_invariants(AbelianPresentation(ambient_rank=cycles.cols, relations=X))
-    if inv.free_rank:
-        raise AssertionError("H_1 of a finite group with finitely generated coefficients is finite")
-    return FinAbInvariants(factors=inv.factors, free_rank=0)
+    cycles = IntMatrix.from_rows([K.row(i) for i in range(c1_rank)], cols=K.cols)
+    return finite_quotient(cycles, hstack([d2, rel_chains]))
 
 
 def restrict(M: GammaModule, delta: Subgroup) -> GammaModule:

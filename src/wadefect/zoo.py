@@ -13,7 +13,8 @@ from typing import Sequence
 
 from .groups import CayleyGroup, Subgroup, cyclic_subgroups, from_permutations, subgroup_closure
 from .linalg import ColumnSolver, IntMatrix, hermite_column_form
-from .modules import GammaModule, direct_sum, free_module, induced_module, norm_one_module, trivial_module, validate
+from .modules import GammaModule, ModuleError, direct_sum, free_module, induced_module, norm_one_module
+from .modules import trivial_module, validate
 
 __all__ = [
     "cyclic",
@@ -81,25 +82,22 @@ def group_zoo() -> list[CayleyGroup]:
 
 
 def sign_characters(G: CayleyGroup) -> list[tuple[int, ...]]:
-    """All homomorphisms to {1, -1}, as value tuples per element."""
+    """All homomorphisms to {1, -1}, as value tuples per element.
+
+    A sign per designated generator is a homomorphism exactly when `validate` accepts it as a rank-1 module.
+    """
     gens = G.generator_indices
     out = []
     for bits in range(1 << len(gens)):
-        assign = [1 if bits & (1 << k) == 0 else -1 for k in range(len(gens))]
-        values = []
-        for g in range(G.order):
-            v = 1
-            for k in G.words[g]:
-                v *= assign[k]
-            values.append(v)
-        if all(
-            values[G.table[a][b]] == values[a] * values[b]
-            for a in range(G.order)
-            for b in range(G.order)
-        ):
-            tup = tuple(values)
-            if tup not in out:
-                out.append(tup)
+        action = [IntMatrix.from_rows([[1 if bits & (1 << k) == 0 else -1]]) for k in range(len(gens))]
+        M = GammaModule(G, 1, IntMatrix(1, 0, ()), action)
+        try:
+            validate(M)
+        except ModuleError:
+            continue
+        tup = tuple(mat[0, 0] for mat in M.element_matrices())
+        if tup not in out:
+            out.append(tup)
     return out
 
 

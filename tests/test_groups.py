@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wadefect.groups import (
+    CayleyGroup,
     GroupError,
     Subgroup,
     abelianization,
@@ -60,15 +61,30 @@ class TestFromPermutations:
         G = from_permutations(KLEIN_GENS)
         assert G.identity == 0
         assert G.generator_indices == (1, 2)
-        assert G.words[:3] == ((), (0,), (1,))
+        assert G.generating_positions == (0, 1)
 
-    def test_words_reproduce_elements(self):
-        for G in group_zoo():
-            for i, word in enumerate(G.words):
-                x = G.identity
-                for k in word:
-                    x = G.table[x][G.generator_indices[k]]
-                assert x == i
+    def test_generating_positions_are_irredundant_and_generate(self):
+        def reach(G, positions):
+            gens = [G.generator_indices[k] for k in positions]
+            seen = {G.identity}
+            frontier = [G.identity]
+            while frontier:
+                frontier = [G.table[x][g] for x in frontier for g in gens if G.table[x][g] not in seen]
+                seen.update(frontier)
+            return len(seen)
+
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                positions = G.generating_positions
+                assert reach(G, positions) == G.order
+                for drop in range(len(positions)):
+                    assert reach(G, positions[:drop] + positions[drop + 1 :]) < G.order
+                assert 2 ** len(positions) <= G.order
+
+    def test_designated_generators_must_generate(self):
+        G = klein()
+        with pytest.raises(GroupError, match="generate"):
+            CayleyGroup(G.table, G.identity, G.inverses, (1,))
 
 
 class TestFromTable:
@@ -142,6 +158,20 @@ class TestSubgroups:
                 seed = [rng.randrange(G.order) for _ in range(rng.randint(0, 2))]
                 H = subgroup_closure(G, seed)
                 assert is_subgroup(G, H)
+                elems = set(H.elements)
+                assert all(G.table[a][b] in elems for a in elems for b in elems)
+
+    def test_closure_keeps_an_irredundant_seed_subset(self):
+        G = a4()
+        assert len(subgroup_closure(G, range(12)).generators) <= 2
+        for G in group_zoo():
+            assert subgroup_closure(G, (G.identity,)).generators == ()
+
+    def test_is_subgroup_rejects_sets_its_generators_do_not_fill(self):
+        G = klein()
+        assert not is_subgroup(G, Subgroup(elements=(0, 1, 2), generators=(1,)))
+        assert not is_subgroup(G, Subgroup(elements=(0, 1, 2), generators=(1, 2)))
+        assert not is_subgroup(G, Subgroup(elements=(1,), generators=(1,)))
 
 
 class TestCyclicSubgroups:

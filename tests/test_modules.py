@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wadefect.groups import full_subgroup, subgroup_closure, trivial_subgroup
+from wadefect.groups import from_table, full_subgroup, subgroup_closure, trivial_subgroup
 from wadefect.linalg import (
     AbelianPresentation,
     ColumnSolver,
@@ -93,6 +93,58 @@ class TestValidate:
             for g in range(G.order):
                 for h in range(G.order):
                     assert mats[g] @ mats[h] == mats[G.table[g][h]]
+
+    def test_pruned_law_check_matches_all_pairs_on_table_groups(self):
+        # validate checks the law along a search over the generating positions
+        # plus one congruence per designated generator; a brute-force check on
+        # all pairs must agree with it on every perturbed action
+        def law_holds(T, relations, action):
+            rel = ColumnSolver(relations)
+            ident = IntMatrix.identity(relations.rows)
+            if not all(rel.contains(a @ relations) for a in action):
+                return False
+            if not rel.contains(action[T.identity] - ident):
+                return False
+            return all(
+                rel.contains(action[g] @ action[h] - action[T.table[g][h]])
+                for g in range(T.order)
+                for h in range(T.order)
+            )
+
+        rng = random.Random(23)
+        outcomes = set()
+        failures_off_generators = 0
+        for P in group_zoo():
+            T = from_table(P.table)
+            for _ in range(8):
+                M = random_module(rng, P)
+                action = list(M.element_matrices())
+                g = rng.randrange(T.order)
+                way = rng.choice(("relation", "swap", "negate"))
+                if way == "relation":
+                    X = IntMatrix.from_rows(
+                        [[rng.randint(-3, 3) for _ in range(M.n)] for _ in range(M.relations.cols)],
+                        cols=M.n,
+                    )
+                    action[g] = action[g] + M.relations @ X
+                elif way == "swap":
+                    action[g] = action[rng.choice([h for h in range(T.order) if h != g])]
+                else:
+                    action[g] = -action[g]
+                expected = law_holds(T, M.relations, action)
+                try:
+                    validate(GammaModule(T, M.n, M.relations, action))
+                    accepted = True
+                except ModuleError:
+                    accepted = False
+                assert accepted == expected, (T.order, g, way)
+                if way == "relation":
+                    assert accepted
+                outcomes.add(accepted)
+                if not accepted and g not in T.generating_positions:
+                    failures_off_generators += 1
+        assert outcomes == {True, False}
+        assert failures_off_generators
 
 
 class TestFreeCover:
