@@ -6,6 +6,9 @@ Everything runs on Python's arbitrary-precision integers; there is no
 overflow mode.  Kernels, solves and intersections come from the column
 Hermite form of a stacked matrix, whose size reduction keeps entries small;
 the Smith form is used only for invariant factors and torsion generators.
+Every column reduction in the Hermite form and in back-substitution walks
+only the support (the nonzero rows) of the column it subtracts; a pivot's
+support is recomputed whenever the pivot column changes.
 
 Lattices are column spans of integer matrices.  The canonical form is the
 column Hermite normal form produced by :func:`hermite_column_form`: two
@@ -16,6 +19,7 @@ for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -80,7 +84,7 @@ class IntMatrix:
         cols = int(cols)
         if rows < 0 or cols < 0:
             raise DimensionError(f"negative shape {rows}x{cols}")
-        data = tuple(int(e) for e in entries)
+        data = tuple(map(int, entries))
         if len(data) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
@@ -118,8 +122,7 @@ class IntMatrix:
         for c in cols_data:
             if len(c) != height:
                 raise DimensionError("ragged column data")
-        flat = [cols_data[j][i] for i in range(height) for j in range(len(cols_data))]
-        return cls(height, len(cols_data), flat)
+        return cls(height, len(cols_data), chain.from_iterable(zip(*cols_data)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -369,18 +372,24 @@ def smith_diagonal(A: IntMatrix) -> tuple[int, ...]:
     return _smith_eliminate(A, track=False)[3]
 
 
-def _reduce_against_lower_pivots(col: list[int], pivots: dict[int, list[int]], row: int, m: int) -> None:
+def _support(col: list[int], row: int, m: int) -> list[int]:
+    return [i for i in range(row, m) if col[i]]
+
+
+def _reduce_against_lower_pivots(
+    col: list[int], pivots: dict[int, list[int]], support: dict[int, list[int]], row: int
+) -> None:
     # keep stored entries small; without this, repeated xgcd merges blow up
     # coefficients exponentially on wide inputs
     for r in sorted(k for k in pivots if k > row):
         p = pivots[r]
         q = col[r] // p[r]
         if q:
-            for i in range(r, m):
+            for i in support[r]:
                 col[i] -= q * p[i]
 
 
-def _hnf_insert(v: list[int], pivots: dict[int, list[int]], m: int) -> None:
+def _hnf_insert(v: list[int], pivots: dict[int, list[int]], support: dict[int, list[int]], m: int) -> None:
     row = 0
     while row < m:
         if not v[row]:
@@ -391,22 +400,25 @@ def _hnf_insert(v: list[int], pivots: dict[int, list[int]], m: int) -> None:
             if v[row] < 0:
                 for i in range(row, m):
                     v[i] = -v[i]
-            _reduce_against_lower_pivots(v, pivots, row, m)
+            _reduce_against_lower_pivots(v, pivots, support, row)
             pivots[row] = v
+            support[row] = _support(v, row, m)
             return
         a = c[row]
         q = v[row] // a
         if q:
-            for i in range(row, m):
+            for i in support[row]:
                 v[i] -= q * c[i]
         if v[row]:
+            # the merge rewrites both columns, so it runs over every row
             g, x, y = xgcd(a, v[row])
             aq, bq = a // g, v[row] // g
             for i in range(row, m):
                 ci, vi = c[i], v[i]
                 c[i] = x * ci + y * vi
                 v[i] = aq * vi - bq * ci
-            _reduce_against_lower_pivots(c, pivots, row, m)
+            _reduce_against_lower_pivots(c, pivots, support, row)
+            support[row] = _support(c, row, m)
         row += 1
 
 
@@ -417,21 +429,32 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     pivots are positive, and within a pivot row every entry to the left of
     the pivot is reduced into [0, pivot).  The result is a basis, and two
     column spans are equal iff their forms are equal.
+
+    Columns are inserted one at a time.  Subtracting a multiple of a pivot
+    column walks only that column's support, the rows where it is nonzero;
+    a support is recomputed whenever its column changes, that is when the
+    column becomes a pivot and after each xgcd merge into it.
     """
     m = B.rows
     pivots: dict[int, list[int]] = {}
+    # support[r]: ascending rows i >= r where pivots[r] is nonzero.  It is
+    # exact after every insertion.  The back-reduction below leaves it stale
+    # but never reads it stale: step k reads support[r_k] and writes only
+    # columns j < k, which no later step reads from.
+    support: dict[int, list[int]] = {}
     for j in range(B.cols):
-        _hnf_insert(list(B.column(j)), pivots, m)
+        _hnf_insert(list(B.column(j)), pivots, support, m)
     rows_sorted = sorted(pivots)
     cols = [pivots[r] for r in rows_sorted]
     for k, r in enumerate(rows_sorted):
         ck = cols[k]
         piv = ck[r]
+        sk = support[r]
         for j in range(k):
             cj = cols[j]
             q = cj[r] // piv
             if q:
-                for i in range(r, m):
+                for i in sk:
                     cj[i] -= q * ck[i]
     return IntMatrix.from_columns(cols, rows=m)
 
@@ -465,33 +488,42 @@ class ColumnSolver:
 
     Back-substitutes against an echelon basis of span(A) whose columns carry
     their preimages, from the Hermite form of A stacked over the identity.
+    Each basis column is stored as its support, the nonzero entries split at
+    row m of [A; I]: a step updates the remainder from the top part and the
+    solution from the bottom part, and skips every zero entry.
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
+        m = A.rows
         echelon = _hermite_split(A, IntMatrix.identity(A.cols))[0]
-        # (pivot row, column of [A; I]) in increasing pivot order
-        self._echelon = [(next(i for i, e in enumerate(c) if e), c) for c in echelon]
+        # (pivot row, pivot, nonzero (row, entry) of the top, nonzero
+        # (row - m, entry) of the bottom) in increasing pivot order
+        self._echelon = []
+        for c in echelon:
+            top = [(i, c[i]) for i in range(m) if c[i]]
+            bottom = [(i - m, c[i]) for i in range(m, len(c)) if c[i]]
+            self._echelon.append((top[0][0], top[0][1], top, bottom))
 
     def solve(self, B: IntMatrix) -> IntMatrix | None:
         """Return X with A @ X = B, or None if some column has no integer solution."""
         A = self.A
         if B.rows != A.rows:
             raise DimensionError(f"cannot solve {A.rows}x{A.cols} against {B.rows} rows")
-        m, n = A.rows, A.cols
+        n = A.cols
         xcols: list[list[int]] = []
         for j in range(B.cols):
             r = list(B.column(j))
             x = [0] * n
-            for p, c in self._echelon:
+            for p, piv, top, bottom in self._echelon:
                 # later basis columns are zero at row p, so a remainder there
                 # survives to the final check
-                q = r[p] // c[p]
+                q = r[p] // piv
                 if q:
-                    for i in range(p, m):
-                        r[i] -= q * c[i]
-                    for i in range(n):
-                        x[i] += q * c[m + i]
+                    for i, e in top:
+                        r[i] -= q * e
+                    for i, e in bottom:
+                        x[i] += q * e
             if any(r):
                 return None
             xcols.append(x)

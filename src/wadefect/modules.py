@@ -281,37 +281,32 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
     d1 = hstack([mats[G.inverses[g]] - ident for g in dl], rows=n)
 
     c1_rank = n * size
-    d2_cols: list[list[int]] = []
+    # denominator: the d2 columns, then the relation-induced chains
+    den_cols: list[list[int]] = []
     for a in dl:
-        inv_a = mats[G.inverses[a]]
+        inv_cols = mats[G.inverses[a]].columns()
+        base_a = pos[a] * n
         for b in dl:
-            ab = G.table[a][b]
+            base_ab = pos[G.table[a][b]] * n
+            base_b = pos[b] * n
             for i in range(n):
                 col = [0] * c1_rank
-                base_b = pos[b] * n
-                for r in range(n):
-                    col[base_b + r] += inv_a[r, i]
-                col[pos[ab] * n + i] -= 1
-                col[pos[a] * n + i] += 1
-                d2_cols.append(col)
-    d2 = IntMatrix.from_columns(d2_cols, rows=c1_rank)
-
-    rel_cols: list[list[int]] = []
+                col[base_b : base_b + n] = inv_cols[i]
+                col[base_ab + i] -= 1
+                col[base_a + i] += 1
+                den_cols.append(col)
     for a in dl:
         base = pos[a] * n
-        for j in range(M.relations.cols):
+        for rc in M.relations.columns():
             col = [0] * c1_rank
-            rc = M.relations.column(j)
-            for r in range(n):
-                col[base + r] = rc[r]
-            rel_cols.append(col)
-    rel_chains = IntMatrix.from_columns(rel_cols, rows=c1_rank) if rel_cols else IntMatrix(c1_rank, 0, ())
+            col[base : base + n] = rc
+            den_cols.append(col)
 
     # cycles: ambient chains whose boundary lands in the relation lattice of M;
     # H_1 of a finite group with finitely generated coefficients is finite
     K = kernel_basis(hstack([d1, -M.relations]))
     cycles = IntMatrix.from_rows([K.row(i) for i in range(c1_rank)], cols=K.cols)
-    return finite_quotient(cycles, hstack([d2, rel_chains]))
+    return finite_quotient(cycles, IntMatrix.from_columns(den_cols, rows=c1_rank))
 
 
 def restrict(M: GammaModule, delta: Subgroup) -> GammaModule:

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the normal-form machinery it is used to
 check: determinants come from fraction-free elimination, kernels from box
-enumeration, quotient orders from coset enumeration, and subgroup counts
-from raw closure.  The selfcheck command and the test suite both lean on
-these.
+enumeration, quotient orders from coset enumeration, subgroup counts from
+raw closure, and the Hermite form from row-by-row Euclid.  The selfcheck
+command and the test suite both lean on these.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .linalg import IntMatrix, hermite_column_form
 
 __all__ = [
     "det_bareiss",
+    "hermite_reference",
     "gcd_of_k_minors",
     "diagonal_from_minor_gcds",
     "box_kernel_vectors",
@@ -50,6 +51,40 @@ def det_bareiss(M: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def hermite_reference(B: IntMatrix) -> IntMatrix:
+    """Column Hermite normal form by the textbook method, for cross-checking.
+
+    Row by row, Euclid runs across the columns that have no pivot yet: the
+    one with the smallest nonzero entry in the row divides the others, until
+    at most one is nonzero there.  That one becomes the pivot, made
+    positive.  Finally each entry to the left of a pivot is reduced into
+    [0, pivot).  No entry is kept small on the way; inputs must be small.
+    """
+    m = B.rows
+    free = [list(c) for c in B.columns()]
+    pivots: list[tuple[int, list[int]]] = []
+    for r in range(m):
+        live = [c for c in free if c[r]]
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[r]))
+            for c in live:
+                if c is not p:
+                    q = c[r] // p[r]
+                    c[:] = [a - q * b for a, b in zip(c, p)]
+            live = [c for c in live if c[r]]
+        if live:
+            p = live[0]
+            if p[r] < 0:
+                p[:] = [-a for a in p]
+            free = [c for c in free if c is not p]
+            pivots.append((r, p))
+    for k, (r, p) in enumerate(pivots):
+        for _, c in pivots[:k]:
+            q = c[r] // p[r]
+            c[:] = [a - q * b for a, b in zip(c, p)]
+    return IntMatrix.from_columns([c for _, c in pivots], rows=m)
 
 
 def gcd_of_k_minors(M: IntMatrix, k: int) -> int:

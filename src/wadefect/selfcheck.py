@@ -12,7 +12,7 @@ from typing import Callable
 from . import catalog, oracles, zoo
 from .engine import Scenario, defect
 from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure
-from .linalg import IntMatrix, membership, smith_normal_form
+from .linalg import IntMatrix, hermite_column_form, membership, smith_normal_form
 from .modules import free_module, h1, h1_bar, tate_h_minus1, trivial_module, free_cover
 from .scenario_io import parse_scenario
 
@@ -36,6 +36,16 @@ def check_smith_postconditions(rng: random.Random) -> None:
         assert all(d >= 0 for d in diag), "negative diagonal entry"
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else (b == 0), f"broken chain {diag}"
+
+
+def check_hermite_canonical(rng: random.Random) -> None:
+    for _ in range(40):
+        rows = rng.randint(1, 8)
+        cols = rng.randint(1, 16)
+        density = rng.uniform(0.15, 1.0)
+        entries = [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(rows * cols)]
+        A = IntMatrix(rows, cols, entries)
+        assert hermite_column_form(A) == oracles.hermite_reference(A), "Hermite form differs from the reference"
 
 
 def check_kernel_saturation(rng: random.Random) -> None:
@@ -106,6 +116,7 @@ def check_klein_paper_values(rng: random.Random) -> None:
 
 CHECKS: list[tuple[str, Callable[[random.Random], None]]] = [
     ("smith-postconditions", check_smith_postconditions),
+    ("hermite-canonical", check_hermite_canonical),
     ("kernel-saturation", check_kernel_saturation),
     ("oracle-equivalence", check_oracle_equivalence),
     ("abelianization-oracle", check_abelianization_oracle),

@@ -28,8 +28,10 @@ from wadefect.oracles import (
     coset_count,
     det_bareiss,
     diagonal_from_minor_gcds,
+    hermite_reference,
     quotient_element_orders,
 )
+from wadefect.zoo import group_zoo, random_module
 
 
 def cols(*vecs, rows=None):
@@ -175,6 +177,58 @@ class TestEntryGrowth:
         assert max_bits(sol) <= h + max_bits(b) + cols_.bit_length()
 
 
+def bar_d2(M):
+    """Boundary C2 -> C1 of the inhomogeneous bar complex of M over its whole group."""
+    G, n = M.group, M.n
+    mats = M.element_matrices()
+    out = []
+    for a in range(G.order):
+        inv = mats[G.inverses[a]]
+        for b in range(G.order):
+            for i in range(n):
+                col = [0] * (n * G.order)
+                for r in range(n):
+                    col[b * n + r] += inv[r, i]
+                col[G.table[a][b] * n + i] -= 1
+                col[a * n + i] += 1
+                out.append(col)
+    return IntMatrix.from_columns(out, rows=n * G.order)
+
+
+def reference_cases(rng):
+    """Sparse and dense matrices with dependent columns, merge triggers and bar boundaries."""
+    for _ in range(80):
+        m = rng.randint(1, 12)
+        density = rng.uniform(0.15, 1.0)
+        drawn = [
+            [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(rng.randint(1, 15))
+        ]
+        # integer combinations of drawn columns, so many columns are dependent
+        target = rng.randint(len(drawn), 30)
+        while len(drawn) < target:
+            a, b = rng.choice(drawn), rng.choice(drawn)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            drawn.append([x * e + y * f for e, f in zip(a, b)])
+        rng.shuffle(drawn)
+        yield IntMatrix.from_columns(drawn, rows=m)
+    for _ in range(40):
+        # columns sharing a leading row with coprime non-unit entries, then a
+        # third one there: the pivot is rewritten by an xgcd merge and must be
+        # subtracted afterwards with its new support
+        m = rng.randint(2, 10)
+        r = rng.randrange(m - 1)
+        drawn = []
+        for lead in (2, 3, rng.choice((5, 7, 4))):
+            tail = [rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(m - r - 1)]
+            drawn.append([0] * r + [lead * rng.choice((1, -1))] + tail)
+        drawn += [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 4))]
+        yield IntMatrix.from_columns(drawn, rows=m)
+    for G in group_zoo():
+        if G.order <= 6:
+            yield bar_d2(random_module(rng, G, max_rank=3))
+
+
 class TestHermite:
     def test_canonical_under_column_shuffles(self):
         rng = random.Random(3)
@@ -191,6 +245,23 @@ class TestHermite:
 
     def test_zero_lattice(self):
         assert hermite_column_form(IntMatrix.zeros(3, 2)).cols == 0
+
+    def test_matches_textbook_reference(self):
+        rng = random.Random(29)
+        for A in reference_cases(rng):
+            ref = hermite_reference(A)
+            assert hermite_column_form(A) == ref
+            K = kernel_basis(A)
+            assert (A @ K).is_zero()
+            assert K.cols == A.cols - ref.cols
+            assert hermite_reference(K) == K
+            solver = ColumnSolver(A)
+            Y = IntMatrix(A.cols, 1, [rng.randint(-3, 3) for _ in range(A.cols)])
+            X = solver.solve(A @ Y)
+            assert X is not None and A @ X == A @ Y
+            b = IntMatrix(A.rows, 1, [rng.randint(-5, 5) for _ in range(A.rows)])
+            in_span = hermite_reference(hstack([A, b])) == ref
+            assert (solver.solve(b) is not None) == in_span
 
 
 class TestLatticeOps:
