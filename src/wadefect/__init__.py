@@ -14,9 +14,7 @@ from .engine import (
     ScenarioError,
     ch1_torus,
     defect,
-    local_image,
     quick_vanish,
-    reduce_to_noncyclic,
     validate_scenario,
 )
 from .groups import (

@@ -10,7 +10,9 @@ inside the coinvariants of the cover kernel, where N1 joins the torsion
 images coming from the non-cyclic S subgroups with the ambient relation
 lattice, and N2 does the same for the complement side with every cyclic
 subgroup adjoined for free (the Chebotarev step).  Cyclic entries of S are
-ignored; they never contribute.
+ignored; they never contribute.  Each side adjoins its subgroups only up to
+conjugacy and containment, one representative per conjugacy class and none
+inside a conjugate of another: the others add nothing to the image.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .linalg import (
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
-    SubgroupGens,
     finite_quotient,
     hermite_column_form,
     lattice_intersection,
@@ -51,11 +52,9 @@ __all__ = [
     "DefectResult",
     "ScenarioError",
     "validate_scenario",
-    "local_image",
     "defect",
     "ch1_torus",
     "quick_vanish",
-    "reduce_to_noncyclic",
     "verify_cover",
 ]
 
@@ -107,21 +106,25 @@ def validate_scenario(sc: Scenario) -> None:
                 raise ScenarioError(f"{label}[{k}] is not a subgroup of the group")
 
 
-def local_image(cover: FreeCover, delta: Subgroup) -> SubgroupGens:
-    """Image of the local homology in the global coinvariants.
+def _class_representatives(G: CayleyGroup, candidates: Sequence[Subgroup]) -> list[Subgroup]:
+    """The candidates, by decreasing order, that lie in no conjugate of one kept before.
 
-    Torsion generators of the subgroup coinvariants of the cover kernel,
-    re-read as vectors of the full-group coinvariant presentation.
+    Inner automorphisms act trivially on H_1(G, -), and H_1 of a subgroup
+    maps to the coinvariants through H_1 of any subgroup containing it
+    (Brown, Cohomology of Groups, III.8), so a dropped candidate adds
+    nothing to a sum of torsion images.  H lies in g K g^-1 when g^-1 h g
+    is in K for each generator h of H.
     """
-    Y = cover.kernel
-    ambient = coinvariants(Y, full_subgroup(Y.group))
-    local = coinvariants(Y, delta)
-    gens = torsion_generators(local)
-    return SubgroupGens(ambient=ambient, generators=gens.generators)
-
-
-def _gens_matrix(gens: SubgroupGens, rank: int) -> IntMatrix:
-    return IntMatrix.from_columns([list(v) for v in gens.generators], rows=rank)
+    table, inverses = G.table, G.inverses
+    kept: list[tuple[Subgroup, set[int]]] = []
+    for H in sorted(candidates, key=lambda H: -H.order):
+        if not any(
+            K.order % H.order == 0
+            and any(all(table[table[inverses[g]][h]][g] in K_elems for h in H.generators) for g in range(G.order))
+            for K, K_elems in kept
+        ):
+            kept.append((H, set(H.elements)))
+    return [H for H, _ in kept]
 
 
 def _image_quotient(
@@ -135,29 +138,20 @@ def _image_quotient(
     base = hermite_column_form(ambient.relations)
 
     def image(H: Subgroup) -> IntMatrix:
-        return _gens_matrix(torsion_generators(coinvariants(Y, H)), rank)
+        gens = torsion_generators(coinvariants(Y, H)).generators
+        return IntMatrix.from_columns([list(v) for v in gens], rows=rank)
 
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
     numerator = base
-    for k in s_nc:
-        numerator = lattice_sum(numerator, image(s_subgroups[k]))
+    for H in _class_representatives(G, [s_subgroups[k] for k in s_nc]):
+        numerator = lattice_sum(numerator, image(H))
 
     denominator = base
-    for H in sc_subgroups:
-        if not is_cyclic_subgroup(G, H):
-            denominator = lattice_sum(denominator, image(H))
-    for C in cyclic_subgroups(G):
-        denominator = lattice_sum(denominator, image(C))
+    for H in _class_representatives(G, list(sc_subgroups) + cyclic_subgroups(G)):
+        denominator = lattice_sum(denominator, image(H))
 
     inv = finite_quotient(numerator, lattice_intersection(numerator, denominator))
     return inv, s_nc
-
-
-def reduce_to_noncyclic(sc: Scenario) -> Scenario:
-    """Drop cyclic entries from the S list; the defect is unchanged."""
-    G = sc.group
-    kept = tuple(H for H in sc.s_subgroups if not is_cyclic_subgroup(G, H))
-    return Scenario(sc.group, sc.module, kept, sc.sc_subgroups)
 
 
 def _is_detectably_free(M: GammaModule) -> bool:

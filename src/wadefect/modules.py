@@ -29,7 +29,6 @@ from .linalg import (
     hermite_column_form,
     hstack,
     kernel_basis,
-    membership,
 )
 
 __all__ = [
@@ -195,12 +194,14 @@ def free_cover(M: GammaModule) -> "FreeCover":
     mats = M.element_matrices()
     kept: list[int] = []
     span = hermite_column_form(M.relations)
+    span_solver = ColumnSolver(span)
     for i in range(n):
-        if membership([int(r == i) for r in range(n)], span):
+        if span_solver.contains(IntMatrix.from_columns([[int(r == i) for r in range(n)]], rows=n)):
             continue
         kept.append(i)
         orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
         span = hermite_column_form(hstack([span, orbit]))
+        span_solver = ColumnSolver(span)
     d = len(kept)
     cover_rank = G.order * d
     projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
@@ -414,8 +415,8 @@ def with_doubled_generators(M: GammaModule) -> GammaModule:
     """An isomorphic presentation on a redundantly doubled generator set.
 
     Each generator is listed twice; the duplicates are identified by extra
-    relations.  Free covers of the result are structurally different from
-    covers of M, which makes this the natural cross-check input.
+    relations.  The greedy scan of `free_cover` keeps the same generators of
+    the first copy as for M, so both have the same cover.
     """
     n = M.n
     n2 = 2 * n

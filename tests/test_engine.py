@@ -6,32 +6,58 @@ from wadefect.engine import (
     DefectResult,
     Scenario,
     ScenarioError,
+    _class_representatives,
     ch1_torus,
     defect,
-    local_image,
     quick_vanish,
-    reduce_to_noncyclic,
     validate_scenario,
     verify_cover,
 )
 from wadefect.groups import (
     Subgroup,
     conjugate_subgroup,
+    cyclic_subgroups,
+    from_permutations,
+    from_table,
     full_subgroup,
+    is_cyclic_subgroup,
     subgroup_closure,
     trivial_subgroup,
 )
-from wadefect.linalg import FinAbInvariants, IntMatrix
+from wadefect.linalg import (
+    FinAbInvariants,
+    IntMatrix,
+    finite_quotient,
+    hermite_column_form,
+    lattice_intersection,
+    lattice_sum,
+    membership,
+    torsion_generators,
+)
 from wadefect.modules import (
     GammaModule,
     ModuleError,
+    coinvariants,
+    direct_sum,
     free_cover,
     free_module,
     induced_module,
     norm_one_module,
     trivial_module,
 )
-from wadefect.zoo import a4, cyclic, d4, group_zoo, klein, q8, random_module, random_subgroup, s3
+from wadefect.zoo import (
+    _conjugate,
+    a4,
+    cyclic,
+    d4,
+    group_zoo,
+    klein,
+    q8,
+    random_module,
+    random_subgroup,
+    random_unimodular,
+    s3,
+)
 
 
 def klein_scenario(s_full, sc_full, module=None):
@@ -42,19 +68,22 @@ def klein_scenario(s_full, sc_full, module=None):
     return Scenario(G, module, (full,) * s_full, (full,) * sc_full)
 
 
+def local_torsion(cover, H):
+    """Torsion generators of the H-coinvariants of the cover kernel."""
+    return torsion_generators(coinvariants(cover.kernel, H))
+
+
 class TestLocalImage:
     def test_trivial_subgroup_gives_zero(self):
         cover = free_cover(norm_one_module(klein()))
-        assert local_image(cover, trivial_subgroup(klein())).generators == ()
+        assert local_torsion(cover, trivial_subgroup(klein())).generators == ()
 
     def test_full_group_gives_order_two(self):
         G = klein()
         cover = free_cover(norm_one_module(G))
-        gens = local_image(cover, full_subgroup(G))
+        gens = local_torsion(cover, full_subgroup(G))
         assert len(gens.generators) == 1
         v = gens.generators[0]
-        from wadefect.linalg import membership
-
         rel = gens.ambient.relations
         assert not membership(v, rel)
         assert membership(tuple(2 * e for e in v), rel)
@@ -63,7 +92,7 @@ class TestLocalImage:
         G = klein()
         cover = free_cover(norm_one_module(G))
         for g in (1, 2, 3):
-            assert local_image(cover, subgroup_closure(G, (g,))).generators == ()
+            assert local_torsion(cover, subgroup_closure(G, (g,))).generators == ()
 
 
 class TestDefectKleinExample:
@@ -144,12 +173,7 @@ class TestReduceToNoncyclic:
         G = klein()
         cyc = subgroup_closure(G, (1,))
         sc = Scenario(G, norm_one_module(G), (cyc, full_subgroup(G)), ())
-        red = reduce_to_noncyclic(sc)
-        assert red.s_subgroups == (full_subgroup(G),)
-
-    def test_identity_on_noncyclic(self):
-        sc = klein_scenario(2, 0)
-        assert reduce_to_noncyclic(sc).s_subgroups == sc.s_subgroups
+        assert defect(sc).s_nc_used == (1,)
 
     def test_defect_invariant_randomized(self):
         rng = random.Random(600)
@@ -158,9 +182,9 @@ class TestReduceToNoncyclic:
             M = random_module(rng, G)
             s = tuple(random_subgroup(rng, G) for _ in range(rng.randint(1, 3)))
             scs = tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2)))
-            sc = Scenario(G, M, s, scs)
-            assert defect(sc, use_shortcuts=False).invariants == \
-                defect(reduce_to_noncyclic(sc), use_shortcuts=False).invariants
+            noncyclic = tuple(H for H in s if not is_cyclic_subgroup(G, H))
+            assert defect(Scenario(G, M, s, scs), use_shortcuts=False).invariants == \
+                defect(Scenario(G, M, noncyclic, scs), use_shortcuts=False).invariants
 
 
 class TestEngineProperties:
@@ -282,3 +306,104 @@ def test_verify_cover_passes_on_valid_covers():
     for G in (klein(), s3()):
         verify_cover(free_cover(norm_one_module(G)))
         verify_cover(free_cover(trivial_module(G, 2)))
+
+
+# The pruned pipeline against the unpruned one: every non-cyclic S entry,
+# every non-cyclic complement entry and every cyclic subgroup, adjoined as given.
+def unpruned_quotient(Y, s_subgroups, sc_subgroups):
+    G = Y.group
+    base = hermite_column_form(coinvariants(Y, full_subgroup(G)).relations)
+
+    def joined(subgroups):
+        out = base
+        for H in subgroups:
+            gens = torsion_generators(coinvariants(Y, H)).generators
+            out = lattice_sum(out, IntMatrix.from_columns([list(v) for v in gens], rows=Y.n))
+        return out
+
+    num = joined(H for H in s_subgroups if not is_cyclic_subgroup(G, H))
+    den = joined([H for H in sc_subgroups if not is_cyclic_subgroup(G, H)] + cyclic_subgroups(G))
+    return finite_quotient(num, lattice_intersection(num, den))
+
+
+def z2_cubed():
+    return from_permutations([(1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 0, 1, 6, 7, 4, 5), (4, 5, 6, 7, 0, 1, 2, 3)])
+
+
+def s4():
+    return from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
+def relabelled_copy(rng, M):
+    """M over the group of its table with the elements renamed at random."""
+    G = M.group
+    name = list(range(G.order))
+    rng.shuffle(name)
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[name[a]][name[b]] = name[G.table[a][b]]
+    mats = M.element_matrices()
+    action = [None] * G.order
+    for a in range(G.order):
+        action[name[a]] = mats[a]
+    # from_table designates every element as a generator, in index order
+    return GammaModule(from_table(table), M.n, M.relations, action)
+
+
+def norm_one_based_scenario(rng, G):
+    M = norm_one_module(G)
+    shape = rng.randrange(3)
+    if shape == 1:
+        M = direct_sum(M, random_module(rng, G, max_rank=2))
+    elif shape == 2:
+        M = _conjugate(M, random_unimodular(rng, M.n))
+    if rng.random() < 0.25:
+        M = relabelled_copy(rng, M)
+        G = M.group
+    first = full_subgroup(G) if rng.random() < 0.4 else random_subgroup(rng, G)
+    s = [first] + [random_subgroup(rng, G) for _ in range(rng.randint(0, 1))]
+    s.append(rng.choice([first, conjugate_subgroup(G, first, rng.randrange(G.order))]))
+    scs = tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2)))
+    return Scenario(G, M, tuple(s), scs)
+
+
+class TestClassRepresentatives:
+    def test_pruned_matches_unpruned_randomized(self):
+        rng = random.Random(610)
+        groups = group_zoo() + [z2_cubed(), s4()]
+        nontrivial = 0
+        for _ in range(40):
+            sc = norm_one_based_scenario(rng, rng.choice(groups))
+            G, M = sc.group, sc.module
+            got = defect(sc, use_shortcuts=False).invariants
+            assert got == unpruned_quotient(free_cover(M).kernel, sc.s_subgroups, sc.sc_subgroups)
+            nontrivial += not got.is_trivial()
+            Y = M if not M.relations.cols else free_cover(M).kernel
+            assert ch1_torus(G, Y, sc.s_subgroups, sc.sc_subgroups) == \
+                unpruned_quotient(Y, sc.s_subgroups, sc.sc_subgroups)
+        # agreement on trivial answers alone would not exercise the denominator
+        assert nontrivial >= 5
+
+    def test_cyclic_representatives_kept(self):
+        a5 = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+        s4_c2 = from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])
+        for G, total, kept in ((s4(), 17, 3), (a5, 32, 3), (s4_c2, 34, 6)):
+            cyclic = cyclic_subgroups(G)
+            assert (len(cyclic), len(_class_representatives(G, cyclic))) == (total, kept)
+
+    def test_s4_norm_one_defect_takes_five_coinvariants(self, monkeypatch):
+        # the ambient, the full S entry and 3 of the 17 cyclic subgroups
+        import wadefect.engine as engine_mod
+
+        calls = []
+        real = engine_mod.coinvariants
+
+        def counting(M, H):
+            calls.append(H)
+            return real(M, H)
+
+        monkeypatch.setattr(engine_mod, "coinvariants", counting)
+        G = s4()
+        defect(Scenario(G, norm_one_module(G), (full_subgroup(G),), ()), use_shortcuts=False)
+        assert len(calls) == 5
