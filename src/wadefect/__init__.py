@@ -40,7 +40,6 @@ from .linalg import (
     IntMatrix,
     QuotientNotFiniteError,
     SmithDecomposition,
-    SubgroupGens,
     cokernel_invariants,
     finite_quotient,
     hermite_column_form,

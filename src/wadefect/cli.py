@@ -16,7 +16,8 @@ import time
 from . import catalog
 from .engine import Scenario, ScenarioError, defect, verify_cover
 from .groups import GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
-from .modules import FreeCover, ModuleError, free_cover, h1_bar, tate_h_minus1
+from .linalg import FinAbInvariants
+from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar, tate_h_minus1
 from .scenario_io import SchemaError, dumps_result, load_scenario, render_text, result_document
 from .selfcheck import run_selfcheck
 
@@ -63,28 +64,27 @@ def _oracle_subgroups(sc: Scenario) -> list[Subgroup]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _run_bar_oracle(sc: Scenario, cover: FreeCover) -> None:
-    for H in _oracle_subgroups(sc):
-        via_cover = tate_h_minus1(cover.kernel, H)
-        via_bar = h1_bar(sc.module, H)
-        if via_cover != via_bar:
-            raise OracleMismatchError(
-                f"H_1 mismatch on subgroup {H.elements}: cover route {via_cover.factors}, "
-                f"bar route {via_bar.factors}"
-            )
+def _check_bar(M: GammaModule, H: Subgroup, via_cover: FinAbInvariants) -> None:
+    via_bar = h1_bar(M, H)
+    if via_cover != via_bar:
+        raise OracleMismatchError(
+            f"H_1 mismatch on subgroup {H.elements}: cover route {via_cover.factors}, "
+            f"bar route {via_bar.factors}"
+        )
 
 
 def _cmd_compute(args) -> int:
     t0 = time.perf_counter()
     sc = load_scenario(args.scenario, group_cap=_group_cap())
     t1 = time.perf_counter()
-    cover = free_cover(sc.module) if args.check or args.oracle else None
     if args.check:
-        verify_cover(cover)
+        verify_cover(free_cover(sc.module))
     result = defect(sc)
     t2 = time.perf_counter()
     if args.oracle == "bar":
-        _run_bar_oracle(sc, cover)
+        kernel = free_cover(sc.module).kernel
+        for H in _oracle_subgroups(sc):
+            _check_bar(sc.module, H, tate_h_minus1(kernel, H))
     doc = result_document(
         result.invariants,
         shortcut=result.shortcut,
@@ -121,17 +121,11 @@ def _cmd_h1(args) -> int:
     t0 = time.perf_counter()
     sc = load_scenario(args.scenario, group_cap=_group_cap())
     H = _select_subgroup(sc, args.subgroup)
-    cover = free_cover(sc.module)
     if args.check:
-        verify_cover(cover)
-    inv = tate_h_minus1(cover.kernel, H)
+        verify_cover(free_cover(sc.module))
+    inv = h1(sc.module, H)
     if args.oracle == "bar":
-        via_bar = h1_bar(sc.module, H)
-        if via_bar != inv:
-            raise OracleMismatchError(
-                f"H_1 mismatch on subgroup {H.elements}: cover route {inv.factors}, "
-                f"bar route {via_bar.factors}"
-            )
+        _check_bar(sc.module, H, inv)
     t1 = time.perf_counter()
     doc = result_document(inv, timings_ms={"total": (t1 - t0) * 1000.0})
     _emit(doc, args.emit)

@@ -31,7 +31,6 @@ from .groups import (
 from .linalg import (
     ColumnSolver,
     FinAbInvariants,
-    IntMatrix,
     finite_quotient,
     hermite_column_form,
     lattice_intersection,
@@ -133,22 +132,16 @@ def _image_quotient(
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
     G = Y.group
-    ambient = coinvariants(Y, full_subgroup(G))
-    rank = ambient.ambient_rank
-    base = hermite_column_form(ambient.relations)
-
-    def image(H: Subgroup) -> IntMatrix:
-        gens = torsion_generators(coinvariants(Y, H)).generators
-        return IntMatrix.from_columns([list(v) for v in gens], rows=rank)
+    base = hermite_column_form(coinvariants(Y, full_subgroup(G)).relations)
 
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
     numerator = base
     for H in _class_representatives(G, [s_subgroups[k] for k in s_nc]):
-        numerator = lattice_sum(numerator, image(H))
+        numerator = lattice_sum(numerator, torsion_generators(coinvariants(Y, H)))
 
     denominator = base
     for H in _class_representatives(G, list(sc_subgroups) + cyclic_subgroups(G)):
-        denominator = lattice_sum(denominator, image(H))
+        denominator = lattice_sum(denominator, torsion_generators(coinvariants(Y, H)))
 
     inv = finite_quotient(numerator, lattice_intersection(numerator, denominator))
     return inv, s_nc
@@ -165,7 +158,7 @@ def _is_detectably_free(M: GammaModule) -> bool:
         return False
     validate(M)
     for g in range(G.order):
-        mat = M.element_matrices()[g]
+        mat = M.element_matrix(g)
         images = []
         for j in range(M.n):
             col = mat.column(j)
@@ -236,13 +229,16 @@ def ch1_torus(
 def verify_cover(cover: FreeCover) -> None:
     """Deep consistency checks for a free cover; raises AssertionError on failure.
 
-    The kernel action must satisfy the group law exactly, which `validate`
-    checks along the group's generating positions and once per designated
-    generator, and the projection must kill the kernel modulo the module
-    relations.
+    The kernel action must satisfy the group law exactly.  `free_cover`
+    marks its kernel validated by construction, so the law is checked on a
+    fresh module built from the kernel's action: `validate` checks it along
+    `G.tree`, on every (element, generating position) pair and once per
+    designated generator.  The projection must kill the kernel modulo the
+    module relations.
     """
+    Y = cover.kernel
     try:
-        validate(cover.kernel)
+        validate(GammaModule(Y.group, Y.n, Y.relations, Y.action))
     except ModuleError as exc:
         raise AssertionError(f"cover kernel: {exc}") from exc
     rel = ColumnSolver(cover.module.relations)

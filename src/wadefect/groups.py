@@ -54,9 +54,13 @@ class CayleyGroup:
     is kept when its element is outside the subgroup generated by those kept
     before it.  Per-generator loops run over this subset; the designated
     generators themselves must generate the whole table.
+
+    `tree` is the breadth-first spanning tree of the Cayley graph on that
+    subset, rooted at the identity: it maps every other element, in the
+    order reached, to (parent, k) with element = parent * generator_indices[k].
     """
 
-    __slots__ = ("order", "table", "identity", "inverses", "generator_indices", "generating_positions")
+    __slots__ = ("order", "table", "identity", "inverses", "generator_indices", "generating_positions", "tree")
 
     def __init__(self, table, identity, inverses, generator_indices):
         object.__setattr__(self, "order", len(table))
@@ -64,11 +68,11 @@ class CayleyGroup:
         object.__setattr__(self, "identity", int(identity))
         object.__setattr__(self, "inverses", tuple(inverses))
         object.__setattr__(self, "generator_indices", tuple(generator_indices))
-        kept, reached = _span(self.table, self.identity, self.generator_indices)
-        if len(reached) != self.order:
-            raise GroupError(f"the designated generators generate {len(reached)} of {self.order} elements")
-        # index() finds the kept occurrence: later duplicates are never kept
-        object.__setattr__(self, "generating_positions", tuple(self.generator_indices.index(g) for g in kept))
+        kept, tree = _span(self.table, self.identity, self.generator_indices)
+        if len(tree) + 1 != self.order:
+            raise GroupError(f"the designated generators generate {len(tree) + 1} of {self.order} elements")
+        object.__setattr__(self, "generating_positions", tuple(kept))
+        object.__setattr__(self, "tree", tree)
 
     def __setattr__(self, name, value):
         raise AttributeError("CayleyGroup is immutable")
@@ -129,30 +133,34 @@ def _find_identity(table: list[list[int]]) -> int:
     raise GroupError("table has no two-sided identity")
 
 
-def _span(table, identity, candidates) -> tuple[list[int], set[int]]:
-    """Keep each candidate outside the closure of those kept before it; return (kept, closure).
+def _span(table, identity, candidates: Sequence[int]) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Keep each candidate outside the closure of those kept before it; return (kept positions, tree).
 
     The closure is a breadth-first search from the identity by right
-    multiplication, so every reached element is a left-nested product of kept ones.
+    multiplication by the kept candidates in order, redone after each keep.
+    `tree` records the last search: it maps every element reached other
+    than the identity, in the order reached, to (parent, p) with
+    element = parent * candidates[p].
     """
     kept: list[int] = []
-    reached = {identity}
-    for c in candidates:
-        if c in reached:
+    tree: dict[int, tuple[int, int]] = {}
+    for pos, c in enumerate(candidates):
+        if c == identity or c in tree:
             continue
-        kept.append(c)
-        frontier = list(reached)
+        kept.append(pos)
+        tree = {}
+        frontier = [identity]
         while frontier:
             nxt = []
             for x in frontier:
                 row = table[x]
-                for k in kept:
-                    y = row[k]
-                    if y not in reached:
-                        reached.add(y)
+                for p in kept:
+                    y = row[candidates[p]]
+                    if y != identity and y not in tree:
+                        tree[y] = (x, p)
                         nxt.append(y)
             frontier = nxt
-    return kept, reached
+    return kept, tree
 
 
 def _light_associativity(table, gens) -> tuple[int, int, int] | None:
@@ -250,8 +258,8 @@ def subgroup_closure(G: CayleyGroup, seed: Sequence[int]) -> Subgroup:
     """Least subgroup of G containing the seed elements, generated by the seeds `_span` keeps."""
     seed = [int(s) for s in seed]
     _check_indices(G, seed)
-    kept, reached = _span(G.table, G.identity, seed)
-    return Subgroup(elements=tuple(reached), generators=tuple(kept))
+    kept, tree = _span(G.table, G.identity, seed)
+    return Subgroup(elements=(G.identity, *tree), generators=tuple(seed[p] for p in kept))
 
 
 def element_order(G: CayleyGroup, g: int) -> int:
@@ -318,7 +326,7 @@ def is_subgroup(G: CayleyGroup, H: Subgroup) -> bool:
     elems = set(H.elements)
     if not all(0 <= e < G.order for e in elems):
         return False
-    return _span(G.table, G.identity, H.generators)[1] == elems
+    return {G.identity, *_span(G.table, G.identity, H.generators)[1]} == elems
 
 
 def is_cyclic_subgroup(G: CayleyGroup, H: Subgroup) -> bool:

@@ -28,7 +28,6 @@ __all__ = [
     "SmithDecomposition",
     "AbelianPresentation",
     "FinAbInvariants",
-    "SubgroupGens",
     "DimensionError",
     "ContainmentError",
     "QuotientNotFiniteError",
@@ -593,27 +592,6 @@ class FinAbInvariants:
         return self.pretty()
 
 
-@dataclass(frozen=True)
-class SubgroupGens:
-    """Generators of a subgroup of an ambient finitely presented abelian group.
-
-    The vectors live in the ambient Z^n; the subgroup they generate is well
-    defined modulo the ambient relation lattice.
-    """
-
-    ambient: AbelianPresentation
-    generators: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        gens = tuple(tuple(int(e) for e in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if len(g) != self.ambient.ambient_rank:
-                raise DimensionError(
-                    f"generator of length {len(g)} in ambient rank {self.ambient.ambient_rank}"
-                )
-
-
 def _invariants_from_diagonal(diagonal: Sequence[int], ambient_rank: int) -> FinAbInvariants:
     nonzero = [d for d in diagonal if d]
     factors = tuple(d for d in nonzero if d > 1)
@@ -630,8 +608,8 @@ def cokernel_invariants(P: AbelianPresentation) -> FinAbInvariants:
     return _invariants_from_diagonal(smith_diagonal(reduced), P.ambient_rank)
 
 
-def torsion_generators(P: AbelianPresentation) -> SubgroupGens:
-    """Vectors generating exactly the torsion subgroup of Z^n / relations.
+def torsion_generators(P: AbelianPresentation) -> IntMatrix:
+    """A matrix whose columns generate exactly the torsion subgroup of Z^n / relations.
 
     With H the Hermite form of the relations and U @ H @ V = D its Smith
     form, H @ V = U^-1 @ D.  The columns of U^-1 at diagonal entries >= 2
@@ -640,10 +618,8 @@ def torsion_generators(P: AbelianPresentation) -> SubgroupGens:
     """
     H = hermite_column_form(P.relations)
     snf = smith_normal_form(H)
-    gens = tuple(
-        tuple(e // d for e in H.times_vector(snf.V.column(i))) for i, d in enumerate(snf.diagonal) if d > 1
-    )
-    return SubgroupGens(ambient=P, generators=gens)
+    gens = [[e // d for e in H.times_vector(snf.V.column(i))] for i, d in enumerate(snf.diagonal) if d > 1]
+    return IntMatrix.from_columns(gens, rows=P.ambient_rank)
 
 
 def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:

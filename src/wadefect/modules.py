@@ -2,10 +2,13 @@
 
 A :class:`GammaModule` presents the abelian group Z^n modulo a relation
 lattice, together with one action matrix per designated group generator.
-Action matrices for arbitrary elements are derived by a breadth-first
-search over the group's generating positions and are only required to
-satisfy the group law modulo the relation lattice.  A relation-free module
-is a lattice, and its action matrices satisfy the group law exactly.
+An element's action matrix is derived the first time it is asked for,
+along the group's spanning tree `CayleyGroup.tree`, and is only required
+to satisfy the group law modulo the relation lattice.  A relation-free
+module is a lattice, and its action matrices satisfy the group law
+exactly.  :func:`validate` checks the law once per module.  :func:`free_cover`
+builds one cover per module; its kernel is valid by construction, so only
+`engine.verify_cover` checks its law, on a fresh copy.
 
 The homology entry points are :func:`h1` (through a free cover
 0 -> Y -> Z[G]^d -> M -> 0 on a greedy generating set of M: H_1 of M is
@@ -61,14 +64,16 @@ class ModuleError(ValueError):
 class GammaModule:
     """Z^n modulo a relation lattice, with a group acting by integer matrices."""
 
-    __slots__ = ("group", "n", "relations", "action", "_element_matrices")
+    __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_cover")
 
     def __init__(self, group: CayleyGroup, n: int, relations: IntMatrix, action: Sequence[IntMatrix]):
         self.group = group
         self.n = int(n)
         self.relations = relations
         self.action = tuple(action)
-        self._element_matrices: tuple[IntMatrix, ...] | None = None
+        self._matrices: dict[int, IntMatrix] = {group.identity: IntMatrix.identity(self.n)}
+        self._validated = False
+        self._cover: FreeCover | None = None
         if relations.rows != self.n:
             raise ModuleError(f"relations have {relations.rows} rows for a rank-{self.n} presentation")
         if len(self.action) != len(group.generator_indices):
@@ -81,34 +86,49 @@ class GammaModule:
 
     @property
     def validated(self) -> bool:
-        return self._element_matrices is not None
+        return self._validated
+
+    def _derive(self, g: int) -> IntMatrix:
+        # climb the group's tree to an element already derived, then set
+        # D[h] = D[parent] A[k] on the way back down; iterative, since a
+        # cyclic group on one generator has a tree of depth |G| - 1
+        derived, tree = self._matrices, self.group.tree
+        path = []
+        h = g
+        while h not in derived:
+            path.append(h)
+            h = tree[h][0]
+        for h in reversed(path):
+            parent, k = tree[h]
+            derived[h] = derived[parent] @ self.action[k]
+        return derived[g]
 
     def element_matrix(self, g: int) -> IntMatrix:
-        """Action matrix of an arbitrary element, derived by `validate`."""
+        """Action matrix of an arbitrary element, derived along `group.tree` on first use."""
         validate(self)
-        return self._element_matrices[g]
+        return self._derive(g)
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
         validate(self)
-        return self._element_matrices
+        return tuple(self._derive(g) for g in range(self.group.order))
 
     def __repr__(self) -> str:
         return f"GammaModule(n={self.n}, relations={self.relations.cols}, group_order={self.group.order})"
 
 
 def validate(M: GammaModule) -> None:
-    """Check all module invariants; derive and cache per-element action matrices.
+    """Check all module invariants, then mark M validated.
 
-    Every generator must preserve the relation lattice.  A breadth-first
-    search from the identity, acting by I, over the generating positions
-    sets D[g s_k] = D[g] A[k] for each new element; every other product must
-    agree with the stored matrix.  Then each designated generator j must have
-    A[j] = D[s_j].  Equalities hold modulo the relations; a violation raises
-    :class:`ModuleError` naming it.
+    Every generator must preserve the relation lattice.  Each element's
+    matrix D[g] is derived along the spanning tree `G.tree` from D[e] = I
+    by D[p s_k] = D[p] A[k].  Every (element, generating position) pair off
+    the tree must agree with it, D[g] A[k] = D[g s_k], and each designated
+    generator j must have A[j] = D[s_j].  Equalities hold modulo the
+    relations; a violation raises :class:`ModuleError` naming it.
 
     Together this is the group law on all pairs.  Congruences survive right
     multiplication by any matrix and left multiplication by a lattice-stable
-    one such as D[g].  Along the search tree, D[g] D[e] = D[g] and
+    one such as D[g].  Along `G.tree`, D[g] D[e] = D[g] and
     D[g] D[p] A[k] = D[gp] A[k] = D[gp s_k], so D[g] D[h] = D[gh] for all h,
     and D[g] A[j] = D[g] D[s_j] = D[g s_j].
     """
@@ -121,26 +141,18 @@ def validate(M: GammaModule) -> None:
             raise ModuleError(
                 f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
             )
-    derived: list[IntMatrix | None] = [None] * G.order
-    derived[G.identity] = IntMatrix.identity(M.n)
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for k in G.generating_positions:
-                gen_elem = G.generator_indices[k]
-                product = G.table[g][gen_elem]
-                mat = derived[g] @ M.action[k]
-                if derived[product] is None:
-                    derived[product] = mat
-                    nxt.append(product)
-                elif not rel_solver.contains(mat - derived[product]):
-                    raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
-        frontier = nxt
+    for g in (G.identity, *G.tree):
+        for k in G.generating_positions:
+            gen_elem = G.generator_indices[k]
+            product = G.table[g][gen_elem]
+            if G.tree.get(product) == (g, k):
+                continue
+            if not rel_solver.contains(M._derive(g) @ M.action[k] - M._derive(product)):
+                raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
     for k, gen_elem in enumerate(G.generator_indices):
-        if not rel_solver.contains(M.action[k] - derived[gen_elem]):
+        if not rel_solver.contains(M.action[k] - M._derive(gen_elem)):
             raise ModuleError(f"incompatible action of generator {k} (element {gen_elem})")
-    M._element_matrices = tuple(derived)
+    M._validated = True
 
 
 class FreeCover:
@@ -150,8 +162,11 @@ class FreeCover:
     e_{i_{d-1}} of M.  The middle term has basis (g, k) at index g*d + k
     (element index major); the projection sends (g, k) to g acting on
     e_{i_k}.  Y is the saturated kernel, returned as the relation-free
-    module `kernel` under left translation; since Y is free, its action
-    satisfies the group law exactly.
+    module `kernel` under left translation.  Left translation permutes the
+    basis of Z[G]^d, and each generator's matrix is solved exactly on the
+    G-stable lattice Y, so the kernel action satisfies the group law by
+    construction: `kernel` is marked validated, and derives an element's
+    matrix only when asked for it.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -187,7 +202,10 @@ def free_cover(M: GammaModule) -> "FreeCover":
     Basis vectors of M are scanned in order; e_i is kept when it is not in
     the lattice spanned by the relations and the orbits of the vectors kept
     so far.  The kernel action is solved for the designated generators only.
+    The cover is built once per module and cached on it.
     """
+    if M._cover is not None:
+        return M._cover
     validate(M)
     G = M.group
     n = M.n
@@ -226,7 +244,9 @@ def free_cover(M: GammaModule) -> "FreeCover":
             raise AssertionError("cover kernel is not stable under the group action")
         matrices.append(C)
     kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), matrices)
-    return FreeCover(M, cover_rank, projection, basis, kernel)
+    kernel._validated = True
+    M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
+    return M._cover
 
 
 def coinvariants(M: GammaModule, delta: Subgroup) -> AbelianPresentation:

@@ -84,21 +84,25 @@ def group_zoo() -> list[CayleyGroup]:
 def sign_characters(G: CayleyGroup) -> list[tuple[int, ...]]:
     """All homomorphisms to {1, -1}, as value tuples per element.
 
-    A sign per designated generator is a homomorphism exactly when `validate` accepts it as a rank-1 module.
+    A sign per generating position extends along `G.tree` to a value per
+    element; it is a homomorphism exactly when `validate` accepts those
+    values as a rank-1 module.  The characters are ordered by the integer
+    whose bit j is set when designated generator j maps to -1.
     """
     gens = G.generator_indices
     out = []
-    for bits in range(1 << len(gens)):
-        action = [IntMatrix.from_rows([[1 if bits & (1 << k) == 0 else -1]]) for k in range(len(gens))]
-        M = GammaModule(G, 1, IntMatrix(1, 0, ()), action)
+    for bits in range(1 << len(G.generating_positions)):
+        sign = {k: -1 if bits >> i & 1 else 1 for i, k in enumerate(G.generating_positions)}
+        value = [1] * G.order
+        for g, (parent, k) in G.tree.items():
+            value[g] = value[parent] * sign[k]
+        action = [IntMatrix.from_rows([[value[g]]]) for g in gens]
         try:
-            validate(M)
+            validate(GammaModule(G, 1, IntMatrix(1, 0, ()), action))
         except ModuleError:
             continue
-        tup = tuple(mat[0, 0] for mat in M.element_matrices())
-        if tup not in out:
-            out.append(tup)
-    return out
+        out.append(tuple(value))
+    return sorted(out, key=lambda chi: sum(1 << j for j, g in enumerate(gens) if chi[g] == -1))
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:

@@ -13,7 +13,7 @@ from wadefect.scenario_io import (
 from wadefect.groups import full_subgroup
 from wadefect.linalg import FinAbInvariants
 from wadefect.modules import norm_one_module
-from wadefect.zoo import klein
+from wadefect.zoo import a4, klein
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -60,22 +60,44 @@ class TestComputeCommand:
         assert main(["compute", path, "--oracle", "bar", "--check"]) == 0
 
     def test_check_and_oracle_build_the_cover_once(self, tmp_path, capsys, monkeypatch):
-        # one cover serves --check and --oracle; defect builds its own
-        import wadefect.cli as cli_mod
-        import wadefect.engine as engine_mod
+        # free_cover caches its cover on the module, so --check, defect and
+        # --oracle share one cover
+        from wadefect.modules import FreeCover, free_cover
 
-        calls = []
-        real = cli_mod.free_cover
+        built = []
+        real_init = FreeCover.__init__
 
-        def counting(M):
-            calls.append(M)
-            return real(M)
+        def counting_init(self, *args):
+            built.append(self)
+            real_init(self, *args)
 
-        monkeypatch.setattr(cli_mod, "free_cover", counting)
-        monkeypatch.setattr(engine_mod, "free_cover", counting)
+        monkeypatch.setattr(FreeCover, "__init__", counting_init)
         path = write_scenario(tmp_path, klein_doc())
         assert main(["compute", path, "--oracle", "bar", "--check"]) == 0
-        assert 1 <= len(calls) <= 2
+        assert len(built) == 1
+        M = norm_one_module(klein())
+        assert free_cover(M) is free_cover(M)
+
+    def test_table_group_matches_permutation_group_under_check_and_oracle(self, tmp_path, capsys):
+        # A4 norm-one with S = {G}, once from permutations and once from the
+        # Cayley table, which designates every element as a generator
+        G = a4()
+        M = norm_one_module(G)
+        doc = scenario_document(
+            permutation_generators=[(1, 2, 0, 3), (1, 0, 3, 2)], module=M, s_subgroups=(full_subgroup(G),)
+        )
+        table_doc = dict(doc)
+        table_doc["group"] = {"cayley_table": [list(r) for r in G.table]}
+        table_doc["module"] = dict(doc["module"], action=[m.to_rows() for m in M.element_matrices()])
+        outputs = []
+        for name, d in (("perm.json", doc), ("table.json", table_doc)):
+            path = write_scenario(tmp_path, d, name)
+            assert main(["compute", path, "--check", "--oracle", "bar", "--emit", "json"]) == 0
+            out = load_json_output(capsys)
+            out.pop("timings_ms")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["invariant_factors"] == [2]
 
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wadefect.groups import from_table, full_subgroup, subgroup_closure, trivial_subgroup
+from wadefect.groups import from_permutations, from_table, full_subgroup, subgroup_closure, trivial_subgroup
 from wadefect.linalg import (
     AbelianPresentation,
     ColumnSolver,
@@ -41,6 +41,7 @@ from wadefect.zoo import (
     random_subgroup,
     random_unimodular,
     s3,
+    sign_characters,
 )
 
 
@@ -212,6 +213,82 @@ class TestFreeCover:
         M = trivial_module(G)
         # projection columns: identity block then the block of the generator
         assert free_cover(M).projection.to_rows() == [[1, 1]]
+
+
+def left_translated(G, d, B, g):
+    # rows of B moved by left translation by g on Z[G]^d: (h, k) -> (g*h, k)
+    rows = [None] * B.rows
+    for h in range(G.order):
+        for k in range(d):
+            rows[G.table[g][h] * d + k] = B.row(h * d + k)
+    return IntMatrix.from_rows(rows, cols=B.cols)
+
+
+class TestKernelMatricesOnDemand:
+    def test_derived_matrices_match_a_freshly_validated_kernel(self):
+        # the trusted kernel derives each matrix along G.tree on first use;
+        # it must equal the matrix a full validation derives, and the basis
+        # of Y must move by left translation under it
+        rng = random.Random(71)
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for _ in range(2):
+                    M = random_module(rng, G, max_rank=3)
+                    cover = free_cover(M)
+                    Y = cover.kernel
+                    assert Y.validated
+                    fresh = GammaModule(G, Y.n, Y.relations, Y.action)
+                    validate(fresh)
+                    d = cover.cover_rank // G.order
+                    for g in rng.sample(range(G.order), G.order):
+                        assert Y.element_matrix(g) == fresh.element_matrix(g)
+                        assert cover.kernel_basis @ Y.element_matrix(g) == left_translated(G, d, cover.kernel_basis, g)
+
+    def test_deep_tree_walk_does_not_recurse(self):
+        # Z/1100 from its table: every element is designated, the tree is a
+        # path of depth 1099 along the first generator
+        n = 1100
+        G = from_table([[(a + b) % n for b in range(n)] for a in range(n)])
+        depth = {G.identity: 0}
+        for g, (parent, _) in G.tree.items():
+            depth[g] = depth[parent] + 1
+        far = max(depth, key=depth.get)
+        assert depth[far] == n - 1
+        M = GammaModule(G, 1, IntMatrix(1, 0, ()), [IntMatrix.from_rows([[(-1) ** g]]) for g in range(n)])
+        # trusted as free_cover trusts its kernel, so nothing is derived in advance
+        M._validated = True
+        assert M.element_matrix(far) == IntMatrix.from_rows([[(-1) ** (n - 1)]])
+
+
+class TestSignCharacters:
+    @staticmethod
+    def all_sign_patterns(G):
+        # one sign per designated generator, in increasing binary order
+        gens = G.generator_indices
+        out = []
+        for bits in range(1 << len(gens)):
+            action = [IntMatrix.from_rows([[-1 if bits >> k & 1 else 1]]) for k in range(len(gens))]
+            M = GammaModule(G, 1, IntMatrix(1, 0, ()), action)
+            try:
+                validate(M)
+            except ModuleError:
+                continue
+            out.append(tuple(m[0, 0] for m in M.element_matrices()))
+        return out
+
+    def test_matches_all_sign_patterns_on_table_copies(self):
+        # the table copies of order <= 8 designate at most 8 generators
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                if len(G.generator_indices) <= 8:
+                    assert sign_characters(G) == self.all_sign_patterns(G)
+
+    def test_random_module_over_a_table_group_of_order_24(self):
+        s4 = from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+        T = from_table(s4.table)
+        assert len(sign_characters(T)) == 2
+        M = random_module(random.Random(5), T)
+        assert M.validated and M.group is T
 
 
 class TestCoinvariants:
