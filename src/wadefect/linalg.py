@@ -327,6 +327,9 @@ def _smith_eliminate(A: IntMatrix, track: bool):
                 # column t picked up entries from the swapped-in column
                 continue
             d = D[t][t]
+            if d in (1, -1):
+                # a unit divides every entry of the trailing block
+                break
             dirty_row = -1
             for i in range(t + 1, m):
                 row = D[i]

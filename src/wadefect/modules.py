@@ -284,11 +284,28 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
         d(m ⊗ [g])      = g^{-1} m - m
         d(m ⊗ [g1|g2])  = g1^{-1} m ⊗ [g2] - m ⊗ [g1 g2] + m ⊗ [g1]
     Torsion in M is handled by working with ambient chains modulo
-    relation-induced chains.  Independent of the free-cover route.
+    relation-induced chains.
+
+    The boundaries are taken from a spanning set of 2-chains, m ⊗ [e|e] and
+    m ⊗ [a|s] for a in the subgroup H and s among the k generators that
+    `subgroup_closure` keeps (k <= log2 |H|): n (1 + |H| k) columns instead
+    of the n |H|^2 of the full d2, spanning the same lattice.  Indeed
+    d(m ⊗ [a|e]) = a^{-1} m ⊗ [e] = d(a^{-1} m ⊗ [e|e]), and d∘d = 0 on
+    m ⊗ [a|p|s] gives
+        d(m ⊗ [a|ps]) = d(m ⊗ [a|p]) + d(m ⊗ [ap|s]) - d(a^{-1} m ⊗ [p|s]),
+    so induction on the length of b as a word in the generators puts every
+    d(m ⊗ [a|b]) in the span.  When M has relations its matrices obey the
+    group law only modulo them, so d∘d lands in the relation-induced chains,
+    which the denominator holds as well.
+
+    Independent of the free-cover route: it shares only the element
+    matrices and the subgroup's generators, and uses no kernel, cover or
+    solve from it.
     """
     validate(M)
     G = M.group
-    if subgroup_closure(G, delta.generators).elements != delta.elements:
+    closure = subgroup_closure(G, delta.generators)
+    if closure.elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
     dl = delta.elements
     size = len(dl)
@@ -302,12 +319,13 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
     d1 = hstack([mats[G.inverses[g]] - ident for g in dl], rows=n)
 
     c1_rank = n * size
-    # denominator: the d2 columns, then the relation-induced chains
+    # denominator: d2 of the spanning 2-chains, then the relation-induced chains
     den_cols: list[list[int]] = []
-    for a in dl:
+    pairs = [(G.identity, (G.identity,))] + [(a, closure.generators) for a in dl]
+    for a, right in pairs:
         inv_cols = mats[G.inverses[a]].columns()
         base_a = pos[a] * n
-        for b in dl:
+        for b in right:
             base_ab = pos[G.table[a][b]] * n
             base_b = pos[b] * n
             for i in range(n):

@@ -11,7 +11,7 @@ from typing import Callable
 
 from . import catalog, oracles, zoo
 from .engine import Scenario, defect
-from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure
+from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure, trivial_subgroup
 from .linalg import IntMatrix, hermite_column_form, membership, smith_normal_form
 from .modules import free_module, h1, h1_bar, trivial_module
 from .scenario_io import parse_scenario
@@ -66,8 +66,9 @@ def check_oracle_equivalence(rng: random.Random) -> None:
     for _ in range(20):
         G = rng.choice(groups)
         M = zoo.random_module(rng, G)
-        H = zoo.random_subgroup(rng, G)
-        assert h1(M, H) == h1_bar(M, H), f"h1 disagrees with the bar complex on {G!r}"
+        # the trivial subgroup needs the [e|e] chains, the full group k >= 2 generators
+        for H in (zoo.random_subgroup(rng, G), full_subgroup(G), trivial_subgroup(G)):
+            assert h1(M, H) == h1_bar(M, H), f"h1 disagrees with the bar complex on {G!r}, {H.elements}"
 
 
 def check_abelianization_oracle(rng: random.Random) -> None:

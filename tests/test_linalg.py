@@ -126,6 +126,29 @@ class TestSmith:
             a = random_matrix(rng, max_dim=3, bound=6)
             assert smith_normal_form(a).diagonal == diagonal_from_minor_gcds(a)
 
+    def test_diagonal_matches_minor_gcds_on_nearly_unit_triangles(self):
+        # the shape finite_quotient hands over: upper triangular and mostly
+        # unit on the diagonal, so most pivots are units, with a few
+        # non-unit entries that still need the divisibility fold
+        rng = random.Random(56)
+        folded = 0
+        for _ in range(60):
+            size = rng.randint(2, 6)
+            diag = [rng.choice((1, -1)) for _ in range(size)]
+            for i in rng.sample(range(size), rng.randint(1, 2)):
+                diag[i] = rng.choice((2, 3, 4, 6, -2, -3))
+            a = IntMatrix.from_rows(
+                [
+                    [diag[i] if i == j else rng.randint(-5, 5) if j > i and rng.random() < 0.5 else 0 for j in range(size)]
+                    for i in range(size)
+                ]
+            )
+            snf = smith_normal_form(a)
+            assert snf.diagonal == diagonal_from_minor_gcds(a)
+            assert snf.U @ a @ snf.V == snf.D
+            folded += snf.diagonal[-1] not in {abs(d) for d in diag}
+        assert folded
+
     def test_deterministic(self):
         a = IntMatrix.from_rows([[3, 1, -2], [0, 4, 1]])
         assert smith_normal_form(a) == smith_normal_form(a)

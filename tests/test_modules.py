@@ -2,13 +2,22 @@ import random
 
 import pytest
 
-from wadefect.groups import from_permutations, from_table, full_subgroup, subgroup_closure, trivial_subgroup
+from wadefect import modules
+from wadefect.groups import (
+    Subgroup,
+    from_permutations,
+    from_table,
+    full_subgroup,
+    subgroup_closure,
+    trivial_subgroup,
+)
 from wadefect.linalg import (
     AbelianPresentation,
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
+    finite_quotient,
     hermite_column_form,
     hstack,
 )
@@ -32,6 +41,7 @@ from wadefect.modules import (
 from wadefect.oracles import all_subgroups_2gen, quotient_element_orders
 from wadefect.zoo import (
     _conjugate,
+    _with_orbit_relations,
     a4,
     cyclic,
     group_zoo,
@@ -418,6 +428,101 @@ class TestH1:
             M = trivial_module(G)
             for H in all_subgroups_2gen(G):
                 assert h1(M, H) == abelianization(subgroup_cayley(G, H))
+
+
+def full_bar_denominator(M, H):
+    # every column of the bar d2, n |H|^2 of them, then the relation-induced
+    # chains, with h1_bar's boundary conventions and chain indexing
+    G = M.group
+    pos = {g: i for i, g in enumerate(H.elements)}
+    n = M.n
+    rows = n * H.order
+    cols = []
+    for a in H.elements:
+        inv_cols = M.element_matrix(G.inverses[a]).columns()
+        for b in H.elements:
+            for i in range(n):
+                col = [0] * rows
+                col[pos[b] * n : pos[b] * n + n] = inv_cols[i]
+                col[pos[G.table[a][b]] * n + i] -= 1
+                col[pos[a] * n + i] += 1
+                cols.append(col)
+    for a in H.elements:
+        for rc in M.relations.columns():
+            col = [0] * rows
+            col[pos[a] * n : pos[a] * n + n] = rc
+            cols.append(col)
+    return IntMatrix.from_columns(cols, rows=rows)
+
+
+def points_module(perms):
+    # augmentation kernel of the permutation module on the d points, basis
+    # e_i - e_{d-1} for i < d - 1: the module of the degree-d norm-one torus
+    G = from_permutations(perms)
+    n = len(perms[0]) - 1
+    action = []
+    for p in perms:
+        cols = []
+        for i in range(n):
+            col = [0] * n
+            if p[i] != n:
+                col[p[i]] += 1
+            if p[n] != n:
+                col[p[n]] -= 1
+            cols.append(col)
+        action.append(IntMatrix.from_columns(cols, rows=n))
+    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+
+
+@pytest.fixture
+def bar_denominators(monkeypatch):
+    # the denominators h1_bar hands to finite_quotient, in call order
+    seen = []
+
+    def capture(num, den):
+        seen.append(den)
+        return finite_quotient(num, den)
+
+    monkeypatch.setattr(modules, "finite_quotient", capture)
+    return seen
+
+
+class TestBarSpanningSet:
+    def test_denominator_spans_the_full_boundary_lattice(self, bar_denominators):
+        # the [e|e] and [a|s] chains must give the lattice of every d2 column
+        # plus the relation chains: same Hermite form, same H_1 as the cover
+        rng = random.Random(81)
+        with_relations = 0
+        cases = 0
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for i in range(3):
+                    M = random_module(rng, G)
+                    if i % 2 and not M.relations.cols:
+                        M = _with_orbit_relations(rng, M, 1)
+                    with_relations += bool(M.relations.cols)
+                    H = random_subgroup(rng, G)
+                    # hand-built, with every element listed as a generator
+                    redundant = Subgroup(elements=H.elements, generators=H.elements)
+                    for K in (full_subgroup(G), trivial_subgroup(G), H, redundant):
+                        got = h1_bar(M, K)
+                        assert hermite_column_form(bar_denominators[-1]) == hermite_column_form(
+                            full_bar_denominator(M, K)
+                        ), (G.order, K.elements)
+                        assert got == h1(M, K)
+                        cases += 1
+        assert cases == 192
+        # at least half of the 48 modules have relations
+        assert with_relations >= 24
+
+    def test_full_group_denominator_shapes(self, bar_denominators):
+        # n (1 + |H| k) columns with k = 2 generators; the full d2 would have
+        # n |H|^2: 1,584 columns for A4 and 1,728 for S4
+        s4_points = points_module([(1, 0, 2, 3), (1, 2, 3, 0)])
+        for M, shape in ((norm_one_module(a4()), (132, 275)), (s4_points, (72, 147))):
+            assert h1_bar(M, full_subgroup(M.group)) == FinAbInvariants((2,))
+            den = bar_denominators[-1]
+            assert (den.rows, den.cols) == shape
 
 
 class TestRestrict:
