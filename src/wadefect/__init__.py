@@ -33,7 +33,6 @@ from .groups import (
     trivial_subgroup,
 )
 from .linalg import (
-    AbelianPresentation,
     ContainmentError,
     DimensionError,
     FinAbInvariants,
@@ -44,9 +43,9 @@ from .linalg import (
     finite_quotient,
     hermite_column_form,
     kernel_basis,
-    lattice_intersection,
     lattice_sum,
     membership,
+    preimage,
     smith_normal_form,
     torsion_generators,
 )

@@ -2,17 +2,20 @@
 
 Given a group, a module, and decomposition subgroups for the places of S
 and for the known non-cyclic part of its complement, the defect is the
-finite quotient
+finite quotient N1 / (N1 ∩ N2) inside the coinvariants of the cover kernel.
+N1 joins the torsion images coming from the non-cyclic S subgroups with the
+ambient relation lattice, and N2 = D does the same for the complement side
+with every cyclic subgroup adjoined for free (the Chebotarev step).  By the
+second isomorphism theorem, x + (N1 ∩ N2) -> x + N2 maps N1 / (N1 ∩ N2)
+isomorphically onto (N1 + N2) / N2: an x in N1 maps to zero only when it
+lies in N1 ∩ N2, and every coset of N2 in N1 + N2 meets N1.  So it computes
 
-    N1 / (N1 ∩ N2)
+    (D + the S-side images) / D
 
-inside the coinvariants of the cover kernel, where N1 joins the torsion
-images coming from the non-cyclic S subgroups with the ambient relation
-lattice, and N2 does the same for the complement side with every cyclic
-subgroup adjoined for free (the Chebotarev step).  Cyclic entries of S are
-ignored; they never contribute.  Each side adjoins its subgroups only up to
-conjugacy and containment, one representative per conjugacy class and none
-inside a conjugate of another: the others add nothing to the image.
+with no lattice intersection.  Cyclic entries of S are ignored; they never
+contribute.  Each side adjoins its subgroups only up to conjugacy and
+containment, one representative per conjugacy class and none inside a
+conjugate of another: the others add nothing to the image.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .linalg import (
     FinAbInvariants,
     finite_quotient,
     hermite_column_form,
-    lattice_intersection,
     lattice_sum,
     torsion_generators,
 )
@@ -132,19 +134,16 @@ def _image_quotient(
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
     G = Y.group
-    base = hermite_column_form(coinvariants(Y, full_subgroup(G)).relations)
-
-    s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    numerator = base
-    for H in _class_representatives(G, [s_subgroups[k] for k in s_nc]):
-        numerator = lattice_sum(numerator, torsion_generators(coinvariants(Y, H)))
-
-    denominator = base
+    denominator = hermite_column_form(coinvariants(Y, full_subgroup(G)))
     for H in _class_representatives(G, list(sc_subgroups) + cyclic_subgroups(G)):
         denominator = lattice_sum(denominator, torsion_generators(coinvariants(Y, H)))
 
-    inv = finite_quotient(numerator, lattice_intersection(numerator, denominator))
-    return inv, s_nc
+    s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
+    numerator = denominator
+    for H in _class_representatives(G, [s_subgroups[k] for k in s_nc]):
+        numerator = lattice_sum(numerator, torsion_generators(coinvariants(Y, H)))
+
+    return finite_quotient(numerator, denominator), s_nc
 
 
 def _is_detectably_free(M: GammaModule) -> bool:

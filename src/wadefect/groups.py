@@ -22,7 +22,6 @@ __all__ = [
     "Subgroup",
     "GroupError",
     "DEFAULT_ORDER_CAP",
-    "DEFAULT_ASSOC_BOUND",
     "from_permutations",
     "from_table",
     "subgroup_closure",
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 2000
-DEFAULT_ASSOC_BOUND = 512
 
 
 class GroupError(ValueError):
@@ -76,15 +74,6 @@ class CayleyGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("CayleyGroup is immutable")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"CayleyGroup(order={self.order}, generators={self.generator_indices})"
@@ -178,7 +167,7 @@ def _light_associativity(table, gens) -> tuple[int, int, int] | None:
     return None
 
 
-def from_table(table: Sequence[Sequence[int]], *, assoc_bound: int = DEFAULT_ASSOC_BOUND) -> CayleyGroup:
+def from_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
     """Validate a full multiplication table; generators default to all elements."""
     rows = [list(r) for r in table]
     n = len(rows)
@@ -192,11 +181,10 @@ def from_table(table: Sequence[Sequence[int]], *, assoc_bound: int = DEFAULT_ASS
                 raise GroupError(f"table entry {e!r} out of range 0..{n - 1}")
     _validate_latin(rows)
     identity = _find_identity(rows)
-    if n <= assoc_bound:
-        bad = _light_associativity(rows, _span(rows, identity, range(n))[0])
-        if bad is not None:
-            x, a, y = bad
-            raise GroupError(f"associativity fails on ({x}, {a}, {y})")
+    bad = _light_associativity(rows, _span(rows, identity, range(n))[0])
+    if bad is not None:
+        x, a, y = bad
+        raise GroupError(f"associativity fails on ({x}, {a}, {y})")
     inverses = []
     for i in range(n):
         j = rows[i].index(identity)

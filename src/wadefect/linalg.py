@@ -1,19 +1,22 @@
 """Exact integer linear algebra.
 
-Smith and Hermite normal forms, saturated kernels, lattice sums and
-intersections, and invariant factors of finitely presented abelian groups.
-Everything runs on Python's arbitrary-precision integers; there is no
-overflow mode.  Kernels, solves and intersections come from the column
-Hermite form of a stacked matrix, whose size reduction keeps entries small;
-the Smith form is used only for invariant factors and torsion generators.
-Every column reduction in the Hermite form and in back-substitution walks
-only the support (the nonzero rows) of the column it subtracts; a pivot's
-support is recomputed whenever the pivot column changes.
+Smith and Hermite normal forms, saturated kernels and preimages, lattice
+sums and quotients, and invariant factors of finitely presented abelian
+groups.  Everything runs on Python's arbitrary-precision integers; there is
+no overflow mode.  Kernels, preimages and solves come from one column
+Hermite form of the input stacked over [I 0], whose size reduction keeps
+entries small; the Smith form is used only for invariant factors and
+torsion generators.  Every column reduction in the Hermite form and in
+back-substitution walks only the support (the nonzero rows) of the column
+it subtracts; a pivot's support is recomputed whenever the pivot column
+changes.
 
-Lattices are column spans of integer matrices.  The canonical form is the
-column Hermite normal form produced by :func:`hermite_column_form`: two
-matrices span the same lattice iff their canonical forms are equal, entry
-for entry.
+Lattices and presentations are plain matrices: a lattice is the column span
+of an integer matrix, and a finitely presented abelian group is Z^rows
+modulo the column span of its relation matrix.  The canonical form of a
+lattice is the column Hermite normal form produced by
+:func:`hermite_column_form`: two matrices span the same lattice iff their
+canonical forms are equal, entry for entry.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "IntMatrix",
     "SmithDecomposition",
-    "AbelianPresentation",
     "FinAbInvariants",
     "DimensionError",
     "ContainmentError",
@@ -35,15 +37,14 @@ __all__ = [
     "smith_diagonal",
     "hermite_column_form",
     "kernel_basis",
+    "preimage",
     "cokernel_invariants",
     "torsion_generators",
     "lattice_sum",
-    "lattice_intersection",
     "finite_quotient",
     "membership",
     "ColumnSolver",
     "hstack",
-    "vstack",
     "xgcd",
 ]
 
@@ -223,22 +224,6 @@ def hstack(mats: Sequence[IntMatrix], rows: int | None = None) -> IntMatrix:
         for m in mats:
             flat.extend(m.row(i))
     return IntMatrix(height, sum(m.cols for m in mats), flat)
-
-
-def vstack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:
-    """Concatenate matrices top to bottom; `cols` is required when the list is empty."""
-    mats = [m for m in mats]
-    if not mats:
-        if cols is None:
-            raise DimensionError("cols is required to vstack nothing")
-        return IntMatrix(0, cols, ())
-    width = mats[0].cols
-    if any(m.cols != width for m in mats):
-        raise DimensionError("vstack of matrices with different column counts")
-    flat: list[int] = []
-    for m in mats:
-        flat.extend(m.entries)
-    return IntMatrix(sum(m.rows for m in mats), width, flat)
 
 
 @dataclass(frozen=True)
@@ -461,28 +446,38 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=m)
 
 
-def _hermite_split(top: IntMatrix, bottom: IntMatrix) -> tuple[list[tuple[int, ...]], IntMatrix]:
-    """Hermite form of [top; bottom], split at the first column with zero top.
+def _hermite_split(A: IntMatrix, n: int) -> tuple[list[tuple[int, ...]], IntMatrix]:
+    """Hermite form of A stacked over [I_n 0], split at the first column with zero top.
 
+    Column j of the stack is A's column j over the unit vector e_j (zero for
+    j >= n), so every stacked vector is (A x; first n coordinates of x).
     Pivot rows increase left to right, so the columns before the split have
-    nonzero tops, which form an echelon basis of span(top).  The bottoms of
+    nonzero tops, which form an echelon basis of span(A).  The bottoms of
     the columns after it are a basis, in canonical Hermite form, of the
     bottoms of the vectors in the span whose top is zero.
     """
-    m = top.rows
-    cols = hermite_column_form(vstack([top, bottom])).columns()
-    k = next((k for k, c in enumerate(cols) if not any(c[:m])), len(cols))
-    return cols[:k], IntMatrix.from_columns([c[m:] for c in cols[k:]], rows=bottom.rows)
+    m, c = A.rows, A.cols
+    flat = list(A.entries)
+    for i in range(n):
+        flat += [0] * i + [1] + [0] * (c - i - 1)
+    cols = hermite_column_form(IntMatrix(m + n, c, flat)).columns()
+    k = next((k for k, col in enumerate(cols) if not any(col[:m])), len(cols))
+    return cols[:k], IntMatrix.from_columns([col[m:] for col in cols[k:]], rows=n)
+
+
+def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
+    """Basis of {x : A @ x in span(R)}, in canonical Hermite form.
+
+    The columns of [A R; I 0] span the pairs (A x + R z; x); those with zero
+    top have A x = -R z, so the bottoms of the Hermite columns with zero top
+    are a basis of the whole preimage lattice, not a finite-index sublattice.
+    """
+    return _hermite_split(hstack([A, R]), A.cols)[1]
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the full integer kernel {x : A @ x = 0}, in canonical Hermite form.
-
-    The basis spans the saturated kernel lattice, not a finite-index
-    sublattice: the columns of A stacked over the identity span every pair
-    (A x; x), and the kernel is the set of bottoms x with zero top.
-    """
-    return _hermite_split(A, IntMatrix.identity(A.cols))[1]
+    """Basis of the full integer kernel {x : A @ x = 0}: the preimage of the zero lattice."""
+    return preimage(A, IntMatrix(A.rows, 0, ()))
 
 
 class ColumnSolver:
@@ -498,7 +493,7 @@ class ColumnSolver:
     def __init__(self, A: IntMatrix):
         self.A = A
         m = A.rows
-        echelon = _hermite_split(A, IntMatrix.identity(A.cols))[0]
+        echelon = _hermite_split(A, A.cols)[0]
         # (pivot row, pivot, nonzero (row, entry) of the top, nonzero
         # (row - m, entry) of the bottom) in increasing pivot order
         self._echelon = []
@@ -541,20 +536,6 @@ def membership(v: Sequence[int], B: IntMatrix) -> bool:
     if len(v) != B.rows:
         raise DimensionError(f"vector of length {len(v)} against {B.rows} rows")
     return ColumnSolver(B).contains(IntMatrix.from_columns([v], rows=B.rows))
-
-
-@dataclass(frozen=True)
-class AbelianPresentation:
-    """The abelian group Z^ambient_rank modulo the column span of `relations`."""
-
-    ambient_rank: int
-    relations: IntMatrix
-
-    def __post_init__(self):
-        if self.relations.rows != self.ambient_rank:
-            raise DimensionError(
-                f"relations have {self.relations.rows} rows, ambient rank is {self.ambient_rank}"
-            )
 
 
 @dataclass(frozen=True)
@@ -601,28 +582,28 @@ def _invariants_from_diagonal(diagonal: Sequence[int], ambient_rank: int) -> Fin
     return FinAbInvariants(factors=factors, free_rank=ambient_rank - len(nonzero))
 
 
-def cokernel_invariants(P: AbelianPresentation) -> FinAbInvariants:
-    """Invariant factors and free rank of Z^n / (column span of relations).
+def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
+    """Invariant factors and free rank of Z^rows / (column span of relations).
 
     The relations are compressed to a Hermite basis first; only the Smith
     diagonal of the compressed matrix is computed.
     """
-    reduced = hermite_column_form(P.relations)
-    return _invariants_from_diagonal(smith_diagonal(reduced), P.ambient_rank)
+    reduced = hermite_column_form(relations)
+    return _invariants_from_diagonal(smith_diagonal(reduced), relations.rows)
 
 
-def torsion_generators(P: AbelianPresentation) -> IntMatrix:
-    """A matrix whose columns generate exactly the torsion subgroup of Z^n / relations.
+def torsion_generators(relations: IntMatrix) -> IntMatrix:
+    """A matrix whose columns generate exactly the torsion subgroup of Z^rows / relations.
 
     With H the Hermite form of the relations and U @ H @ V = D its Smith
     form, H @ V = U^-1 @ D.  The columns of U^-1 at diagonal entries >= 2
     generate the torsion, one per torsion invariant factor, and column i of
     H @ V is d_i times column i of U^-1.
     """
-    H = hermite_column_form(P.relations)
+    H = hermite_column_form(relations)
     snf = smith_normal_form(H)
     gens = [[e // d for e in H.times_vector(snf.V.column(i))] for i, d in enumerate(snf.diagonal) if d > 1]
-    return IntMatrix.from_columns(gens, rows=P.ambient_rank)
+    return IntMatrix.from_columns(gens, rows=relations.rows)
 
 
 def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
@@ -630,18 +611,6 @@ def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
     if B1.rows != B2.rows:
         raise DimensionError(f"lattice sum of spans in Z^{B1.rows} and Z^{B2.rows}")
     return hermite_column_form(hstack([B1, B2]))
-
-
-def lattice_intersection(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
-    """Canonical basis of span(B1) ∩ span(B2), by Zassenhaus' method.
-
-    The columns of [B1 B2; B1 0] span the pairs (B1 x + B2 y; B1 x); those
-    with zero top have B1 x = -B2 y, so the bottoms of the Hermite columns
-    with zero top are a basis of the intersection, in canonical form.
-    """
-    if B1.rows != B2.rows:
-        raise DimensionError(f"lattice intersection of spans in Z^{B1.rows} and Z^{B2.rows}")
-    return _hermite_split(hstack([B1, B2]), hstack([B1, IntMatrix.zeros(B1.rows, B2.cols)]))[1]
 
 
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:
@@ -656,7 +625,7 @@ def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:
     X = ColumnSolver(basis).solve(hermite_column_form(den))
     if X is None:
         raise ContainmentError("denominator lattice is not contained in the numerator lattice")
-    inv = cokernel_invariants(AbelianPresentation(ambient_rank=basis.cols, relations=X))
+    inv = cokernel_invariants(X)
     if inv.free_rank:
         raise QuotientNotFiniteError(
             f"quotient has free rank {inv.free_rank}; lattice ranks differ"

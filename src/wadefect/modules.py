@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .groups import CayleyGroup, GroupError, Subgroup, subgroup_cayley, subgroup_closure
 from .linalg import (
-    AbelianPresentation,
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
@@ -31,7 +30,7 @@ from .linalg import (
     finite_quotient,
     hermite_column_form,
     hstack,
-    kernel_basis,
+    preimage,
 )
 
 __all__ = [
@@ -161,12 +160,13 @@ class FreeCover:
     The d copies of Z[G] cover a greedy Z[G]-generating set e_{i_0}, ...,
     e_{i_{d-1}} of M.  The middle term has basis (g, k) at index g*d + k
     (element index major); the projection sends (g, k) to g acting on
-    e_{i_k}.  Y is the saturated kernel, returned as the relation-free
-    module `kernel` under left translation.  Left translation permutes the
-    basis of Z[G]^d, and each generator's matrix is solved exactly on the
-    G-stable lattice Y, so the kernel action satisfies the group law by
-    construction: `kernel` is marked validated, and derives an element's
-    matrix only when asked for it.
+    e_{i_k}.  Y is the kernel: the preimage under the projection of the
+    relation lattice of M.  `kernel_basis` is its canonical Hermite basis,
+    and `kernel` is the relation-free module on that basis under left
+    translation.  Left translation permutes the basis of Z[G]^d, and each
+    generator's matrix is solved exactly on the G-stable lattice Y, so the
+    kernel action satisfies the group law by construction: `kernel` is
+    marked validated, and derives an element's matrix only when asked for it.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -201,8 +201,10 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     Basis vectors of M are scanned in order; e_i is kept when it is not in
     the lattice spanned by the relations and the orbits of the vectors kept
-    so far.  The kernel action is solved for the designated generators only.
-    The cover is built once per module and cached on it.
+    so far.  The kernel is one `preimage` of the relations of M under the
+    projection, so it comes out saturated and in canonical form.  The kernel
+    action is solved for the designated generators only.  The cover is built
+    once per module and cached on it.
     """
     if M._cover is not None:
         return M._cover
@@ -223,14 +225,9 @@ def free_cover(M: GammaModule) -> "FreeCover":
     d = len(kept)
     cover_rank = G.order * d
     projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
-    stacked = hstack([projection, -M.relations])
-    K = kernel_basis(stacked)
-    top = IntMatrix.from_rows([K.row(i) for i in range(cover_rank)], cols=K.cols)
-    basis = hermite_column_form(top)
+    basis = preimage(projection, M.relations)
 
-    expected_rank = cover_rank - cokernel_invariants(
-        AbelianPresentation(ambient_rank=n, relations=M.relations)
-    ).free_rank
+    expected_rank = cover_rank - cokernel_invariants(M.relations).free_rank
     if basis.cols != expected_rank:
         raise AssertionError(
             f"cover kernel has rank {basis.cols}, exactness requires {expected_rank}"
@@ -249,19 +246,19 @@ def free_cover(M: GammaModule) -> "FreeCover":
     return M._cover
 
 
-def coinvariants(M: GammaModule, delta: Subgroup) -> AbelianPresentation:
-    """Presentation of the coinvariants of M under a subgroup.
+def coinvariants(M: GammaModule, delta: Subgroup) -> IntMatrix:
+    """Relation matrix of the coinvariants of M under a subgroup.
 
-    Z^n modulo the relations of M and the columns of (rho(g) - 1) for g
-    running over the subgroup's generators; generator differences span the
-    same lattice as differences over the whole subgroup.
+    The coinvariants are Z^n modulo the relations of M and the columns of
+    (rho(g) - 1) for g running over the subgroup's generators; generator
+    differences span the same lattice as differences over the whole subgroup.
     """
     G = M.group
     if subgroup_closure(G, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
     ident = IntMatrix.identity(M.n)
     blocks = [M.relations] + [M.element_matrix(g) - ident for g in delta.generators]
-    return AbelianPresentation(ambient_rank=M.n, relations=hstack(blocks, rows=M.n))
+    return hstack(blocks, rows=M.n)
 
 
 def tate_h_minus1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
@@ -341,10 +338,10 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
             col[base : base + n] = rc
             den_cols.append(col)
 
-    # cycles: ambient chains whose boundary lands in the relation lattice of M;
-    # H_1 of a finite group with finitely generated coefficients is finite
-    K = kernel_basis(hstack([d1, -M.relations]))
-    cycles = IntMatrix.from_rows([K.row(i) for i in range(c1_rank)], cols=K.cols)
+    # cycles: the preimage under d1 of the relation lattice of M, the ambient
+    # chains whose boundary is zero in M; H_1 of a finite group with finitely
+    # generated coefficients is finite
+    cycles = preimage(d1, M.relations)
     return finite_quotient(cycles, IntMatrix.from_columns(den_cols, rows=c1_rank))
 
 

@@ -1,10 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here deliberately avoids the normal-form machinery it is used to
-check: determinants come from fraction-free elimination, kernels from box
-enumeration, quotient orders from coset enumeration, subgroup counts from
-raw closure, and the Hermite form from row-by-row Euclid.  The selfcheck
-command and the test suite both lean on these.
+check: determinants come from fraction-free elimination, kernels and
+preimages from box enumeration, quotient orders from coset enumeration,
+subgroup counts from raw closure, and the Hermite form from row-by-row
+Euclid.  The selfcheck command and the test suite both lean on these.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = [
     "hermite_reference",
     "gcd_of_k_minors",
     "diagonal_from_minor_gcds",
-    "box_kernel_vectors",
+    "box_preimage_vectors",
     "coset_count",
     "all_subgroups_2gen",
     "cyclic_subgroup_count",
@@ -114,24 +114,9 @@ def diagonal_from_minor_gcds(M: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def box_kernel_vectors(M: IntMatrix, bound: int) -> list[tuple[int, ...]]:
-    """All nonzero kernel vectors with entries in [-bound, bound], up to sign.
-
-    Only vectors whose first nonzero coordinate is positive are returned.
-    """
-    n = M.cols
-    rows = [M.row(i) for i in range(M.rows)]
-    out = []
-    for cand in product(range(-bound, bound + 1), repeat=n):
-        lead = next((c for c in cand if c), 0)
-        if lead <= 0:
-            continue
-        for row in rows:
-            if sum(r * c for r, c in zip(row, cand)):
-                break
-        else:
-            out.append(cand)
-    return out
+def _pivots(hnf: IntMatrix) -> dict[int, tuple[int, ...]]:
+    # pivot row -> column of a matrix in column Hermite form
+    return {next(i for i, e in enumerate(col) if e): col for col in hnf.columns()}
 
 
 def _reduce_mod(v: list[int], pivots: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -144,17 +129,45 @@ def _reduce_mod(v: list[int], pivots: dict[int, tuple[int, ...]]) -> tuple[int, 
     return tuple(v)
 
 
+def box_preimage_vectors(M: IntMatrix, R: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """All nonzero x with entries in [-bound, bound] and M x in span(R), up to sign.
+
+    Only vectors whose first nonzero coordinate is positive are returned.
+    M x lies in span(R) iff it reduces to zero against the pivots of the
+    textbook Hermite form of R; with no columns in R these are the kernel
+    vectors of M.  The reduction runs row by row and stops at the first
+    nonzero remainder: a pivot column is zero above its pivot row, so row i
+    of the remainder depends only on the pivots at rows up to i.
+    """
+    pivots = _pivots(hermite_reference(R))
+    rows = [M.row(i) for i in range(M.rows)]
+    out = []
+    for cand in product(range(-bound, bound + 1), repeat=M.cols):
+        lead = next((c for c in cand if c), 0)
+        if lead <= 0:
+            continue
+        used: list[tuple[int, tuple[int, ...]]] = []
+        for i, row in enumerate(rows):
+            v = sum(r * c for r, c in zip(row, cand)) - sum(q * col[i] for q, col in used)
+            col = pivots.get(i)
+            if col is not None:
+                q = v // col[i]
+                v -= q * col[i]
+                used.append((q, col))
+            if v:
+                break
+        else:
+            out.append(cand)
+    return out
+
+
 def coset_count(num: IntMatrix, den_hnf: IntMatrix, limit: int = 100000) -> int:
     """Number of cosets of span(den_hnf) met by span(num), by breadth-first closure.
 
     `den_hnf` must already be in column Hermite form with full row support on
     its pivot rows for residues to be finite; raises if `limit` is hit.
     """
-    pivots: dict[int, tuple[int, ...]] = {}
-    for j in range(den_hnf.cols):
-        col = den_hnf.column(j)
-        r = next(i for i, e in enumerate(col) if e)
-        pivots[r] = col
+    pivots = _pivots(den_hnf)
     zero = tuple([0] * num.rows)
     seen = {_reduce_mod(list(zero), pivots)}
     frontier = [next(iter(seen))]

@@ -49,16 +49,20 @@ def check_hermite_canonical(rng: random.Random) -> None:
 
 
 def check_kernel_saturation(rng: random.Random) -> None:
-    from .linalg import kernel_basis
+    from .linalg import ColumnSolver, kernel_basis, preimage
 
     for _ in range(25):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         A = IntMatrix(rows, cols, (rng.randint(-5, 5) for _ in range(rows * cols)))
-        basis = kernel_basis(A)
-        assert (A @ basis).is_zero(), "kernel basis is not annihilated"
-        for v in oracles.box_kernel_vectors(A, 3):
-            assert membership(v, basis), f"box kernel vector {v} outside returned span"
+        # k columns spanning a rank of at most j, so some are dependent or zero
+        j, k = rng.randint(0, 2), rng.randint(0, 3)
+        B = IntMatrix(rows, j, (rng.randint(-4, 4) for _ in range(rows * j)))
+        R = B @ IntMatrix(j, k, (rng.randint(-2, 2) for _ in range(j * k)))
+        basis = preimage(A, R) if k else kernel_basis(A)
+        assert ColumnSolver(R).contains(A @ basis), "preimage basis does not map into span(R)"
+        for v in oracles.box_preimage_vectors(A, R, 3):
+            assert membership(v, basis), f"box preimage vector {v} outside returned span"
 
 
 def check_oracle_equivalence(rng: random.Random) -> None:

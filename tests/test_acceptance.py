@@ -36,7 +36,7 @@ from wadefect.modules import (
     validate,
     with_doubled_generators,
 )
-from wadefect.oracles import all_subgroups_2gen, box_kernel_vectors, det_bareiss
+from wadefect.oracles import all_subgroups_2gen, box_preimage_vectors, det_bareiss
 from wadefect.scenario_io import parse_scenario
 from wadefect.zoo import (
     _conjugate,
@@ -238,7 +238,7 @@ def test_criterion_8_linear_algebra_postconditions():
         # saturation: brute-force box kernel vectors must lie in the span
         if basis.cols or cols <= 6:
             bound = 2 if cols <= 5 else 1
-            found = box_kernel_vectors(A, bound)
+            found = box_preimage_vectors(A, IntMatrix(rows, 0, ()), bound)
             if basis.cols == 0:
                 assert not found
             elif found:

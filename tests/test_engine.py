@@ -25,11 +25,12 @@ from wadefect.groups import (
     trivial_subgroup,
 )
 from wadefect.linalg import (
+    ColumnSolver,
     FinAbInvariants,
     IntMatrix,
     finite_quotient,
     hermite_column_form,
-    lattice_intersection,
+    hstack,
     lattice_sum,
     membership,
     torsion_generators,
@@ -45,6 +46,7 @@ from wadefect.modules import (
     norm_one_module,
     trivial_module,
 )
+from wadefect.oracles import all_subgroups_2gen
 from wadefect.zoo import (
     _conjugate,
     a4,
@@ -84,7 +86,7 @@ class TestLocalImage:
         gens = local_torsion(cover, full_subgroup(G))
         assert gens.cols == 1
         v = gens.column(0)
-        rel = coinvariants(cover.kernel, full_subgroup(G)).relations
+        rel = coinvariants(cover.kernel, full_subgroup(G))
         assert not membership(v, rel)
         assert membership(tuple(2 * e for e in v), rel)
 
@@ -327,11 +329,26 @@ def test_s4_norm_one_defect_derives_few_kernel_matrices():
     assert len(free_cover(M).kernel._matrices) < G.order
 
 
+def zassenhaus_intersection(B1, B2):
+    """Canonical basis of span(B1) ∩ span(B2), by Zassenhaus' method.
+
+    The columns of [B1 B2; B1 0] span the pairs (B1 x + B2 y; B1 x); those
+    with zero top have B1 x = -B2 y, so the bottoms of the Hermite columns
+    with zero top are a basis of the intersection, in canonical form.
+    """
+    m = B1.rows
+    top = hstack([B1, B2])
+    stacked = [top.column(j) + (B1.column(j) if j < B1.cols else (0,) * m) for j in range(top.cols)]
+    H = hermite_column_form(IntMatrix.from_columns(stacked, rows=2 * m))
+    return IntMatrix.from_columns([c[m:] for c in H.columns() if not any(c[:m])], rows=m)
+
+
 # The pruned pipeline against the unpruned one: every non-cyclic S entry,
-# every non-cyclic complement entry and every cyclic subgroup, adjoined as given.
+# every non-cyclic complement entry and every cyclic subgroup, adjoined as
+# given, and the defect taken as N1 / (N1 ∩ N2) rather than (N1 + N2) / N2.
 def unpruned_quotient(Y, s_subgroups, sc_subgroups):
     G = Y.group
-    base = hermite_column_form(coinvariants(Y, full_subgroup(G)).relations)
+    base = hermite_column_form(coinvariants(Y, full_subgroup(G)))
 
     def joined(subgroups):
         out = base
@@ -341,7 +358,7 @@ def unpruned_quotient(Y, s_subgroups, sc_subgroups):
 
     num = joined(H for H in s_subgroups if not is_cyclic_subgroup(G, H))
     den = joined([H for H in sc_subgroups if not is_cyclic_subgroup(G, H)] + cyclic_subgroups(G))
-    return finite_quotient(num, lattice_intersection(num, den))
+    return finite_quotient(num, zassenhaus_intersection(num, den))
 
 
 def z2_cubed():
@@ -425,3 +442,43 @@ class TestClassRepresentatives:
         G = s4()
         defect(Scenario(G, norm_one_module(G), (full_subgroup(G),), ()), use_shortcuts=False)
         assert len(calls) == 5
+
+
+class TestSumQuotient:
+    def test_zassenhaus_intersection_contained_and_isomorphic(self):
+        rng = random.Random(13)
+        for _ in range(25):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            b1 = IntMatrix(n, k, (rng.randint(-4, 4) for _ in range(n * k)))
+            b2 = IntMatrix(n, 2, (rng.randint(-4, 4) for _ in range(n * 2)))
+            inter = zassenhaus_intersection(b1, b2)
+            assert ColumnSolver(b1).contains(inter)
+            assert ColumnSolver(b2).contains(inter)
+        # for full-rank pairs, (L1 + L2) / L2 and L1 / (L1 ∩ L2) are isomorphic
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            k1, k2 = rng.randint(n, 5), rng.randint(n, 5)
+            b1 = IntMatrix(n, k1, (rng.randint(-4, 4) for _ in range(n * k1)))
+            b2 = IntMatrix(n, k2, (rng.randint(-4, 4) for _ in range(n * k2)))
+            if hermite_column_form(b1).cols < n or hermite_column_form(b2).cols < n:
+                continue
+            inter = zassenhaus_intersection(b1, b2)
+            assert finite_quotient(lattice_sum(b1, b2), b2) == finite_quotient(b1, inter)
+
+    def test_conjugated_norm_one_scenarios_match_the_intersection_quotient(self):
+        rng = random.Random(929)
+        groups = [klein(), d4(), q8(), a4(), z2_cubed()]
+        nontrivial = 0
+        for k in range(120):
+            G = groups[k % len(groups)]
+            M = norm_one_module(G)
+            M = _conjugate(M, random_unimodular(rng, M.n))
+            subgroups = {H.elements: H for H in all_subgroups_2gen(G) + [full_subgroup(G)]}
+            non_cyclic = [H for H in subgroups.values() if not is_cyclic_subgroup(G, H)]
+            proper = [H for H in subgroups.values() if H.order < G.order]
+            s = tuple(rng.choice(non_cyclic) for _ in range(rng.randint(1, 3)))
+            scs = tuple(rng.choice(proper) for _ in range(rng.randint(0, 2)))
+            got = defect(Scenario(G, M, s, scs), use_shortcuts=False).invariants
+            assert got == unpruned_quotient(free_cover(M).kernel, s, scs)
+            nontrivial += not got.is_trivial()
+        assert nontrivial >= 50

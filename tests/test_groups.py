@@ -119,6 +119,16 @@ class TestFromTable:
         with pytest.raises(GroupError, match="associativity"):
             from_table(table)
 
+    def test_rejects_non_associative_large_table(self):
+        # Z/520 with one intercalate swapped: still a Latin square with a
+        # two-sided identity and inverses, but no longer associative
+        n = 520
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        for r in (3, 263):
+            table[r][5], table[r][265] = table[r][265], table[r][5]
+        with pytest.raises(GroupError, match="associativity"):
+            from_table(table)
+
     def test_round_trip_from_permutation_group(self):
         for G in (klein(), s3(), d4()):
             H = from_table([list(r) for r in G.table])

@@ -4,7 +4,6 @@ from math import isqrt, prod
 import pytest
 
 from wadefect.linalg import (
-    AbelianPresentation,
     ColumnSolver,
     ContainmentError,
     DimensionError,
@@ -16,15 +15,15 @@ from wadefect.linalg import (
     hermite_column_form,
     hstack,
     kernel_basis,
-    lattice_intersection,
     lattice_sum,
     membership,
+    preimage,
     smith_normal_form,
     torsion_generators,
     xgcd,
 )
 from wadefect.oracles import (
-    box_kernel_vectors,
+    box_preimage_vectors,
     coset_count,
     det_bareiss,
     diagonal_from_minor_gcds,
@@ -166,7 +165,7 @@ class TestKernel:
         a = IntMatrix.from_rows([[2, 4]])
         basis = kernel_basis(a)
         assert basis.columns() == [(2, -1)]
-        assert box_kernel_vectors(a, 4) == [(2, -1), (4, -2)]
+        assert box_preimage_vectors(a, IntMatrix(1, 0, ()), 4) == [(2, -1), (4, -2)]
 
     def test_saturation_randomized(self):
         rng = random.Random(7)
@@ -175,11 +174,45 @@ class TestKernel:
             a = IntMatrix(r, c, (rng.randint(-5, 5) for _ in range(r * c)))
             basis = kernel_basis(a)
             assert (a @ basis).is_zero()
-            found = box_kernel_vectors(a, 3)
+            found = box_preimage_vectors(a, IntMatrix(r, 0, ()), 3)
             if basis.cols == 0:
                 assert not found
             elif found:
                 assert ColumnSolver(basis).contains(cols(*found, rows=c))
+
+
+def random_relations(rng, rows):
+    # k columns spanning a rank of at most j, so some are dependent or zero
+    j, k = rng.randint(0, 2), rng.randint(0, 3)
+    B = IntMatrix(rows, j, (rng.randint(-4, 4) for _ in range(rows * j)))
+    return B @ IntMatrix(j, k, (rng.randint(-2, 2) for _ in range(j * k)))
+
+
+class TestPreimage:
+    def test_examples(self):
+        # 2x in span(4) iff x is even; with no relations the preimage is the kernel
+        assert preimage(IntMatrix.from_rows([[2]]), cols((4,), rows=1)).columns() == [(2,)]
+        assert preimage(IntMatrix.from_rows([[1, 1]]), IntMatrix(1, 0, ())).columns() == [(1, -1)]
+        assert preimage(IntMatrix(2, 0, ()), cols((1, 0), rows=2)) == IntMatrix(0, 0, ())
+
+    def test_against_box_and_kernel_route_randomized(self):
+        rng = random.Random(41)
+        nonkernel = 0
+        for _ in range(80):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            A = IntMatrix(m, n, (rng.randint(-5, 5) for _ in range(m * n)))
+            R = random_relations(rng, m)
+            P = preimage(A, R)
+            assert ColumnSolver(R).contains(A @ P)
+            found = box_preimage_vectors(A, R, 3)
+            if found:
+                assert ColumnSolver(P).contains(cols(*found, rows=n))
+            # the route it replaces: the top n rows of ker [A -R], made canonical
+            K = kernel_basis(hstack([A, -R]))
+            assert P == hermite_column_form(IntMatrix.from_rows([K.row(i) for i in range(n)], cols=K.cols))
+            nonkernel += P != kernel_basis(A)
+        # most pairs must exercise R, not only the kernel case
+        assert nonkernel >= 20
 
 
 class TestEntryGrowth:
@@ -312,38 +345,11 @@ class TestLatticeOps:
             assert s == lattice_sum(b2, b1)
             assert ColumnSolver(s).contains(b1)
 
-    def test_intersection_examples(self):
-        two = cols((2, 0), (0, 2), rows=2)
-        three = cols((3, 0), (0, 3), rows=2)
-        assert lattice_intersection(two, three).columns() == [(6, 0), (0, 6)]
-        b = cols((1, 1), rows=2)
-        assert lattice_intersection(b, b) == hermite_column_form(b)
-        assert lattice_intersection(b, cols((1, -1), rows=2)).cols == 0
-
-    def test_intersection_contained(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            b1 = random_matrix(rng, max_dim=4, bound=4)
-            b2 = IntMatrix(b1.rows, 2, (rng.randint(-4, 4) for _ in range(b1.rows * 2)))
-            inter = lattice_intersection(b1, b2)
-            assert ColumnSolver(hermite_column_form(b1)).contains(inter)
-            assert ColumnSolver(hermite_column_form(b2)).contains(inter)
-        # for full-rank pairs, (L1 + L2) / L2 and L1 / (L1 ∩ L2) are isomorphic
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            k1, k2 = rng.randint(n, 5), rng.randint(n, 5)
-            b1 = IntMatrix(n, k1, (rng.randint(-4, 4) for _ in range(n * k1)))
-            b2 = IntMatrix(n, k2, (rng.randint(-4, 4) for _ in range(n * k2)))
-            if hermite_column_form(b1).cols < n or hermite_column_form(b2).cols < n:
-                continue
-            inter = lattice_intersection(b1, b2)
-            assert finite_quotient(lattice_sum(b1, b2), b2) == finite_quotient(b1, inter)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             lattice_sum(IntMatrix.identity(2), IntMatrix.identity(3))
         with pytest.raises(DimensionError):
-            lattice_intersection(IntMatrix.identity(2), IntMatrix.identity(3))
+            preimage(IntMatrix.identity(2), IntMatrix.identity(3))
 
 
 class TestMembershipSolve:
@@ -390,30 +396,26 @@ class TestUnimodularInverse:
 
 class TestPresentations:
     def test_cokernel_examples(self):
-        p = AbelianPresentation(3, cols((1, 0, 0), (0, 2, 0), rows=3))
+        p = cols((1, 0, 0), (0, 2, 0), rows=3)
         assert cokernel_invariants(p) == FinAbInvariants((2,), 1)
-        assert cokernel_invariants(AbelianPresentation(2, IntMatrix(2, 0, ()))) == FinAbInvariants((), 2)
+        assert cokernel_invariants(IntMatrix(2, 0, ())) == FinAbInvariants((), 2)
         # Z/2 x Z/3 is cyclic of order 6; element orders confirm
-        p6 = AbelianPresentation(2, cols((2, 0), (0, 3), rows=2))
+        p6 = cols((2, 0), (0, 3), rows=2)
         assert cokernel_invariants(p6) == FinAbInvariants((6,), 0)
-        assert max(quotient_element_orders(p6.relations)) == 6
-
-    def test_relations_row_check(self):
-        with pytest.raises(DimensionError):
-            AbelianPresentation(2, IntMatrix.identity(3))
+        assert max(quotient_element_orders(p6)) == 6
 
     def test_torsion_generators_diagonal(self):
-        p = AbelianPresentation(3, cols((1, 0, 0), (0, 2, 0), rows=3))
+        p = cols((1, 0, 0), (0, 2, 0), rows=3)
         gens = torsion_generators(p)
         assert (gens.rows, gens.cols) == (3, 1)
         v = gens.column(0)
         # the generator has order exactly 2 in the quotient
-        assert not membership(v, p.relations)
-        assert membership(tuple(2 * e for e in v), p.relations)
+        assert not membership(v, p)
+        assert membership(tuple(2 * e for e in v), p)
 
     def test_torsion_generators_trivial_cases(self):
-        assert torsion_generators(AbelianPresentation(2, IntMatrix(2, 0, ()))) == IntMatrix(2, 0, ())
-        g = torsion_generators(AbelianPresentation(1, cols((-2,), rows=1)))
+        assert torsion_generators(IntMatrix(2, 0, ())) == IntMatrix(2, 0, ())
+        g = torsion_generators(cols((-2,), rows=1))
         # (1) and (-1) name the same class of order 2 in Z/2
         assert g.columns() in ([(1,)], [(-1,)])
 
@@ -423,15 +425,14 @@ class TestPresentations:
             n = rng.randint(1, 4)
             k = rng.randint(0, 12)
             rel = IntMatrix(n, k, (rng.randint(-4, 4) for _ in range(n * k)))
-            p = AbelianPresentation(n, rel)
-            inv = cokernel_invariants(p)
-            gens = torsion_generators(p)
+            inv = cokernel_invariants(rel)
+            gens = torsion_generators(rel)
             assert (gens.rows, gens.cols) == (n, len(inv.factors))
             for v, d in zip(gens.columns(), inv.factors):
                 assert membership(tuple(d * e for e in v), rel)
                 assert not membership(v, rel) if d > 1 else True
             # the quotient by the generators is torsion-free, so they reach all torsion
-            assert cokernel_invariants(AbelianPresentation(n, hstack([rel, gens]))) == FinAbInvariants((), inv.free_rank)
+            assert cokernel_invariants(hstack([rel, gens])) == FinAbInvariants((), inv.free_rank)
 
 
 class TestFiniteQuotient:
