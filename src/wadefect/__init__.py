@@ -43,8 +43,6 @@ from .linalg import (
     finite_quotient,
     hermite_column_form,
     kernel_basis,
-    lattice_sum,
-    membership,
     preimage,
     smith_normal_form,
     torsion_generators,

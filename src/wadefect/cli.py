@@ -15,7 +15,7 @@ import time
 
 from . import catalog
 from .engine import Scenario, ScenarioError, defect, verify_cover
-from .groups import GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
+from .groups import DEFAULT_ORDER_CAP, GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
 from .linalg import FinAbInvariants
 from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar, tate_h_minus1
 from .scenario_io import SchemaError, dumps_result, load_scenario, render_text, result_document
@@ -35,10 +35,10 @@ class OracleMismatchError(RuntimeError):
     """The bar-complex recomputation disagreed with the cover route."""
 
 
-def _group_cap() -> int | None:
+def _group_cap() -> int:
     raw = os.environ.get(GROUP_CAP_ENV)
     if raw is None:
-        return None
+        return DEFAULT_ORDER_CAP
     try:
         return int(raw)
     except ValueError as exc:
@@ -142,8 +142,11 @@ def _cmd_catalog(args) -> int:
         return EXIT_SCHEMA
     text = json.dumps(doc, indent=2) + "\n"
     if args.write:
-        with open(args.write, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.write, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(str(exc)) from exc
         sys.stdout.write(f"wrote {args.name} to {args.write}\n")
     else:
         sys.stdout.write(text)
@@ -198,9 +201,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SchemaError as exc:
-        sys.stderr.write(f"schema error: {exc}\n")
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_SCHEMA
     except (GroupError, ModuleError, ScenarioError) as exc:

@@ -12,9 +12,11 @@ lies in N1 ∩ N2, and every coset of N2 in N1 + N2 meets N1.  So it computes
 
     (D + the S-side images) / D
 
-with no lattice intersection.  Cyclic entries of S are ignored; they never
-contribute.  Each side adjoins its subgroups only up to conjugacy and
-containment, one representative per conjugacy class and none inside a
+with no lattice intersection.  D is one Hermite form of the ambient
+relations and the complement-side images; the numerator, D beside the
+S-side images, is left for `finite_quotient` to reduce.  Cyclic entries of
+S never contribute.  Each side adjoins its subgroups only up to conjugacy
+and containment, one representative per conjugacy class and none inside a
 conjugate of another: the others add nothing to the image.
 """
 
@@ -36,7 +38,7 @@ from .linalg import (
     FinAbInvariants,
     finite_quotient,
     hermite_column_form,
-    lattice_sum,
+    hstack,
     torsion_generators,
 )
 from .modules import (
@@ -134,15 +136,15 @@ def _image_quotient(
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
     G = Y.group
-    denominator = hermite_column_form(coinvariants(Y, full_subgroup(G)))
-    for H in _class_representatives(G, list(sc_subgroups) + cyclic_subgroups(G)):
-        denominator = lattice_sum(denominator, torsion_generators(coinvariants(Y, H)))
 
+    def images(candidates: list[Subgroup]) -> list:
+        return [torsion_generators(coinvariants(Y, H)) for H in _class_representatives(G, candidates)]
+
+    denominator = hermite_column_form(
+        hstack([coinvariants(Y, full_subgroup(G))] + images(list(sc_subgroups) + cyclic_subgroups(G)))
+    )
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    numerator = denominator
-    for H in _class_representatives(G, [s_subgroups[k] for k in s_nc]):
-        numerator = lattice_sum(numerator, torsion_generators(coinvariants(Y, H)))
-
+    numerator = hstack([denominator] + images([s_subgroups[k] for k in s_nc]))
     return finite_quotient(numerator, denominator), s_nc
 
 

@@ -1,15 +1,15 @@
 """Exact integer linear algebra.
 
-Smith and Hermite normal forms, saturated kernels and preimages, lattice
-sums and quotients, and invariant factors of finitely presented abelian
+Smith and Hermite normal forms, saturated kernels and preimages, finite
+lattice quotients, and invariant factors of finitely presented abelian
 groups.  Everything runs on Python's arbitrary-precision integers; there is
 no overflow mode.  Kernels, preimages and solves come from one column
 Hermite form of the input stacked over [I 0], whose size reduction keeps
-entries small; the Smith form is used only for invariant factors and
-torsion generators.  Every column reduction in the Hermite form and in
+entries small; a quotient takes one such form of its numerator and one of
+the relations it yields.  The Smith form is used only for invariant factors
+and torsion generators.  Every column reduction in the Hermite form and in
 back-substitution walks only the support (the nonzero rows) of the column
-it subtracts; a pivot's support is recomputed whenever the pivot column
-changes.
+it subtracts; a pivot's support is recomputed whenever it changes.
 
 Lattices and presentations are plain matrices: a lattice is the column span
 of an integer matrix, and a finitely presented abelian group is Z^rows
@@ -40,9 +40,7 @@ __all__ = [
     "preimage",
     "cokernel_invariants",
     "torsion_generators",
-    "lattice_sum",
     "finite_quotient",
-    "membership",
     "ColumnSolver",
     "hstack",
     "xgcd",
@@ -487,13 +485,14 @@ class ColumnSolver:
     their preimages, from the Hermite form of A stacked over the identity.
     Each basis column is stored as its support, the nonzero entries split at
     row m of [A; I]: a step updates the remainder from the top part and the
-    solution from the bottom part, and skips every zero entry.
+    solution from the bottom part, and skips every zero entry.  The other
+    half of the split is `kernel`, the canonical basis of the kernel of A.
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
         m = A.rows
-        echelon = _hermite_split(A, A.cols)[0]
+        echelon, self.kernel = _hermite_split(A, A.cols)
         # (pivot row, pivot, nonzero (row, entry) of the top, nonzero
         # (row - m, entry) of the bottom) in increasing pivot order
         self._echelon = []
@@ -528,14 +527,6 @@ class ColumnSolver:
 
     def contains(self, B: IntMatrix) -> bool:
         return self.solve(B) is not None
-
-
-def membership(v: Sequence[int], B: IntMatrix) -> bool:
-    """Whether the vector v lies in the column span of B, decided exactly."""
-    v = tuple(int(e) for e in v)
-    if len(v) != B.rows:
-        raise DimensionError(f"vector of length {len(v)} against {B.rows} rows")
-    return ColumnSolver(B).contains(IntMatrix.from_columns([v], rows=B.rows))
 
 
 @dataclass(frozen=True)
@@ -606,26 +597,22 @@ def torsion_generators(relations: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(gens, rows=relations.rows)
 
 
-def lattice_sum(B1: IntMatrix, B2: IntMatrix) -> IntMatrix:
-    """Canonical basis of span(B1) + span(B2)."""
-    if B1.rows != B2.rows:
-        raise DimensionError(f"lattice sum of spans in Z^{B1.rows} and Z^{B2.rows}")
-    return hermite_column_form(hstack([B1, B2]))
-
-
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:
     """Invariant factors of span(num) / span(den).
 
     Requires span(den) ⊆ span(num) and equal ranks, so the quotient is a
-    finite group; the result always has free rank 0.
+    finite group; the result always has free rank 0.  Neither matrix is
+    reduced first: x -> num @ x maps Z^cols onto span(num), and the preimage
+    of span(den) is span(X) + ker(num) with num @ X = den, so the quotient is
+    Z^cols modulo [X | kernel], both from the one split of `ColumnSolver`.
     """
     if num.rows != den.rows:
         raise DimensionError(f"quotient of spans in Z^{num.rows} and Z^{den.rows}")
-    basis = hermite_column_form(num)
-    X = ColumnSolver(basis).solve(hermite_column_form(den))
+    solver = ColumnSolver(num)
+    X = solver.solve(den)
     if X is None:
         raise ContainmentError("denominator lattice is not contained in the numerator lattice")
-    inv = cokernel_invariants(X)
+    inv = cokernel_invariants(hstack([X, solver.kernel]))
     if inv.free_rank:
         raise QuotientNotFiniteError(
             f"quotient has free rank {inv.free_rank}; lattice ranks differ"

@@ -214,6 +214,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
     mats = M.element_matrices()
     kept: list[int] = []
     span = hermite_column_form(M.relations)
+    free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
     span_solver = ColumnSolver(span)
     for i in range(n):
         if span_solver.contains(IntMatrix.from_columns([[int(r == i) for r in range(n)]], rows=n)):
@@ -227,7 +228,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
     projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
     basis = preimage(projection, M.relations)
 
-    expected_rank = cover_rank - cokernel_invariants(M.relations).free_rank
+    expected_rank = cover_rank - free_rank
     if basis.cols != expected_rank:
         raise AssertionError(
             f"cover kernel has rank {basis.cols}, exactness requires {expected_rank}"
@@ -256,7 +257,7 @@ def coinvariants(M: GammaModule, delta: Subgroup) -> IntMatrix:
     G = M.group
     if subgroup_closure(G, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    ident = IntMatrix.identity(M.n)
+    ident = M.element_matrix(G.identity)
     blocks = [M.relations] + [M.element_matrix(g) - ident for g in delta.generators]
     return hstack(blocks, rows=M.n)
 
@@ -274,7 +275,7 @@ def h1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     return tate_h_minus1(free_cover(M).kernel, delta)
 
 
-def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> FinAbInvariants:
+def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     """First group homology from the inhomogeneous bar complex C2 -> C1 -> C0.
 
     Boundary conventions, for a left module:
@@ -297,7 +298,8 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
 
     Independent of the free-cover route: it shares only the element
     matrices and the subgroup's generators, and uses no kernel, cover or
-    solve from it.
+    solve from it.  A subgroup of order above DEFAULT_BAR_CAP is refused
+    before any chain is built.
     """
     validate(M)
     G = M.group
@@ -306,12 +308,12 @@ def h1_bar(M: GammaModule, delta: Subgroup, *, cap: int = DEFAULT_BAR_CAP) -> Fi
         raise GroupError("subgroup generators do not generate its element set")
     dl = delta.elements
     size = len(dl)
-    if size > cap:
-        raise ModuleError(f"bar complex cap exceeded: subgroup order {size} > {cap}")
+    if size > DEFAULT_BAR_CAP:
+        raise ModuleError(f"bar complex cap exceeded: subgroup order {size} > {DEFAULT_BAR_CAP}")
     pos = {g: i for i, g in enumerate(dl)}
     n = M.n
     mats = M.element_matrices()
-    ident = IntMatrix.identity(n)
+    ident = mats[G.identity]
 
     d1 = hstack([mats[G.inverses[g]] - ident for g in dl], rows=n)
 

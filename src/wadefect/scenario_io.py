@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 from .engine import Scenario, validate_scenario
 from .groups import (
+    DEFAULT_ORDER_CAP,
     CayleyGroup,
     GroupError,
     Subgroup,
@@ -58,7 +59,7 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, str):
         s = value.strip()
         body = s[1:] if s[:1] in "+-" else s
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             return int(s)
         raise SchemaError(f"{where}: {value!r} is not a decimal integer string")
     raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
@@ -90,7 +91,7 @@ def _check_keys(obj: Any, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown members {sorted(unknown)}")
 
 
-def _parse_group(doc: Any, group_cap: int | None) -> CayleyGroup:
+def _parse_group(doc: Any, group_cap: int) -> CayleyGroup:
     _check_keys(doc, _GROUP_KEYS, "group")
     given = [k for k in _GROUP_KEYS if k in doc]
     if len(given) != 1:
@@ -100,15 +101,13 @@ def _parse_group(doc: Any, group_cap: int | None) -> CayleyGroup:
         if not isinstance(raw, list):
             raise SchemaError("group.permutation_generators: expected an array")
         gens = [_as_int_list(g, f"group.permutation_generators[{k}]") for k, g in enumerate(raw)]
-        kwargs = {"order_cap": group_cap} if group_cap is not None else {}
-        return from_permutations(gens, **kwargs)
+        return from_permutations(gens, order_cap=group_cap)
     raw = doc["cayley_table"]
     if not isinstance(raw, list):
         raise SchemaError("group.cayley_table: expected an array")
-    table = [_as_int_list(r, f"group.cayley_table[{k}]") for k, r in enumerate(raw)]
-    if group_cap is not None and len(table) > group_cap:
+    if len(raw) > group_cap:
         raise GroupError(f"group order exceeds the cap of {group_cap}")
-    return from_table(table)
+    return from_table([_as_int_list(r, f"group.cayley_table[{k}]") for k, r in enumerate(raw)])
 
 
 def _parse_module(doc: Any, group: CayleyGroup) -> GammaModule:
@@ -167,8 +166,8 @@ def _parse_subgroup(doc: Any, group: CayleyGroup, where: str) -> Subgroup:
     return subgroup_closure(group, seeds)
 
 
-def parse_scenario(doc: Any, *, group_cap: int | None = None) -> Scenario:
-    """Parse and fully validate a scenario document."""
+def parse_scenario(doc: Any, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
+    """Parse and fully validate a scenario document; groups above `group_cap` are refused."""
     _check_keys(doc, _TOP_KEYS, "scenario")
     if "schema_version" in doc:
         version = _as_int(doc["schema_version"], "schema_version")
@@ -190,12 +189,14 @@ def parse_scenario(doc: Any, *, group_cap: int | None = None) -> Scenario:
     return sc
 
 
-def load_scenario(path, *, group_cap: int | None = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+def load_scenario(path, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(str(exc)) from exc
     return parse_scenario(doc, group_cap=group_cap)
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 from . import catalog, oracles, zoo
 from .engine import Scenario, defect
 from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure, trivial_subgroup
-from .linalg import IntMatrix, hermite_column_form, membership, smith_normal_form
+from .linalg import ColumnSolver, IntMatrix, hermite_column_form, kernel_basis, preimage, smith_normal_form
 from .modules import free_module, h1, h1_bar, trivial_module
 from .scenario_io import parse_scenario
 
@@ -49,8 +49,6 @@ def check_hermite_canonical(rng: random.Random) -> None:
 
 
 def check_kernel_saturation(rng: random.Random) -> None:
-    from .linalg import ColumnSolver, kernel_basis, preimage
-
     for _ in range(25):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
@@ -61,8 +59,10 @@ def check_kernel_saturation(rng: random.Random) -> None:
         R = B @ IntMatrix(j, k, (rng.randint(-2, 2) for _ in range(j * k)))
         basis = preimage(A, R) if k else kernel_basis(A)
         assert ColumnSolver(R).contains(A @ basis), "preimage basis does not map into span(R)"
+        solver = ColumnSolver(basis)
         for v in oracles.box_preimage_vectors(A, R, 3):
-            assert membership(v, basis), f"box preimage vector {v} outside returned span"
+            v_col = IntMatrix.from_columns([v], rows=cols)
+            assert solver.contains(v_col), f"box preimage vector {v} outside returned span"
 
 
 def check_oracle_equivalence(rng: random.Random) -> None:

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import wadefect
 
@@ -31,3 +32,25 @@ def test_package_imports_only_listed_names():
         source = importlib.import_module(f"wadefect.{node.module}")
         for alias in node.names:
             assert alias.name in source.__all__, f"wadefect imports {alias.name!r}, not in {source.__name__}.__all__"
+
+
+def readme_library_example():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs_and_gives_the_stated_results():
+    # each bare expression of the example states its value in a comment,
+    # "# Z/2, via ..."; a deleted export fails the exec
+    code = readme_library_example()
+    namespace = {}
+    exec(code, namespace)
+    lines = code.splitlines()
+    checked = 0
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            stated = lines[node.lineno - 1].partition("#")[2].split(",")[0].strip()
+            assert str(eval(ast.get_source_segment(code, node), namespace)) == stated
+            checked += 1
+    assert checked == 3

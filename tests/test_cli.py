@@ -10,7 +10,7 @@ from wadefect.scenario_io import (
     result_document,
     scenario_document,
 )
-from wadefect.groups import full_subgroup
+from wadefect.groups import DEFAULT_ORDER_CAP, GroupError, full_subgroup
 from wadefect.linalg import FinAbInvariants
 from wadefect.modules import norm_one_module
 from wadefect.zoo import a4, klein
@@ -101,6 +101,37 @@ class TestComputeCommand:
 
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1
+        assert capsys.readouterr().err.startswith("schema error:")
+
+    @pytest.mark.parametrize("case", ["superscript-digit", "non-ascii-digit", "directory", "non-utf8"])
+    def test_unreadable_or_malformed_input_is_schema_error(self, tmp_path, capsys, case):
+        doc = klein_doc()
+        if case == "superscript-digit":
+            # "²".isdigit() holds, but int("²") fails
+            doc["module"]["generators"] = "²"
+        elif case == "non-ascii-digit":
+            # Arabic-Indic three: int() reads it as 3, the schema's [0-9] does not
+            doc["module"]["generators"] = "٣"
+        path = write_scenario(tmp_path, doc)
+        if case == "directory":
+            path = str(tmp_path)
+        elif case == "non-utf8":
+            (tmp_path / "latin1.json").write_bytes(b'{"S": "\xe9"}')
+            path = str(tmp_path / "latin1.json")
+        assert main(["compute", path]) == 1
+        assert capsys.readouterr().err.startswith("schema error:")
+
+    def test_default_cap_refuses_a_large_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("WA_DEFECT_GROUP_CAP", raising=False)
+        doc = {
+            "group": {"cayley_table": [[]] * 2001},
+            "module": {"generators": 1, "relations": [], "action": []},
+            "S": [],
+            "S_complement": [],
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["compute", path]) == 2
+        assert "cap of 2000" in capsys.readouterr().err
 
     def test_unknown_member_rejected(self, tmp_path, capsys):
         doc = klein_doc()
@@ -200,6 +231,11 @@ class TestCatalogCommand:
         assert main(["compute", path, "--emit", "json"]) == 0
         assert load_json_output(capsys)["invariant_factors"] == [2]
 
+    def test_unwritable_target_is_schema_error(self, tmp_path, capsys):
+        for target in (tmp_path, tmp_path / "missing" / "k.json"):
+            assert main(["catalog", "klein-norm-one-both-places", "--write", str(target)]) == 1
+            assert capsys.readouterr().err.startswith("schema error:")
+
     def test_unknown_name_lists_entries(self, capsys):
         assert main(["catalog", "no-such-entry"]) == 1
         err = capsys.readouterr().err
@@ -283,6 +319,18 @@ class TestScenarioParsing:
         doc["S"] = [{"generator_words": [[0], [1]]}]
         sc = parse_scenario(doc)
         assert sc.s_subgroups[0].elements == (0, 1, 2, 3)
+
+    def test_table_above_the_default_cap_refused_before_its_rows_are_read(self):
+        # the rows are not even valid; the cap check comes first
+        doc = klein_doc()
+        doc["group"] = {"cayley_table": [[]] * (DEFAULT_ORDER_CAP + 1)}
+        with pytest.raises(GroupError, match="cap"):
+            parse_scenario(doc)
+        with pytest.raises(GroupError, match="cap"):
+            parse_scenario(doc, group_cap=4)
+        doc["group"] = {"cayley_table": [list(r) for r in klein().table]}
+        with pytest.raises(GroupError, match="cap"):
+            parse_scenario(doc, group_cap=3)
 
     def test_cayley_table_group(self):
         G = klein()

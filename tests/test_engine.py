@@ -31,8 +31,6 @@ from wadefect.linalg import (
     finite_quotient,
     hermite_column_form,
     hstack,
-    lattice_sum,
-    membership,
     torsion_generators,
 )
 from wadefect.modules import (
@@ -70,6 +68,10 @@ def klein_scenario(s_full, sc_full, module=None):
     return Scenario(G, module, (full,) * s_full, (full,) * sc_full)
 
 
+def cols_of(v):
+    return IntMatrix.from_columns([v], rows=len(v))
+
+
 def local_torsion(cover, H):
     """Torsion generators of the H-coinvariants of the cover kernel, as columns."""
     return torsion_generators(coinvariants(cover.kernel, H))
@@ -87,8 +89,9 @@ class TestLocalImage:
         assert gens.cols == 1
         v = gens.column(0)
         rel = coinvariants(cover.kernel, full_subgroup(G))
-        assert not membership(v, rel)
-        assert membership(tuple(2 * e for e in v), rel)
+        solver = ColumnSolver(rel)
+        assert not solver.contains(cols_of(v))
+        assert solver.contains(cols_of(tuple(2 * e for e in v)))
 
     def test_cyclic_subgroups_give_zero(self):
         G = klein()
@@ -353,7 +356,7 @@ def unpruned_quotient(Y, s_subgroups, sc_subgroups):
     def joined(subgroups):
         out = base
         for H in subgroups:
-            out = lattice_sum(out, torsion_generators(coinvariants(Y, H)))
+            out = hermite_column_form(hstack([out, torsion_generators(coinvariants(Y, H))]))
         return out
 
     num = joined(H for H in s_subgroups if not is_cyclic_subgroup(G, H))
@@ -445,6 +448,35 @@ class TestClassRepresentatives:
 
 
 class TestSumQuotient:
+    def test_one_hermite_form_per_lattice(self, monkeypatch):
+        # one Hermite form per torsion image, one of D, and two inside
+        # finite_quotient: the numerator is passed unreduced
+        import wadefect.engine as engine_mod
+        import wadefect.linalg as linalg_mod
+
+        hnf_calls, torsion_calls = [], []
+        real_hnf, real_torsion = linalg_mod.hermite_column_form, engine_mod.torsion_generators
+
+        def counting_hnf(B):
+            hnf_calls.append((B.rows, B.cols))
+            return real_hnf(B)
+
+        def counting_torsion(relations):
+            torsion_calls.append(relations.cols)
+            return real_torsion(relations)
+
+        G = s4()
+        M = norm_one_module(G)
+        kernel = free_cover(M).kernel
+        monkeypatch.setattr(linalg_mod, "hermite_column_form", counting_hnf)
+        monkeypatch.setattr(engine_mod, "hermite_column_form", counting_hnf)
+        monkeypatch.setattr(engine_mod, "torsion_generators", counting_torsion)
+        sc = Scenario(G, M, (full_subgroup(G),) * 2, (random_subgroup(random.Random(1), G),))
+        assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
+        assert free_cover(M).kernel is kernel
+        assert len(torsion_calls) >= 4
+        assert len(hnf_calls) == len(torsion_calls) + 3
+
     def test_zassenhaus_intersection_contained_and_isomorphic(self):
         rng = random.Random(13)
         for _ in range(25):
@@ -463,7 +495,7 @@ class TestSumQuotient:
             if hermite_column_form(b1).cols < n or hermite_column_form(b2).cols < n:
                 continue
             inter = zassenhaus_intersection(b1, b2)
-            assert finite_quotient(lattice_sum(b1, b2), b2) == finite_quotient(b1, inter)
+            assert finite_quotient(hstack([b1, b2]), b2) == finite_quotient(b1, inter)
 
     def test_conjugated_norm_one_scenarios_match_the_intersection_quotient(self):
         rng = random.Random(929)

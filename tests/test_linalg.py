@@ -15,8 +15,6 @@ from wadefect.linalg import (
     hermite_column_form,
     hstack,
     kernel_basis,
-    lattice_sum,
-    membership,
     preimage,
     smith_normal_form,
     torsion_generators,
@@ -35,6 +33,16 @@ from wadefect.zoo import group_zoo, random_module
 
 def cols(*vecs, rows=None):
     return IntMatrix.from_columns(list(vecs), rows=rows)
+
+
+def lattice_sum(B1, B2):
+    """Canonical basis of span(B1) + span(B2): one Hermite form of the two side by side."""
+    return hermite_column_form(hstack([B1, B2]))
+
+
+def membership(v, B):
+    """Whether the vector v lies in the column span of B."""
+    return ColumnSolver(B).contains(IntMatrix.from_columns([v], rows=B.rows))
 
 
 def random_matrix(rng, max_dim=6, bound=9):
@@ -381,7 +389,7 @@ class TestMembershipSolve:
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionError):
-            membership((1, 2, 3), IntMatrix.identity(2))
+            ColumnSolver(IntMatrix.identity(2)).solve(cols((1, 2, 3), rows=3))
 
 
 class TestUnimodularInverse:
@@ -467,6 +475,77 @@ class TestFiniteQuotient:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             finite_quotient(IntMatrix.identity(2), IntMatrix.identity(3))
+
+    @staticmethod
+    def redundant_pair(rng):
+        """A numerator with dependent, repeated and zero columns, and a wider denominator inside it."""
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        B = IntMatrix(n, r, (rng.randint(-3, 3) for _ in range(n * r)))
+        num_cols = B.columns()
+        num_cols += [rng.choice(num_cols) for _ in range(rng.randint(1, 2))]
+        num_cols += (B @ IntMatrix(r, 1, (rng.randint(-2, 2) for _ in range(r)))).columns()
+        num_cols += [(0,) * n] * rng.randint(1, 2)
+        rng.shuffle(num_cols)
+        num = IntMatrix.from_columns(num_cols, rows=n)
+        # a common factor t in Y makes (Z/t)^rank a quotient of the answer
+        k = rng.randint(n + 1, n + 3)
+        t = rng.randint(1, 3)
+        return num, num @ IntMatrix(num.cols, k, (t * rng.randint(-2, 2) for _ in range(num.cols * k)))
+
+    @staticmethod
+    def old_route(num, den):
+        # both lattices reduced first, then a solve against the reduced numerator
+        X = ColumnSolver(hermite_column_form(num)).solve(hermite_column_form(den))
+        return cokernel_invariants(X)
+
+    def test_redundant_columns_match_the_reduced_route_randomized(self):
+        rng = random.Random(37)
+        checked = nontrivial = 0
+        for _ in range(80):
+            num, den = self.redundant_pair(rng)
+            if hermite_column_form(den).cols < hermite_column_form(num).cols:
+                continue
+            got = finite_quotient(num, den)
+            assert got == self.old_route(num, den)
+            assert got.order == coset_count(num, hermite_column_form(den))
+            assert kernel_basis(num).cols > 0
+            checked += 1
+            nontrivial += not got.is_trivial()
+        assert checked >= 70 and nontrivial >= 40
+
+    def test_denominator_column_outside_the_numerator(self):
+        rng = random.Random(41)
+        moved_cases = 0
+        for _ in range(30):
+            num, den = self.redundant_pair(rng)
+            # some unit vector lies outside span(num) unless it is all of Z^rows
+            units = [tuple(int(i == j) for i in range(num.rows)) for j in range(num.rows)]
+            outside = [v for v in units if not membership(v, num)]
+            if not outside:
+                continue
+            moved = den.columns()
+            moved[rng.randrange(den.cols)] = outside[0]
+            with pytest.raises(ContainmentError):
+                finite_quotient(num, IntMatrix.from_columns(moved, rows=num.rows))
+            moved_cases += 1
+        assert moved_cases >= 20
+
+    def test_two_hermite_forms_per_call(self, monkeypatch):
+        import wadefect.linalg as linalg_mod
+
+        calls = []
+        real = linalg_mod.hermite_column_form
+
+        def counting(B):
+            calls.append((B.rows, B.cols))
+            return real(B)
+
+        monkeypatch.setattr(linalg_mod, "hermite_column_form", counting)
+        # span(num) is Z x 2Z and span(den) 2Z x 4Z
+        num, den = cols((1, 0), (0, 2), (1, 2), rows=2), cols((2, 0), (0, 4), rows=2)
+        assert finite_quotient(num, den) == FinAbInvariants((2, 2))
+        assert len(calls) == 2
 
 
 class TestFinAbInvariants:

@@ -197,6 +197,21 @@ class TestFreeCover:
                 free_rank = cokernel_invariants(M.relations).free_rank
                 assert cover.kernel_basis.cols == cover.cover_rank - free_rank
 
+    def test_relation_rank_comes_from_the_scan(self, monkeypatch):
+        # no second normal form of the relations: the greedy scan's first
+        # Hermite form already gives their rank
+        rng = random.Random(5)
+        modules_with_relations = [_with_orbit_relations(rng, random_module(rng, G), 1) for G in group_zoo()]
+
+        def refuse(*args):
+            raise AssertionError("free_cover took a second normal form of the relations")
+
+        monkeypatch.setattr(modules, "cokernel_invariants", refuse)
+        covers = [free_cover(M) for M in modules_with_relations]
+        monkeypatch.undo()
+        for M, cover in zip(modules_with_relations, covers):
+            assert cover.kernel_basis.cols == cover.cover_rank - cokernel_invariants(M.relations).free_rank
+
     def test_klein_augmentation_ideal_needs_two_generators(self):
         # d = 2: the augmentation ideal of the Klein group is not cyclic
         assert free_cover(norm_one_module(klein())).cover_rank == 8
@@ -323,6 +338,19 @@ class TestCoinvariants:
         M = GammaModule(G, 1, IntMatrix.from_columns([(4,)], rows=1), [IntMatrix.from_rows([[3]])])
         assert cokernel_invariants(coinvariants(M, full_subgroup(G))) == FinAbInvariants((2,))
 
+    def test_no_identity_matrix_is_built(self, monkeypatch):
+        # coinvariants and h1_bar subtract the module's own identity matrix
+        G = klein()
+        M = norm_one_module(G)
+        validate(M)
+
+        def refuse(cls, n):
+            raise AssertionError("a new identity matrix was built")
+
+        monkeypatch.setattr(IntMatrix, "identity", classmethod(refuse))
+        assert cokernel_invariants(coinvariants(M, full_subgroup(G))) == FinAbInvariants((2, 2))
+        assert h1_bar(M, full_subgroup(G)) == FinAbInvariants((2,))
+
 
 class TestTateHMinus1:
     def test_free_module_trivial(self):
@@ -365,9 +393,10 @@ class TestH1:
         assert h1_bar(trivial_module(C3), full_subgroup(C3)) == FinAbInvariants((3,))
 
     def test_bar_cap(self):
-        G = klein()
+        # order 65 is above DEFAULT_BAR_CAP; refused before any chain is built
+        G = cyclic(65)
         with pytest.raises(ModuleError, match="cap"):
-            h1_bar(trivial_module(G), full_subgroup(G), cap=2)
+            h1_bar(trivial_module(G), full_subgroup(G))
 
     def test_torsion_coefficients(self):
         # Z/2 with trivial C2-action: H_1(C2, Z/2) = Z/2 by both routes
