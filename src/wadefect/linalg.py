@@ -9,7 +9,8 @@ entries small; a quotient takes one such form of its numerator and one of
 the relations it yields.  The Smith form is used only for invariant factors
 and torsion generators.  Every column reduction in the Hermite form and in
 back-substitution walks only the support (the nonzero rows) of the column
-it subtracts; a pivot's support is recomputed whenever it changes.
+it subtracts; a pivot's support is recomputed whenever it changes, and a
+product walks only the nonzero entries of its right factor.
 
 Lattices and presentations are plain matrices: a lattice is the column span
 of an integer matrix, and a finitely presented abelian group is Z^rows
@@ -22,8 +23,9 @@ canonical forms are equal, entry for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import prod
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -73,7 +75,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class IntMatrix:
-    """Immutable dense matrix over the integers, stored row-major."""
+    """Immutable dense matrix over the integers, stored row-major.
+
+    The public constructors coerce every entry with `int` and check the
+    count; results computed here from other matrices (products, sums,
+    stacks, normal forms, solves) are ints already and skip both.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -123,12 +130,17 @@ class IntMatrix:
         return cls(height, len(cols_data), chain.from_iterable(zip(*cols_data)))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, (int(i == j) for i in range(n) for j in range(n)))
+    def _trusted(cls, rows: int, cols: int, entries: Iterable[int]) -> "IntMatrix":
+        # rows * cols entries, all ints already: no coercion, no count check
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", tuple(entries))
+        return self
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls._trusted(n, n, (((1,) + (0,) * n) * n)[: n * n])  # a one, then n zeros, repeated
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -148,12 +160,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns([self.row(i) for i in range(self.rows)], rows=self.cols)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -161,17 +167,19 @@ class IntMatrix:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        # the nonzero (column, entry) pairs of each row of the right factor,
+        # found by `compress` without a Python loop over the zeros
+        brows = [b[t * m : (t + 1) * m] for t in range(k)]
+        sparse = [[(j, row[j]) for j in compress(range(m), row)] for row in brows]
         out = [0] * (n * m)
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
             base = i * m
-            for t in range(k):
+            for t in compress(range(k), arow):
                 av = arow[t]
-                if av:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        out[base + j] += av * brow[j]
-        return IntMatrix(n, m, out)
+                for j, e in sparse[t]:
+                    out[base + j] += av * e
+        return IntMatrix._trusted(n, m, out)
 
     def times_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -183,17 +191,17 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, (a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix._trusted(self.rows, self.cols, map(add, self.entries, other.entries))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
-        return IntMatrix(self.rows, self.cols, (a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix._trusted(self.rows, self.cols, map(sub, self.entries, other.entries))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (-a for a in self.entries))
+        return IntMatrix._trusted(self.rows, self.cols, map(neg, self.entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -221,7 +229,12 @@ def hstack(mats: Sequence[IntMatrix], rows: int | None = None) -> IntMatrix:
     for i in range(height):
         for m in mats:
             flat.extend(m.row(i))
-    return IntMatrix(height, sum(m.cols for m in mats), flat)
+    return IntMatrix._trusted(height, sum(m.cols for m in mats), flat)
+
+
+def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    # `from_columns` for int columns computed here, each of length `rows`
+    return IntMatrix._trusted(rows, len(cols), chain.from_iterable(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -441,7 +454,7 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
             if q:
                 for i in sk:
                     cj[i] -= q * ck[i]
-    return IntMatrix.from_columns(cols, rows=m)
+    return _from_columns(cols, m)
 
 
 def _hermite_split(A: IntMatrix, n: int) -> tuple[list[tuple[int, ...]], IntMatrix]:
@@ -458,9 +471,9 @@ def _hermite_split(A: IntMatrix, n: int) -> tuple[list[tuple[int, ...]], IntMatr
     flat = list(A.entries)
     for i in range(n):
         flat += [0] * i + [1] + [0] * (c - i - 1)
-    cols = hermite_column_form(IntMatrix(m + n, c, flat)).columns()
+    cols = hermite_column_form(IntMatrix._trusted(m + n, c, flat)).columns()
     k = next((k for k, col in enumerate(cols) if not any(col[:m])), len(cols))
-    return cols[:k], IntMatrix.from_columns([col[m:] for col in cols[k:]], rows=n)
+    return cols[:k], _from_columns([col[m:] for col in cols[k:]], n)
 
 
 def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
@@ -523,7 +536,7 @@ class ColumnSolver:
             if any(r):
                 return None
             xcols.append(x)
-        return IntMatrix.from_columns(xcols, rows=n)
+        return _from_columns(xcols, n)
 
     def contains(self, B: IntMatrix) -> bool:
         return self.solve(B) is not None
@@ -593,7 +606,8 @@ def torsion_generators(relations: IntMatrix) -> IntMatrix:
     """
     H = hermite_column_form(relations)
     snf = smith_normal_form(H)
-    gens = [[e // d for e in H.times_vector(snf.V.column(i))] for i, d in enumerate(snf.diagonal) if d > 1]
+    HV = H @ snf.V
+    gens = [[e // d for e in HV.column(i)] for i, d in enumerate(snf.diagonal) if d > 1]
     return IntMatrix.from_columns(gens, rows=relations.rows)
 
 

@@ -60,6 +60,22 @@ class ModuleError(ValueError):
     """Invalid module data: incompatible action or unstable relation lattice."""
 
 
+def _along_tree(tree: dict[int, tuple[int, int]], derived: dict[int, IntMatrix], action, g: int) -> IntMatrix:
+    # D[g] from action[k] of the generating positions k: climb `tree` to an
+    # element already derived, then store D[h] = D[parent] action[k] on the
+    # way back down; iterative, since a cyclic group on one generator has a
+    # tree of depth |G| - 1
+    path = []
+    h = g
+    while h not in derived:
+        path.append(h)
+        h = tree[h][0]
+    for h in reversed(path):
+        parent, k = tree[h]
+        derived[h] = derived[parent] @ action[k]
+    return derived[g]
+
+
 class GammaModule:
     """Z^n modulo a relation lattice, with a group acting by integer matrices."""
 
@@ -88,19 +104,7 @@ class GammaModule:
         return self._validated
 
     def _derive(self, g: int) -> IntMatrix:
-        # climb the group's tree to an element already derived, then set
-        # D[h] = D[parent] A[k] on the way back down; iterative, since a
-        # cyclic group on one generator has a tree of depth |G| - 1
-        derived, tree = self._matrices, self.group.tree
-        path = []
-        h = g
-        while h not in derived:
-            path.append(h)
-            h = tree[h][0]
-        for h in reversed(path):
-            parent, k = tree[h]
-            derived[h] = derived[parent] @ self.action[k]
-        return derived[g]
+        return _along_tree(self.group.tree, self._matrices, self.action, g)
 
     def element_matrix(self, g: int) -> IntMatrix:
         """Action matrix of an arbitrary element, derived along `group.tree` on first use."""
@@ -123,7 +127,8 @@ def validate(M: GammaModule) -> None:
     by D[p s_k] = D[p] A[k].  Every (element, generating position) pair off
     the tree must agree with it, D[g] A[k] = D[g s_k], and each designated
     generator j must have A[j] = D[s_j].  Equalities hold modulo the
-    relations; a violation raises :class:`ModuleError` naming it.
+    relations; a violation raises :class:`ModuleError` naming it.  A
+    relation-free module is compared exactly, matrix by matrix, with no solve.
 
     Together this is the group law on all pairs.  Congruences survive right
     multiplication by any matrix and left multiplication by a lattice-stable
@@ -134,9 +139,13 @@ def validate(M: GammaModule) -> None:
     if M.validated:
         return
     G = M.group
-    rel_solver = ColumnSolver(M.relations)
+    rel_solver = ColumnSolver(M.relations) if M.relations.cols else None
+
+    def agree(a: IntMatrix, b: IntMatrix) -> bool:
+        return a == b if rel_solver is None else rel_solver.contains(a - b)
+
     for k, mat in enumerate(M.action):
-        if not rel_solver.contains(mat @ M.relations):
+        if rel_solver is not None and not rel_solver.contains(mat @ M.relations):
             raise ModuleError(
                 f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
             )
@@ -146,10 +155,10 @@ def validate(M: GammaModule) -> None:
             product = G.table[g][gen_elem]
             if G.tree.get(product) == (g, k):
                 continue
-            if not rel_solver.contains(M._derive(g) @ M.action[k] - M._derive(product)):
+            if not agree(M._derive(g) @ M.action[k], M._derive(product)):
                 raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
     for k, gen_elem in enumerate(G.generator_indices):
-        if not rel_solver.contains(M.action[k] - M._derive(gen_elem)):
+        if not agree(M.action[k], M._derive(gen_elem)):
             raise ModuleError(f"incompatible action of generator {k} (element {gen_elem})")
     M._validated = True
 
@@ -163,10 +172,10 @@ class FreeCover:
     e_{i_k}.  Y is the kernel: the preimage under the projection of the
     relation lattice of M.  `kernel_basis` is its canonical Hermite basis,
     and `kernel` is the relation-free module on that basis under left
-    translation.  Left translation permutes the basis of Z[G]^d, and each
-    generator's matrix is solved exactly on the G-stable lattice Y, so the
-    kernel action satisfies the group law by construction: `kernel` is
-    marked validated, and derives an element's matrix only when asked for it.
+    translation.  Left translation permutes the basis of Z[G]^d, and the
+    generating positions' matrices are solved exactly on the G-stable
+    lattice Y, so the kernel action satisfies the group law by construction:
+    `kernel` is marked validated, and derives any other matrix along `G.tree`.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -203,8 +212,9 @@ def free_cover(M: GammaModule) -> "FreeCover":
     the lattice spanned by the relations and the orbits of the vectors kept
     so far.  The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form.  The kernel
-    action is solved for the designated generators only.  The cover is built
-    once per module and cached on it.
+    action is solved for the generating positions only; the kernel's law
+    holds exactly, so the other designated generators' matrices are derived
+    along `G.tree`.  The cover is built once per module and cached on it.
     """
     if M._cover is not None:
         return M._cover
@@ -235,12 +245,15 @@ def free_cover(M: GammaModule) -> "FreeCover":
         )
 
     solver = ColumnSolver(basis)
-    matrices = []
-    for g in G.generator_indices:
-        C = solver.solve(_cover_shift_rows(G, d, basis, g))
-        if C is None:
-            raise AssertionError("cover kernel is not stable under the group action")
-        matrices.append(C)
+    gens = G.generator_indices
+    solved = {k: solver.solve(_cover_shift_rows(G, d, basis, gens[k])) for k in G.generating_positions}
+    if any(C is None for C in solved.values()):
+        raise AssertionError("cover kernel is not stable under the group action")
+    derived = {G.identity: IntMatrix.identity(basis.cols)}
+    matrices = [
+        solved[k] if k in solved else _along_tree(G.tree, derived, solved, g)
+        for k, g in enumerate(gens)
+    ]
     kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), matrices)
     kernel._validated = True
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)

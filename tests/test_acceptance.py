@@ -234,7 +234,7 @@ def test_criterion_8_linear_algebra_postconditions():
         for x, y in zip(d, d[1:]):
             assert (y % x == 0) if x else (y == 0)
         basis = kernel_basis(A)
-        assert (A @ basis).is_zero()
+        assert not any((A @ basis).entries)
         # saturation: brute-force box kernel vectors must lie in the span
         if basis.cols or cols <= 6:
             bound = 2 if cols <= 5 else 1

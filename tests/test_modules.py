@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wadefect import modules
+from wadefect.engine import verify_cover
 from wadefect.groups import (
     Subgroup,
     from_permutations,
@@ -94,6 +95,30 @@ class TestValidate:
         )
         validate(M)
         assert h1(M, full_subgroup(G)) == h1_bar(M, full_subgroup(G))
+
+    def test_relation_free_modules_are_compared_without_a_solve(self, monkeypatch):
+        # a relation-free module must obey the law exactly, so validate
+        # compares matrices; one changed entry of a designated generator's
+        # action is caught whether the generator is on the tree or not
+        def no_solver(*args):
+            raise AssertionError("a relation-free module needs no ColumnSolver")
+
+        monkeypatch.setattr(modules, "ColumnSolver", no_solver)
+        P = s3()
+        T = from_table(P.table)
+        M = norm_one_module(P)
+        action = list(M.element_matrices())
+        validate(GammaModule(T, M.n, M.relations, action))
+        on_tree = T.generating_positions[0]
+        off_tree = next(k for k in range(T.order) if k not in T.generating_positions and k != T.identity)
+        assert T.tree[T.generator_indices[on_tree]] == (T.identity, on_tree)
+        for k in (on_tree, off_tree):
+            changed = list(action)
+            rows = changed[k].to_rows()
+            rows[0][0] += 1
+            changed[k] = IntMatrix.from_rows(rows)
+            with pytest.raises(ModuleError, match="incompatible"):
+                validate(GammaModule(T, M.n, M.relations, changed))
 
     def test_all_pairs_compatibility_on_zoo_modules(self):
         for G in (klein(), s3()):
@@ -282,6 +307,29 @@ class TestKernelMatricesOnDemand:
         # trusted as free_cover trusts its kernel, so nothing is derived in advance
         M._validated = True
         assert M.element_matrix(far) == IntMatrix.from_rows([[(-1) ** (n - 1)]])
+
+
+class TestKernelActionsOnGeneratingPositions:
+    def test_every_designated_generator_matches_a_direct_solve(self):
+        # free_cover solves the kernel action on the generating positions and
+        # derives the other designated generators along G.tree; each must be
+        # the matrix that moves the kernel basis by left translation
+        rng = random.Random(211)
+        derived = 0
+        for P in group_zoo():
+            T = from_table(P.table)
+            for _ in range(3):
+                M = random_module(rng, T)
+                cover = free_cover(M)
+                basis = cover.kernel_basis
+                d = cover.cover_rank // T.order
+                solver = ColumnSolver(basis)
+                for k, g in enumerate(T.generator_indices):
+                    expected = solver.solve(left_translated(T, d, basis, g))
+                    assert cover.kernel.action[k] == expected, (T.order, k)
+                    derived += k not in T.generating_positions
+                verify_cover(cover)
+        assert derived
 
 
 class TestSignCharacters:
