@@ -7,7 +7,10 @@ no overflow mode.  Kernels, preimages and solves come from one column
 Hermite form of the input stacked over [I 0], whose size reduction keeps
 entries small; a quotient takes one such form of its numerator and one of
 the relations it yields.  The Smith form is used only for invariant factors
-and torsion generators.  Every column reduction in the Hermite form and in
+and torsion generators, and only on the block of a Hermite form left once
+its unit pivots are split off (:func:`split_unit_pivots`): a unit-pivot row
+is zero in every other column, so that row and its column are a zero
+summand of the quotient.  Every column reduction in the Hermite form and in
 back-substitution walks only the support (the nonzero rows) of the column
 it subtracts; a pivot's support is recomputed whenever it changes, and a
 product walks only the nonzero entries of its right factor.
@@ -40,6 +43,7 @@ __all__ = [
     "hermite_column_form",
     "kernel_basis",
     "preimage",
+    "split_unit_pivots",
     "cokernel_invariants",
     "torsion_generators",
     "finite_quotient",
@@ -586,29 +590,66 @@ def _invariants_from_diagonal(diagonal: Sequence[int], ambient_rank: int) -> Fin
     return FinAbInvariants(factors=factors, free_rank=ambient_rank - len(nonzero))
 
 
+def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """Split the unit pivots off a column Hermite form: return (block, rows).
+
+    In the canonical form H of :func:`hermite_column_form`, a row whose
+    pivot is 1 is zero in every other column: columns to its right start
+    below it, and columns to its left are reduced into [0, 1) there.  So
+    each unit-pivot column, with its row, splits Z^rows / span(H) as a zero
+    summand.  `rows` lists the other rows in order and `block` is the
+    non-unit-pivot columns restricted to them; including Z^len(rows) into
+    Z^H.rows on `rows` induces Z^len(rows) / span(block) ≅ Z^H.rows / span(H).
+    """
+    unit: set[int] = set()
+    rest = []
+    start = 0
+    for col in H.columns():
+        # pivot rows strictly increase, so each search starts below the last
+        start = next(i for i in range(start, H.rows) if col[i])
+        if col[start] == 1:
+            unit.add(start)
+        else:
+            rest.append(col)
+        start += 1
+    rows = [i for i in range(H.rows) if i not in unit]
+    return _from_columns([[col[i] for i in rows] for col in rest], len(rows)), rows
+
+
 def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
     """Invariant factors and free rank of Z^rows / (column span of relations).
 
-    The relations are compressed to a Hermite basis first; only the Smith
-    diagonal of the compressed matrix is computed.
+    The relations are compressed to a Hermite basis and its unit pivots are
+    split off (:func:`split_unit_pivots`); only the Smith diagonal of the
+    remaining block is computed.
     """
-    reduced = hermite_column_form(relations)
-    return _invariants_from_diagonal(smith_diagonal(reduced), relations.rows)
+    block, rows = split_unit_pivots(hermite_column_form(relations))
+    return _invariants_from_diagonal(smith_diagonal(block), len(rows))
 
 
 def torsion_generators(relations: IntMatrix) -> IntMatrix:
     """A matrix whose columns generate exactly the torsion subgroup of Z^rows / relations.
 
-    With H the Hermite form of the relations and U @ H @ V = D its Smith
-    form, H @ V = U^-1 @ D.  The columns of U^-1 at diagonal entries >= 2
-    generate the torsion, one per torsion invariant factor, and column i of
-    H @ V is d_i times column i of U^-1.
+    The Hermite form of the relations is split at its unit pivots
+    (:func:`split_unit_pivots`), and the torsion of Z^rows' / block maps
+    isomorphically onto the torsion of Z^rows / relations by padding with
+    zeros on the split-off rows.  With U @ block @ V = D the Smith form of
+    the block, block @ V = U^-1 @ D.  The columns of U^-1 at diagonal
+    entries >= 2 generate the block's torsion, one per torsion invariant
+    factor, and column i of block @ V is d_i times column i of U^-1.
     """
-    H = hermite_column_form(relations)
-    snf = smith_normal_form(H)
-    HV = H @ snf.V
-    gens = [[e // d for e in HV.column(i)] for i, d in enumerate(snf.diagonal) if d > 1]
-    return IntMatrix.from_columns(gens, rows=relations.rows)
+    block, rows = split_unit_pivots(hermite_column_form(relations))
+    snf = smith_normal_form(block)
+    BV = block @ snf.V
+    m = relations.rows
+    gens = []
+    for i, d in enumerate(snf.diagonal):
+        if d > 1:
+            col = [0] * m
+            for r, e in zip(rows, BV.column(i)):
+                col[r] = e // d
+            gens.append(col)
+    return _from_columns(gens, m)
 
 
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:

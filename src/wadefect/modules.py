@@ -24,6 +24,7 @@ from typing import Sequence
 from .groups import CayleyGroup, GroupError, Subgroup, subgroup_cayley, subgroup_closure
 from .linalg import (
     ColumnSolver,
+    ContainmentError,
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
@@ -31,6 +32,7 @@ from .linalg import (
     hermite_column_form,
     hstack,
     preimage,
+    split_unit_pivots,
 )
 
 __all__ = [
@@ -295,7 +297,8 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
         d(m ⊗ [g])      = g^{-1} m - m
         d(m ⊗ [g1|g2])  = g1^{-1} m ⊗ [g2] - m ⊗ [g1 g2] + m ⊗ [g1]
     Torsion in M is handled by working with ambient chains modulo
-    relation-induced chains.
+    relation-induced chains: B spans the boundaries and those chains, and
+    the cycles K are the chains whose boundary lies in the relations R of M.
 
     The boundaries are taken from a spanning set of 2-chains, m ⊗ [e|e] and
     m ⊗ [a|s] for a in the subgroup H and s among the k generators that
@@ -308,6 +311,16 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     d(m ⊗ [a|b]) in the span.  When M has relations its matrices obey the
     group law only modulo them, so d∘d lands in the relation-induced chains,
     which the denominator holds as well.
+
+    No cycle lattice over all of C1 is built.  One Hermite form of B, split
+    at its unit pivots (:func:`linalg.split_unit_pivots`), gives
+    C1 / B ≅ Z^rows / span(block) on the kept rows.  d1 induces
+    C1 / B -> M = Z^n / R with kernel K / B = H_1: the preimage of R under
+    the columns of d1 at the kept rows, modulo the block, for every module
+    with or without relations.  The split drops B's unit-pivot columns, and
+    with them the containment B ⊆ K that a quotient K / B would check, so
+    d1(B) ⊆ R (d∘d = 0 modulo R) is checked explicitly: an action that
+    breaks the group law raises ContainmentError.
 
     Independent of the free-cover route: it shares only the element
     matrices and the subgroup's generators, and uses no kernel, cover or
@@ -353,11 +366,13 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
             col[base : base + n] = rc
             den_cols.append(col)
 
-    # cycles: the preimage under d1 of the relation lattice of M, the ambient
-    # chains whose boundary is zero in M; H_1 of a finite group with finitely
-    # generated coefficients is finite
-    cycles = preimage(d1, M.relations)
-    return finite_quotient(cycles, IntMatrix.from_columns(den_cols, rows=c1_rank))
+    den = IntMatrix.from_columns(den_cols, rows=c1_rank)
+    if not ColumnSolver(M.relations).contains(d1 @ den):
+        raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
+    # H_1 of a finite group with finitely generated coefficients is finite
+    block, rows = split_unit_pivots(hermite_column_form(den))
+    d1_rows = IntMatrix.from_columns([d1.column(r) for r in rows], rows=n)
+    return finite_quotient(preimage(d1_rows, M.relations), block)
 
 
 def restrict(M: GammaModule, delta: Subgroup) -> GammaModule:

@@ -2,8 +2,10 @@
 
 Scenario files are strict JSON: unknown members are rejected, booleans and
 floats are rejected wherever an integer is expected, and integers may be
-given either as JSON numbers of any size or as decimal strings (the
-"int_str" fallback for toolchains that cannot emit big integers).
+given either as JSON numbers or as decimal strings (the "int_str" fallback
+for toolchains that cannot emit big integers).  Either form may be as long
+as the interpreter converts from decimal text, 4,300 digits by default
+(`sys.get_int_max_str_digits`); a longer one is a schema error.
 
 Structural problems raise :class:`SchemaError`; mathematically invalid
 groups, modules, or subgroups raise the corresponding GroupError /
@@ -60,7 +62,12 @@ def _as_int(value: Any, where: str) -> int:
         s = value.strip()
         body = s[1:] if s[:1] in "+-" else s
         if body.isascii() and body.isdigit():
-            return int(s)
+            try:
+                return int(s)
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{where}: a decimal integer string of {len(body)} digits is longer than the interpreter converts"
+                ) from exc
         raise SchemaError(f"{where}: {value!r} is not a decimal integer string")
     raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
 
@@ -197,6 +204,9 @@ def load_scenario(path, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc)) from exc
+    except ValueError as exc:
+        # json raises a plain ValueError for a number literal of too many digits
+        raise SchemaError("a JSON number literal is longer than the interpreter converts") from exc
     return parse_scenario(doc, group_cap=group_cap)
 
 

@@ -103,23 +103,43 @@ class TestComputeCommand:
         assert main(["compute", "/nonexistent/path.json"]) == 1
         assert capsys.readouterr().err.startswith("schema error:")
 
-    @pytest.mark.parametrize("case", ["superscript-digit", "non-ascii-digit", "directory", "non-utf8"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "superscript-digit",
+            "non-ascii-digit",
+            "directory",
+            "non-utf8",
+            "long-digit-string",
+            "long-number-literal",
+        ],
+    )
     def test_unreadable_or_malformed_input_is_schema_error(self, tmp_path, capsys, case):
         doc = klein_doc()
+        # past the default limit of 4,300 digits on converting decimal text to int
+        long_digits = "7" * 5000
         if case == "superscript-digit":
             # "²".isdigit() holds, but int("²") fails
             doc["module"]["generators"] = "²"
         elif case == "non-ascii-digit":
             # Arabic-Indic three: int() reads it as 3, the schema's [0-9] does not
             doc["module"]["generators"] = "٣"
+        elif case.startswith("long-"):
+            doc["module"]["generators"] = long_digits
         path = write_scenario(tmp_path, doc)
+        if case == "long-number-literal":
+            # json.load itself refuses the literal, with a plain ValueError
+            text = (tmp_path / "scenario.json").read_text()
+            (tmp_path / "scenario.json").write_text(text.replace(f'"{long_digits}"', long_digits))
         if case == "directory":
             path = str(tmp_path)
         elif case == "non-utf8":
             (tmp_path / "latin1.json").write_bytes(b'{"S": "\xe9"}')
             path = str(tmp_path / "latin1.json")
         assert main(["compute", path]) == 1
-        assert capsys.readouterr().err.startswith("schema error:")
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:")
+        assert ("longer than the interpreter converts" in err) == case.startswith("long-")
 
     def test_default_cap_refuses_a_large_table(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("WA_DEFECT_GROUP_CAP", raising=False)

@@ -16,7 +16,9 @@ from wadefect.linalg import (
     hstack,
     kernel_basis,
     preimage,
+    smith_diagonal,
     smith_normal_form,
+    split_unit_pivots,
     torsion_generators,
     xgcd,
 )
@@ -462,6 +464,38 @@ class TestUnimodularInverse:
         assert ColumnSolver(IntMatrix.from_rows([[2, 0], [0, 1]])).solve(IntMatrix.identity(2)) is None
 
 
+def reference_invariants(rel):
+    """Invariants from the Smith diagonal of the whole Hermite form, with no split."""
+    diagonal = smith_diagonal(hermite_column_form(rel))
+    nonzero = [d for d in diagonal if d]
+    return FinAbInvariants(tuple(d for d in nonzero if d > 1), rel.rows - len(nonzero))
+
+
+def prime_divisors(d):
+    return [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+
+
+def split_cases(rng):
+    yield IntMatrix.identity(4)  # all pivots are units
+    yield cols((1, 3, -2), (0, 1, 5), (0, 0, 1))  # unimodular: all units again
+    yield IntMatrix(3, 0, ())  # no columns
+    yield IntMatrix(0, 3, ())  # no rows
+    yield cols((0, 2, 0, 0), (0, 4, 0, 6), rows=4)  # zero rows
+    yield cols((-2, 1, 0), (0, -3, 4), (0, 0, -1))  # negative pivots
+    for _ in range(40):
+        # echelon columns with pivots drawn from units and non-units, mixed
+        # by the Hermite form
+        n, k = rng.randint(1, 6), rng.randint(0, 7)
+        columns = []
+        for _ in range(k):
+            r = rng.randrange(n)
+            col = [0] * r + [rng.choice((1, 1, -1, 2, 2, 3, 4, -6))] + [rng.randint(-5, 5) for _ in range(n - r - 1)]
+            columns.append(col)
+        yield IntMatrix.from_columns(columns, rows=n)
+    for _ in range(20):
+        yield random_matrix(rng, bound=4)  # dense, negative entries
+
+
 class TestPresentations:
     def test_cokernel_examples(self):
         p = cols((1, 0, 0), (0, 2, 0), rows=3)
@@ -489,18 +523,47 @@ class TestPresentations:
 
     def test_torsion_generators_generate_exactly_the_torsion(self):
         rng = random.Random(23)
+        dense = []
         for _ in range(25):
             n = rng.randint(1, 4)
             k = rng.randint(0, 12)
-            rel = IntMatrix(n, k, (rng.randint(-4, 4) for _ in range(n * k)))
+            dense.append(IntMatrix(n, k, (rng.randint(-4, 4) for _ in range(n * k))))
+        nontrivial = 0
+        for rel in dense + list(split_cases(random.Random(14))):
             inv = cokernel_invariants(rel)
             gens = torsion_generators(rel)
-            assert (gens.rows, gens.cols) == (n, len(inv.factors))
+            assert (gens.rows, gens.cols) == (rel.rows, len(inv.factors))
             for v, d in zip(gens.columns(), inv.factors):
+                # v has order exactly d in the quotient
                 assert membership(tuple(d * e for e in v), rel)
-                assert not membership(v, rel) if d > 1 else True
+                for p in prime_divisors(d):
+                    assert not membership(tuple(d // p * e for e in v), rel)
             # the quotient by the generators is torsion-free, so they reach all torsion
             assert cokernel_invariants(hstack([rel, gens])) == FinAbInvariants((), inv.free_rank)
+            nontrivial += bool(inv.factors)
+        assert nontrivial >= 20
+
+
+class TestUnitPivotSplit:
+    def test_block_keeps_the_non_unit_pivots(self):
+        rng = random.Random(12)
+        mixed = 0
+        for rel in split_cases(rng):
+            H = hermite_column_form(rel)
+            block, rows = split_unit_pivots(H)
+            units = [c for c in H.columns() if next(e for e in c if e) == 1]
+            assert rows == sorted(rows) and len(rows) == rel.rows - len(units)
+            assert block.cols == H.cols - len(units) and block.rows == len(rows)
+            # the block is itself a Hermite form, with every pivot at least 2
+            assert hermite_column_form(block) == block
+            assert all(next(e for e in c if e) >= 2 for c in block.columns())
+            mixed += bool(units) and bool(block.cols)
+        assert mixed >= 10
+
+    def test_invariants_match_the_unsplit_smith_diagonal(self):
+        rng = random.Random(13)
+        for rel in split_cases(rng):
+            assert cokernel_invariants(rel) == reference_invariants(rel), rel
 
 
 class TestFiniteQuotient:

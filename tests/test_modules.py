@@ -14,10 +14,10 @@ from wadefect.groups import (
 )
 from wadefect.linalg import (
     ColumnSolver,
+    ContainmentError,
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
-    finite_quotient,
     hermite_column_form,
     hstack,
 )
@@ -552,14 +552,16 @@ def points_module(perms):
 
 @pytest.fixture
 def bar_denominators(monkeypatch):
-    # the denominators h1_bar hands to finite_quotient, in call order
+    # the matrices handed to the Hermite form of `modules`, in call order;
+    # the last one of an h1_bar call is its boundary matrix, the only one it
+    # reduces there
     seen = []
 
-    def capture(num, den):
-        seen.append(den)
-        return finite_quotient(num, den)
+    def capture(B):
+        seen.append(B)
+        return hermite_column_form(B)
 
-    monkeypatch.setattr(modules, "finite_quotient", capture)
+    monkeypatch.setattr(modules, "hermite_column_form", capture)
     return seen
 
 
@@ -599,6 +601,45 @@ class TestBarSpanningSet:
             assert h1_bar(M, full_subgroup(M.group)) == FinAbInvariants((2,))
             den = bar_denominators[-1]
             assert (den.rows, den.cols) == shape
+
+
+class TestBarBoundaryRoute:
+    def test_broken_group_law_raises_containment_error(self):
+        # marked validated, so h1_bar alone must see that the action breaks
+        # the group law: s^2 = e acts by 4, on Z and on Z/5.  On Z/5 every
+        # bad boundary is a unit-pivot column that the split drops, so only
+        # the explicit d∘d check catches it
+        G = cyclic(2)
+        for relations in (IntMatrix(1, 0, ()), IntMatrix.from_columns([(5,)], rows=1)):
+            M = GammaModule(G, 1, relations, [IntMatrix.from_rows([[2]])])
+            M._validated = True
+            with pytest.raises(ContainmentError):
+                h1_bar(M, full_subgroup(G))
+        # S3 with both generators acting as the first one
+        M = norm_one_module(s3())
+        collapsed = GammaModule(M.group, M.n, M.relations, [M.action[0]] * 2)
+        with pytest.raises(ModuleError):
+            validate(collapsed)
+        collapsed._validated = True
+        with pytest.raises(ContainmentError):
+            h1_bar(collapsed, full_subgroup(M.group))
+
+    def test_torsion_coefficients_where_chains_mod_boundaries_differ(self):
+        # with relations, the torsion of C1 / B can exceed H_1 = K / B: the
+        # cycles must be cut out by the preimage under d1, not read off B
+        rng = random.Random(81)
+        cases = differ = 0
+        for G in group_zoo():
+            for _ in range(3):
+                M = _with_orbit_relations(rng, random_module(rng, G), 1)
+                for K in (full_subgroup(G), random_subgroup(rng, G)):
+                    got = h1_bar(M, K)
+                    assert got == h1(M, K), (G.order, K.elements)
+                    chains = cokernel_invariants(full_bar_denominator(M, K)).factors
+                    differ += chains != got.factors
+                    cases += 1
+        assert cases == 48
+        assert differ >= 8
 
 
 class TestRestrict:
