@@ -42,7 +42,6 @@ from .linalg import (
     cokernel_invariants,
     finite_quotient,
     hermite_column_form,
-    kernel_basis,
     preimage,
     smith_normal_form,
     torsion_generators,
@@ -58,7 +57,6 @@ from .modules import (
     h1_bar,
     induced_module,
     norm_one_module,
-    restrict,
     tate_h_minus1,
     trivial_module,
     validate,

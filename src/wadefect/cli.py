@@ -94,27 +94,24 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-_SELECTOR_RE = re.compile(r"^(S|SC)(\d+)$")
+_SELECTOR_RE = re.compile(r"(S|SC)?([0-9]+)")
 
 
 def _select_subgroup(sc: Scenario, selector: str) -> Subgroup:
     if selector == "full":
         return full_subgroup(sc.group)
-    m = _SELECTOR_RE.match(selector)
-    if m:
-        pool = sc.s_subgroups if m.group(1) == "S" else sc.sc_subgroups
-        idx = int(m.group(2))
-        if idx < len(pool):
-            return pool[idx]
-        raise SchemaError(f"selector {selector!r}: index out of range (have {len(pool)})")
-    if selector.isdigit():
-        idx = int(selector)
-        if idx < len(sc.s_subgroups):
-            return sc.s_subgroups[idx]
-        raise SchemaError(f"selector {selector!r}: index out of range (have {len(sc.s_subgroups)})")
-    raise SchemaError(
-        f"unknown subgroup selector {selector!r}; use 'full', 'S<k>', 'SC<k>', or a bare S index"
-    )
+    m = _SELECTOR_RE.fullmatch(selector)
+    if m is None:
+        raise SchemaError(
+            f"unknown subgroup selector {selector!r}; use 'full', 'S<k>', 'SC<k>', or a bare S index"
+        )
+    pool = sc.sc_subgroups if m.group(1) == "SC" else sc.s_subgroups
+    # an index with more digits than len(pool) is out of range; checking the
+    # length first keeps int() off arbitrarily long digit strings
+    idx = m.group(2).lstrip("0") or "0"
+    if len(idx) <= len(str(len(pool))) and int(idx) < len(pool):
+        return pool[int(idx)]
+    raise SchemaError(f"selector {selector!r}: index out of range (have {len(pool)})")
 
 
 def _cmd_h1(args) -> int:

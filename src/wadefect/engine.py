@@ -198,11 +198,11 @@ def quick_vanish(sc: Scenario) -> Optional[DefectResult]:
 
 def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
     """The weak-approximation defect of a scenario, as invariant factors."""
-    validate_scenario(sc)
-    if use_shortcuts:
-        short = quick_vanish(sc)
-        if short is not None:
-            return short
+    # quick_vanish validates the scenario; without it, validate here
+    if not use_shortcuts:
+        validate_scenario(sc)
+    elif (short := quick_vanish(sc)) is not None:
+        return short
     cover = free_cover(sc.module)
     inv, s_nc = _image_quotient(cover.kernel, sc.s_subgroups, sc.sc_subgroups)
     return DefectResult(inv, s_nc, shortcut=None)

@@ -32,7 +32,6 @@ __all__ = [
     "is_cyclic_subgroup",
     "full_subgroup",
     "trivial_subgroup",
-    "element_order",
     "subgroup_cayley",
 ]
 
@@ -248,16 +247,6 @@ def subgroup_closure(G: CayleyGroup, seed: Sequence[int]) -> Subgroup:
     _check_indices(G, seed)
     kept, tree = _span(G.table, G.identity, seed)
     return Subgroup(elements=(G.identity, *tree), generators=tuple(seed[p] for p in kept))
-
-
-def element_order(G: CayleyGroup, g: int) -> int:
-    _check_indices(G, (g,))
-    x = g
-    k = 1
-    while x != G.identity:
-        x = G.table[x][g]
-        k += 1
-    return k
 
 
 def _cycle(G: CayleyGroup, g: int) -> tuple[int, ...]:

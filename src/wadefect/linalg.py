@@ -3,10 +3,11 @@
 Smith and Hermite normal forms, saturated kernels and preimages, finite
 lattice quotients, and invariant factors of finitely presented abelian
 groups.  Everything runs on Python's arbitrary-precision integers; there is
-no overflow mode.  Kernels, preimages and solves come from one column
-Hermite form of the input stacked over [I 0], whose size reduction keeps
-entries small; a quotient takes one such form of its numerator and one of
-the relations it yields.  The Smith form is used only for invariant factors
+no overflow mode.  Preimages (a kernel is the preimage of the zero lattice)
+and solves come from one column Hermite form of the input stacked over
+[I 0], whose size reduction keeps entries small; a quotient takes one such
+form of its numerator and one of the relations it yields.  There is one
+Smith routine, :func:`smith_normal_form`, used only for invariant factors
 and torsion generators, and only on the block of a Hermite form left once
 its unit pivots are split off (:func:`split_unit_pivots`): a unit-pivot row
 is zero in every other column, so that row and its column are a zero
@@ -39,9 +40,7 @@ __all__ = [
     "ContainmentError",
     "QuotientNotFiniteError",
     "smith_normal_form",
-    "smith_diagonal",
     "hermite_column_form",
-    "kernel_basis",
     "preimage",
     "split_unit_pivots",
     "cokernel_invariants",
@@ -251,41 +250,38 @@ class SmithDecomposition:
     diagonal: tuple[int, ...]
 
 
-def _smith_eliminate(A: IntMatrix, track: bool):
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form by least-absolute-value pivoting.
+
+    Returns U, D, V with U @ A @ V = D exactly; the diagonal of D is
+    nonnegative and satisfies the divisibility chain d1 | d2 | ..., so it is
+    uniquely determined by A.
+    """
     m, n = A.rows, A.cols
     D = A.to_rows()
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        if track:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for r in D:
+        for r in chain(D, V):
             r[i], r[j] = r[j], r[i]
-        if track:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, q):
         D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        if track:
-            U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(dst, src, q):
-        for r in D:
+        for r in chain(D, V):
             r[dst] += q * r[src]
-        if track:
-            for r in V:
-                r[dst] += q * r[src]
 
     size = min(m, n)
     t = 0
     while t < size:
-        # bring the smallest nonzero entry of the trailing block to (t, t);
-        # a unit entry is already optimal, so stop scanning at one
+        # bring the smallest nonzero entry of the trailing block to (t, t)
         best = None
         pi = pj = -1
         for i in range(t, m):
@@ -295,10 +291,6 @@ def _smith_eliminate(A: IntMatrix, track: bool):
                 if e and (best is None or abs(e) < best):
                     best = abs(e)
                     pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
         if best is None:
             break
         if pi != t:
@@ -327,9 +319,6 @@ def _smith_eliminate(A: IntMatrix, track: bool):
                 # column t picked up entries from the swapped-in column
                 continue
             d = D[t][t]
-            if d in (1, -1):
-                # a unit divides every entry of the trailing block
-                break
             dirty_row = -1
             for i in range(t + 1, m):
                 row = D[i]
@@ -345,33 +334,15 @@ def _smith_eliminate(A: IntMatrix, track: bool):
             add_row(t, dirty_row, 1)
         if D[t][t] < 0:
             D[t] = [-e for e in D[t]]
-            if track:
-                U[t] = [-e for e in U[t]]
+            U[t] = [-e for e in U[t]]
         t += 1
 
-    diagonal = tuple(D[i][i] for i in range(size))
-    return D, U, V, diagonal
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by least-absolute-value pivoting.
-
-    Returns U, D, V with U @ A @ V = D exactly; the diagonal of D is
-    nonnegative and satisfies the divisibility chain d1 | d2 | ..., so it is
-    uniquely determined by A.
-    """
-    D, U, V, diagonal = _smith_eliminate(A, track=True)
     return SmithDecomposition(
-        U=IntMatrix.from_rows(U, cols=A.rows),
-        D=IntMatrix.from_rows(D, cols=A.cols),
-        V=IntMatrix.from_rows(V, cols=A.cols),
-        diagonal=diagonal,
+        U=IntMatrix._trusted(m, m, chain.from_iterable(U)),
+        D=IntMatrix._trusted(m, n, chain.from_iterable(D)),
+        V=IntMatrix._trusted(n, n, chain.from_iterable(V)),
+        diagonal=tuple(D[i][i] for i in range(size)),
     )
-
-
-def smith_diagonal(A: IntMatrix) -> tuple[int, ...]:
-    """The Smith diagonal alone, skipping the transform bookkeeping."""
-    return _smith_eliminate(A, track=False)[3]
 
 
 def _support(col: list[int], row: int, m: int) -> list[int]:
@@ -488,11 +459,6 @@ def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
     are a basis of the whole preimage lattice, not a finite-index sublattice.
     """
     return _hermite_split(hstack([A, R]), A.cols)[1]
-
-
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the full integer kernel {x : A @ x = 0}: the preimage of the zero lattice."""
-    return preimage(A, IntMatrix(A.rows, 0, ()))
 
 
 class ColumnSolver:
@@ -620,11 +586,11 @@ def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
     """Invariant factors and free rank of Z^rows / (column span of relations).
 
     The relations are compressed to a Hermite basis and its unit pivots are
-    split off (:func:`split_unit_pivots`); only the Smith diagonal of the
-    remaining block is computed.
+    split off (:func:`split_unit_pivots`); only the remaining block goes
+    through the Smith form.
     """
     block, rows = split_unit_pivots(hermite_column_form(relations))
-    return _invariants_from_diagonal(smith_diagonal(block), len(rows))
+    return _invariants_from_diagonal(smith_normal_form(block).diagonal, len(rows))
 
 
 def torsion_generators(relations: IntMatrix) -> IntMatrix:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groups import CayleyGroup, GroupError, Subgroup, subgroup_cayley, subgroup_closure
+from .groups import CayleyGroup, GroupError, Subgroup, subgroup_closure
 from .linalg import (
     ColumnSolver,
     ContainmentError,
@@ -46,7 +46,6 @@ __all__ = [
     "tate_h_minus1",
     "h1",
     "h1_bar",
-    "restrict",
     "norm_one_module",
     "induced_module",
     "trivial_module",
@@ -212,7 +211,16 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     Basis vectors of M are scanned in order; e_i is kept when it is not in
     the lattice spanned by the relations and the orbits of the vectors kept
-    so far.  The kernel is one `preimage` of the relations of M under the
+    so far.  That test is read off the span's canonical Hermite form H:
+    e_i lies in span(H) iff e_i is a column of H.  For if e_i is a
+    combination of H's columns, let column k carry the first nonzero
+    coefficient c.  Every later column starts below k's pivot row and every
+    earlier one has coefficient 0, so that pivot row is i and c times the
+    pivot is 1: the pivot is 1 and c = 1.  At each later pivot row e_i is 0
+    and column k is reduced into [0, pivot), so by induction every later
+    coefficient is 0 and e_i is column k itself.
+
+    The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form.  The kernel
     action is solved for the generating positions only; the kernel's law
     holds exactly, so the other designated generators' matrices are derived
@@ -227,14 +235,12 @@ def free_cover(M: GammaModule) -> "FreeCover":
     kept: list[int] = []
     span = hermite_column_form(M.relations)
     free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
-    span_solver = ColumnSolver(span)
     for i in range(n):
-        if span_solver.contains(IntMatrix.from_columns([[int(r == i) for r in range(n)]], rows=n)):
+        if tuple(int(r == i) for r in range(n)) in span.columns():
             continue
         kept.append(i)
         orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
         span = hermite_column_form(hstack([span, orbit]))
-        span_solver = ColumnSolver(span)
     d = len(kept)
     cover_rank = G.order * d
     projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
@@ -373,19 +379,6 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     block, rows = split_unit_pivots(hermite_column_form(den))
     d1_rows = IntMatrix.from_columns([d1.column(r) for r in rows], rows=n)
     return finite_quotient(preimage(d1_rows, M.relations), block)
-
-
-def restrict(M: GammaModule, delta: Subgroup) -> GammaModule:
-    """The same abelian group as a module over the subgroup, rebuilt standalone."""
-    validate(M)
-    sub = subgroup_cayley(M.group, delta)
-    mats = M.element_matrices()
-    return GammaModule(
-        group=sub,
-        n=M.n,
-        relations=M.relations,
-        action=[mats[g] for g in delta.elements],
-    )
 
 
 def norm_one_module(G: CayleyGroup) -> GammaModule:

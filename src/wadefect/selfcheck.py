@@ -12,7 +12,7 @@ from typing import Callable
 from . import catalog, oracles, zoo
 from .engine import Scenario, defect
 from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure, trivial_subgroup
-from .linalg import ColumnSolver, IntMatrix, hermite_column_form, kernel_basis, preimage, smith_normal_form
+from .linalg import ColumnSolver, IntMatrix, hermite_column_form, preimage, smith_normal_form
 from .modules import free_module, h1, h1_bar, trivial_module
 from .scenario_io import parse_scenario
 
@@ -57,7 +57,7 @@ def check_kernel_saturation(rng: random.Random) -> None:
         j, k = rng.randint(0, 2), rng.randint(0, 3)
         B = IntMatrix(rows, j, (rng.randint(-4, 4) for _ in range(rows * j)))
         R = B @ IntMatrix(j, k, (rng.randint(-2, 2) for _ in range(j * k)))
-        basis = preimage(A, R) if k else kernel_basis(A)
+        basis = preimage(A, R)
         assert ColumnSolver(R).contains(A @ basis), "preimage basis does not map into span(R)"
         solver = ColumnSolver(basis)
         for v in oracles.box_preimage_vectors(A, R, 3):

@@ -225,6 +225,31 @@ class TestH1Command:
         assert main(["h1", path, "--subgroup", "nope"]) == 1
         assert main(["h1", path, "--subgroup", "S9"]) == 1
 
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            # "²".isdigit() holds, but int("²") fails
+            pytest.param("²", id="superscript-digit"),
+            pytest.param("S²", id="S-superscript-digit"),
+            # Arabic-Indic zero and one: int() reads them as in-range
+            # indices, [0-9] does not
+            pytest.param("S٠", id="S-non-ascii-digit"),
+            pytest.param("١", id="bare-non-ascii-digit"),
+            # past int()'s default limit of 4,300 digits
+            pytest.param("7" * 5000, id="bare-long-digit-string"),
+            pytest.param("SC" + "7" * 5000, id="SC-long-digit-string"),
+        ],
+    )
+    def test_malformed_or_huge_selector_is_schema_error(self, tmp_path, capsys, selector):
+        path = write_scenario(tmp_path, klein_doc())
+        assert main(["h1", path, "--subgroup", selector]) == 1
+        assert "schema error" in capsys.readouterr().err
+
+    def test_leading_zeros_select_the_same_index(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, klein_doc())
+        assert main(["h1", path, "--subgroup", "S" + "0" * 5000 + "1", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == [2]
+
     def test_trivial_action_over_z2(self, tmp_path, capsys):
         # H_1 of Z/2 with trivial integer coefficients is Z/2
         doc = {

@@ -14,9 +14,7 @@ from wadefect.linalg import (
     finite_quotient,
     hermite_column_form,
     hstack,
-    kernel_basis,
     preimage,
-    smith_diagonal,
     smith_normal_form,
     split_unit_pivots,
     torsion_generators,
@@ -35,6 +33,11 @@ from wadefect.zoo import group_zoo, random_module
 
 def cols(*vecs, rows=None):
     return IntMatrix.from_columns(list(vecs), rows=rows)
+
+
+def kernel(A):
+    # the full integer kernel: the preimage of the zero lattice
+    return preimage(A, IntMatrix(A.rows, 0, ()))
 
 
 def lattice_sum(B1, B2):
@@ -124,6 +127,7 @@ class TestIntMatrix:
         rng = random.Random(313)
         a = IntMatrix(3, 4, (rng.randint(-5, 5) for _ in range(12)))
         b = IntMatrix(4, 2, (rng.randint(-5, 5) for _ in range(8)))
+        snf = smith_normal_form(a)
         results = [
             a @ b,
             a + a,
@@ -133,7 +137,10 @@ class TestIntMatrix:
             IntMatrix.identity(3),
             hermite_column_form(a),
             ColumnSolver(a).solve(a @ IntMatrix.identity(4)),
-            kernel_basis(a),
+            kernel(a),
+            snf.U,
+            snf.D,
+            snf.V,
         ]
         for r in results:
             assert len(r.entries) == r.rows * r.cols
@@ -225,15 +232,15 @@ class TestSmith:
 
 class TestKernel:
     def test_row_vector(self):
-        assert kernel_basis(IntMatrix.from_rows([[1, 1]])).columns() == [(1, -1)]
+        assert kernel(IntMatrix.from_rows([[1, 1]])).columns() == [(1, -1)]
 
     def test_identity_has_no_kernel(self):
-        assert kernel_basis(IntMatrix.identity(3)).cols == 0
+        assert kernel(IntMatrix.identity(3)).cols == 0
 
     def test_primitive_kernel(self):
         # brute force over a small box confirms (2, -1) is primitive
         a = IntMatrix.from_rows([[2, 4]])
-        basis = kernel_basis(a)
+        basis = kernel(a)
         assert basis.columns() == [(2, -1)]
         assert box_preimage_vectors(a, IntMatrix(1, 0, ()), 4) == [(2, -1), (4, -2)]
 
@@ -242,7 +249,7 @@ class TestKernel:
         for _ in range(60)[:60]:
             r, c = rng.randint(1, 3), rng.randint(1, 4)
             a = IntMatrix(r, c, (rng.randint(-5, 5) for _ in range(r * c)))
-            basis = kernel_basis(a)
+            basis = kernel(a)
             assert is_zero(a @ basis)
             found = box_preimage_vectors(a, IntMatrix(r, 0, ()), 3)
             if basis.cols == 0:
@@ -278,9 +285,9 @@ class TestPreimage:
             if found:
                 assert ColumnSolver(P).contains(cols(*found, rows=n))
             # the route it replaces: the top n rows of ker [A -R], made canonical
-            K = kernel_basis(hstack([A, -R]))
+            K = kernel(hstack([A, -R]))
             assert P == hermite_column_form(IntMatrix.from_rows([K.row(i) for i in range(n)], cols=K.cols))
-            nonkernel += P != kernel_basis(A)
+            nonkernel += P != kernel(A)
         # most pairs must exercise R, not only the kernel case
         assert nonkernel >= 20
 
@@ -293,7 +300,7 @@ class TestEntryGrowth:
         rng = random.Random(rows)
         a = IntMatrix(rows, cols_, (rng.randint(-9, 9) for _ in range(rows * cols_)))
         h = isqrt(prod(sum(e * e for e in a.row(i)) for i in range(rows))).bit_length()
-        basis = kernel_basis(a)
+        basis = kernel(a)
         assert basis.cols == cols_ - rows
         assert is_zero(a @ basis)
         assert max_bits(basis) <= h
@@ -377,7 +384,7 @@ class TestHermite:
         for A in reference_cases(rng):
             ref = hermite_reference(A)
             assert hermite_column_form(A) == ref
-            K = kernel_basis(A)
+            K = kernel(A)
             assert is_zero(A @ K)
             assert K.cols == A.cols - ref.cols
             assert hermite_reference(K) == K
@@ -466,7 +473,7 @@ class TestUnimodularInverse:
 
 def reference_invariants(rel):
     """Invariants from the Smith diagonal of the whole Hermite form, with no split."""
-    diagonal = smith_diagonal(hermite_column_form(rel))
+    diagonal = smith_normal_form(hermite_column_form(rel)).diagonal
     nonzero = [d for d in diagonal if d]
     return FinAbInvariants(tuple(d for d in nonzero if d > 1), rel.rows - len(nonzero))
 
@@ -565,6 +572,21 @@ class TestUnitPivotSplit:
         for rel in split_cases(rng):
             assert cokernel_invariants(rel) == reference_invariants(rel), rel
 
+    def test_unit_vector_in_span_iff_a_column(self):
+        # the free cover's scan test: e_i lies in span(H) iff e_i is a column of H
+        rng = random.Random(15)
+        units_not_e = 0
+        for rel in split_cases(rng):
+            H = hermite_column_form(rel)
+            solver = ColumnSolver(H)
+            columns = H.columns()
+            for i in range(H.rows):
+                e = tuple(int(r == i) for r in range(H.rows))
+                assert solver.contains(cols(e, rows=H.rows)) == (e in columns), (rel, i)
+            # unit pivots with other nonzero entries, which the test must not take for e_i
+            units_not_e += sum(next(x for x in c if x) == 1 and sum(map(abs, c)) > 1 for c in columns)
+        assert units_not_e >= 10
+
 
 class TestFiniteQuotient:
     def test_examples(self):
@@ -632,7 +654,7 @@ class TestFiniteQuotient:
             got = finite_quotient(num, den)
             assert got == self.old_route(num, den)
             assert got.order == coset_count(num, hermite_column_form(den))
-            assert kernel_basis(num).cols > 0
+            assert kernel(num).cols > 0
             checked += 1
             nontrivial += not got.is_trivial()
         assert checked >= 70 and nontrivial >= 40

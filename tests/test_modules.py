@@ -32,7 +32,6 @@ from wadefect.modules import (
     h1_bar,
     induced_module,
     norm_one_module,
-    restrict,
     tate_h_minus1,
     trivial_module,
     validate,
@@ -196,6 +195,13 @@ class TestFreeCover:
         cover = free_cover(M)
         assert cover.cover_rank == 1
         assert cover.kernel_basis.columns() == [(2,)]
+
+    def test_scan_keeps_e_i_behind_a_unit_pivot_column(self):
+        # Z^2 / (1, 2): the relation's Hermite column has its unit pivot in
+        # row 0 but is not e_0, so e_0 is outside the span and is kept
+        G = cyclic(1)
+        M = GammaModule(G, 2, IntMatrix.from_columns([(1, 2)], rows=2), [IntMatrix.identity(2)])
+        assert free_cover(M).projection == IntMatrix.identity(2)
 
     def test_free_rank_one_presentation_needs_no_correction(self):
         # Z[G] presented with a single module generator: the cover is bijective
@@ -640,30 +646,6 @@ class TestBarBoundaryRoute:
                     cases += 1
         assert cases == 48
         assert differ >= 8
-
-
-class TestRestrict:
-    def test_to_trivial_subgroup(self):
-        G = klein()
-        M = norm_one_module(G)
-        R = restrict(M, trivial_subgroup(G))
-        assert R.group.order == 1
-        assert h1(R, full_subgroup(R.group)).is_trivial()
-
-    def test_to_whole_group(self):
-        G = klein()
-        M = norm_one_module(G)
-        R = restrict(M, full_subgroup(G))
-        assert R.group.order == G.order
-        assert h1(R, full_subgroup(R.group)) == h1(M, full_subgroup(G))
-
-    def test_klein_augmentation_to_order_two(self):
-        G = klein()
-        M = norm_one_module(G)
-        H = subgroup_closure(G, (1,))
-        R = restrict(M, H)
-        assert R.n == 3 and R.group.order == 2
-        assert h1(R, full_subgroup(R.group)).is_trivial()
 
 
 class TestConstructions:
