@@ -13,12 +13,16 @@ builds one cover per module; its kernel is valid by construction, so only
 The homology entry points are :func:`h1` (through a free cover
 0 -> Y -> Z[G]^d -> M -> 0 on a greedy generating set of M: H_1 of M is
 the torsion of the coinvariants of the relation-free kernel module Y)
-and :func:`h1_bar` (directly from the inhomogeneous bar complex).  The two
-must always agree; h1_bar exists to be the independent cross-check.
+and :func:`h1_bar` (directly from the inhomogeneous bar complex, with
+its 1-chains modulo boundaries read in the coordinates of the subgroup's
+generators along a spanning tree).  The two must always agree; h1_bar
+exists to be the independent cross-check.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add, sub
 from typing import Sequence
 
 from .groups import CayleyGroup, GroupError, Subgroup, subgroup_closure
@@ -307,26 +311,42 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     the cycles K are the chains whose boundary lies in the relations R of M.
 
     The boundaries are taken from a spanning set of 2-chains, m ⊗ [e|e] and
-    m ⊗ [a|s] for a in the subgroup H and s among the k generators that
-    `subgroup_closure` keeps (k <= log2 |H|): n (1 + |H| k) columns instead
-    of the n |H|^2 of the full d2, spanning the same lattice.  Indeed
-    d(m ⊗ [a|e]) = a^{-1} m ⊗ [e] = d(a^{-1} m ⊗ [e|e]), and d∘d = 0 on
-    m ⊗ [a|p|s] gives
+    m ⊗ [a|s] for a in the subgroup H and s among the k generators
+    s_1, ..., s_k that `subgroup_closure` keeps, which spans the same
+    lattice as the full d2.  Indeed d(m ⊗ [a|e]) = a^{-1} m ⊗ [e] =
+    d(a^{-1} m ⊗ [e|e]), and d∘d = 0 on m ⊗ [a|p|s] gives
         d(m ⊗ [a|ps]) = d(m ⊗ [a|p]) + d(m ⊗ [ap|s]) - d(a^{-1} m ⊗ [p|s]),
     so induction on the length of b as a word in the generators puts every
     d(m ⊗ [a|b]) in the span.  When M has relations its matrices obey the
     group law only modulo them, so d∘d lands in the relation-induced chains,
-    which the denominator holds as well.
+    which B holds as well.
 
-    No cycle lattice over all of C1 is built.  One Hermite form of B, split
-    at its unit pivots (:func:`linalg.split_unit_pivots`), gives
-    C1 / B ≅ Z^rows / span(block) on the kept rows.  d1 induces
-    C1 / B -> M = Z^n / R with kernel K / B = H_1: the preimage of R under
-    the columns of d1 at the kept rows, modulo the block, for every module
-    with or without relations.  The split drops B's unit-pivot columns, and
-    with them the containment B ⊆ K that a quotient K / B would check, so
-    d1(B) ⊆ R (d∘d = 0 modulo R) is checked explicitly: an action that
-    breaks the group law raises ContainmentError.
+    C1 / B is computed in the coordinates of the k generator blocks, along a
+    breadth-first spanning tree of H's Cayley graph on s_1, ..., s_k (each
+    s_j is distinct and not e, so it is a child of e with label j).  Let
+    T: C1 -> Z^(n k) send m ⊗ [c] to T[c] m, where T[e] = 0 and, on a tree
+    edge c = a s_j, T[c] = T[a] + D[a^{-1}] placed in block j.  T is onto,
+    since T[s_j] is the identity on block j.  Let E be spanned by
+    m ⊗ [e] = d(m ⊗ [e|e]) and the boundaries of m ⊗ [a|s_j] on the tree
+    edges; E lies in B, and T kills it by its recursion.  Modulo E,
+    m ⊗ [c] ≡ m ⊗ [a] + a^{-1} m ⊗ [s_j] on a tree edge, so by induction
+    down the tree the blocks [s_j] generate C1 / E.  T sends them to the
+    standard basis of Z^(n k), so T induces an isomorphism C1 / E ≅ Z^(n k)
+    and ker T = E.  Hence C1 / B ≅ Z^(n k) / T(B), and T(B) is spanned by T
+    of the |H| (k - 1) + 1 non-tree edges, n columns each, and T[a] R for
+    every a in H.  C1 has rank n |H|; this matrix has n k rows.
+
+    d1 on the generator blocks is d1_red = [D[s_j^{-1}] - I]_j.  One Hermite
+    form of T(B), split at its unit pivots (:func:`linalg.split_unit_pivots`),
+    gives Z^(n k) / T(B) ≅ Z^rows / span(block) on the kept rows, and H_1 is
+    the preimage of R under d1_red at the kept rows, modulo the block.  That
+    needs d∘d = 0 modulo R on all of B, which is checked in full, in two
+    parts, before any elimination, and an action that breaks the group law
+    raises ContainmentError: (a) d1_red T(B) ⊆ R, and (b) d1_red T[c] ≡
+    D[c^{-1}] - I modulo R for every c in H, that is d1 = d1_red T on C1.
+    Together they give d1(B) ⊆ R.  Conversely d1(B) ⊆ R gives (b) by
+    induction down the tree, since d1 kills the tree-edge boundaries modulo
+    R, and then (a).
 
     Independent of the free-cover route: it shares only the element
     matrices and the subgroup's generators, and uses no kernel, cover or
@@ -342,43 +362,56 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     size = len(dl)
     if size > DEFAULT_BAR_CAP:
         raise ModuleError(f"bar complex cap exceeded: subgroup order {size} > {DEFAULT_BAR_CAP}")
-    pos = {g: i for i, g in enumerate(dl)}
+    gens = closure.generators
     n = M.n
+    rows = n * len(gens)
     mats = M.element_matrices()
     ident = mats[G.identity]
 
+    # T[c] as its rows; a tree edge replaces block j of its parent's rows
+    # and shares the others.  Each non-tree edge (a, s_j) contributes
+    # T(boundary of [a|s_j]) = (T[a] + D[a^{-1}] in block j) - T[c].
+    T = {G.identity: [(0,) * n] * rows}
+    order = [G.identity]
+    edges: list[list[Sequence[int]]] = []
+    for a in order:
+        Ta = T[a]
+        inv = mats[G.inverses[a]]
+        for j, s in enumerate(gens):
+            lo = j * n
+            step = Ta[:lo] + [tuple(map(add, Ta[lo + i], inv.row(i))) for i in range(n)] + Ta[lo + n :]
+            c = G.table[a][s]
+            if c in T:
+                edges.append([tuple(map(sub, x, y)) for x, y in zip(step, T[c])])
+            else:
+                T[c] = step
+                order.append(c)
+    cols = n * len(edges)
+    if M.relations.cols:
+        edges += [(IntMatrix.from_rows(T[a], cols=n) @ M.relations).to_rows() for a in order]
+        cols += M.relations.cols * len(order)
+    den = IntMatrix.from_rows([list(chain.from_iterable(e[t] for e in edges)) for t in range(rows)], cols=cols)
     d1 = hstack([mats[G.inverses[g]] - ident for g in dl], rows=n)
-
-    c1_rank = n * size
-    # denominator: d2 of the spanning 2-chains, then the relation-induced chains
-    den_cols: list[list[int]] = []
-    pairs = [(G.identity, (G.identity,))] + [(a, closure.generators) for a in dl]
-    for a, right in pairs:
-        inv_cols = mats[G.inverses[a]].columns()
-        base_a = pos[a] * n
-        for b in right:
-            base_ab = pos[G.table[a][b]] * n
-            base_b = pos[b] * n
-            for i in range(n):
-                col = [0] * c1_rank
-                col[base_b : base_b + n] = inv_cols[i]
-                col[base_ab + i] -= 1
-                col[base_a + i] += 1
-                den_cols.append(col)
-    for a in dl:
-        base = pos[a] * n
-        for rc in M.relations.columns():
-            col = [0] * c1_rank
-            col[base : base + n] = rc
-            den_cols.append(col)
-
-    den = IntMatrix.from_columns(den_cols, rows=c1_rank)
-    if not ColumnSolver(M.relations).contains(d1 @ den):
+    d1_red = hstack([mats[G.inverses[s]] - ident for s in gens], rows=n)
+    T_all = IntMatrix.from_rows(
+        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(rows)], cols=n * size
+    )
+    rel = ColumnSolver(M.relations) if M.relations.cols else None
+    if not _in_span(rel, d1_red @ den):
         raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
+    if not _in_span(rel, d1_red @ T_all - d1):
+        raise ContainmentError(
+            "the generator blocks do not carry d1 along the tree: the action breaks the group law"
+        )
     # H_1 of a finite group with finitely generated coefficients is finite
-    block, rows = split_unit_pivots(hermite_column_form(den))
-    d1_rows = IntMatrix.from_columns([d1.column(r) for r in rows], rows=n)
+    block, kept = split_unit_pivots(hermite_column_form(den))
+    d1_rows = IntMatrix.from_columns([d1_red.column(r) for r in kept], rows=n)
     return finite_quotient(preimage(d1_rows, M.relations), block)
+
+
+def _in_span(rel: ColumnSolver | None, A: IntMatrix) -> bool:
+    # columns of A in the relation lattice; None stands for the zero lattice
+    return not any(A.entries) if rel is None else rel.contains(A)
 
 
 def norm_one_module(G: CayleyGroup) -> GammaModule:

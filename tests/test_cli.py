@@ -10,7 +10,7 @@ from wadefect.scenario_io import (
     result_document,
     scenario_document,
 )
-from wadefect.groups import DEFAULT_ORDER_CAP, GroupError, full_subgroup
+from wadefect.groups import DEFAULT_ORDER_CAP, GroupError, from_permutations, full_subgroup
 from wadefect.linalg import FinAbInvariants
 from wadefect.modules import norm_one_module
 from wadefect.zoo import a4, klein
@@ -98,6 +98,18 @@ class TestComputeCommand:
             outputs.append(out)
         assert outputs[0] == outputs[1]
         assert outputs[0]["invariant_factors"] == [2]
+
+    def test_oracle_reaches_a5(self, tmp_path, capsys):
+        # the norm-one module of A5 (|G| = 60) with S = {G}: the bar oracle
+        # checks the full group and its 32 cyclic subgroups
+        perms = [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]
+        G = from_permutations(perms)
+        doc = scenario_document(
+            permutation_generators=perms, module=norm_one_module(G), s_subgroups=(full_subgroup(G),)
+        )
+        path = write_scenario(tmp_path, doc)
+        assert main(["compute", path, "--check", "--oracle", "bar", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == [2]
 
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1

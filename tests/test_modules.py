@@ -6,6 +6,7 @@ from wadefect import modules
 from wadefect.engine import verify_cover
 from wadefect.groups import (
     Subgroup,
+    cyclic_subgroups,
     from_permutations,
     from_table,
     full_subgroup,
@@ -18,8 +19,11 @@ from wadefect.linalg import (
     FinAbInvariants,
     IntMatrix,
     cokernel_invariants,
+    finite_quotient,
     hermite_column_form,
     hstack,
+    preimage,
+    split_unit_pivots,
 )
 from wadefect.modules import (
     GammaModule,
@@ -537,6 +541,28 @@ def full_bar_denominator(M, H):
     return IntMatrix.from_columns(cols, rows=rows)
 
 
+def full_bar_d1(M, H):
+    # d1 on all of C1: block a is D[a^-1] - I
+    G = M.group
+    ident = M.element_matrix(G.identity)
+    return hstack([M.element_matrix(G.inverses[a]) - ident for a in H.elements], rows=M.n)
+
+
+def full_bar_h1(M, H):
+    # H_1 from the full complex: one Hermite form of every boundary column,
+    # split at its unit pivots, and the preimage of R under d1 on the kept
+    # rows, modulo the block
+    block, rows = split_unit_pivots(hermite_column_form(full_bar_denominator(M, H)))
+    d1 = full_bar_d1(M, H)
+    d1_rows = IntMatrix.from_columns([d1.column(r) for r in rows], rows=M.n)
+    return finite_quotient(preimage(d1_rows, M.relations), block)
+
+
+def breaks_d_d(M, H):
+    # d∘d = 0 modulo R fails on some column of the full d2 or relation chain
+    return not ColumnSolver(M.relations).contains(full_bar_d1(M, H) @ full_bar_denominator(M, H))
+
+
 def points_module(perms):
     # augmentation kernel of the permutation module on the d points, basis
     # e_i - e_{d-1} for i < d - 1: the module of the degree-d norm-one torus
@@ -573,8 +599,9 @@ def bar_denominators(monkeypatch):
 
 class TestBarSpanningSet:
     def test_denominator_spans_the_full_boundary_lattice(self, bar_denominators):
-        # the [e|e] and [a|s] chains must give the lattice of every d2 column
-        # plus the relation chains: same Hermite form, same H_1 as the cover
+        # the [e|e] and [a|s] chains, taken to the k generator blocks along
+        # the tree, must give what every d2 column plus the relation chains
+        # give: the H_1 of the full complex, and the same H_1 as the cover
         rng = random.Random(81)
         with_relations = 0
         cases = 0
@@ -590,9 +617,9 @@ class TestBarSpanningSet:
                     redundant = Subgroup(elements=H.elements, generators=H.elements)
                     for K in (full_subgroup(G), trivial_subgroup(G), H, redundant):
                         got = h1_bar(M, K)
-                        assert hermite_column_form(bar_denominators[-1]) == hermite_column_form(
-                            full_bar_denominator(M, K)
-                        ), (G.order, K.elements)
+                        k = len(subgroup_closure(G, K.generators).generators)
+                        assert bar_denominators[-1].rows == M.n * k
+                        assert got == full_bar_h1(M, K), (G.order, K.elements)
                         assert got == h1(M, K)
                         cases += 1
         assert cases == 192
@@ -600,10 +627,12 @@ class TestBarSpanningSet:
         assert with_relations >= 24
 
     def test_full_group_denominator_shapes(self, bar_denominators):
-        # n (1 + |H| k) columns with k = 2 generators; the full d2 would have
-        # n |H|^2: 1,584 columns for A4 and 1,728 for S4
+        # n k rows and n (|H| (k - 1) + 1) + |H| r columns, one block of n
+        # per non-tree edge, with k = 2 generators and r = 0 relations; the
+        # spanning set on all of C1 was n |H| x n (1 + |H| k), 132 x 275 for
+        # A4, and the full d2 has n |H|^2 columns, 1,584 for A4
         s4_points = points_module([(1, 0, 2, 3), (1, 2, 3, 0)])
-        for M, shape in ((norm_one_module(a4()), (132, 275)), (s4_points, (72, 147))):
+        for M, shape in ((norm_one_module(a4()), (22, 143)), (s4_points, (6, 75))):
             assert h1_bar(M, full_subgroup(M.group)) == FinAbInvariants((2,))
             den = bar_denominators[-1]
             assert (den.rows, den.cols) == shape
@@ -630,6 +659,41 @@ class TestBarBoundaryRoute:
         with pytest.raises(ContainmentError):
             h1_bar(collapsed, full_subgroup(M.group))
 
+    def test_perturbed_actions_raise_exactly_when_d_d_fails(self):
+        # one action entry off by one, marked validated: h1_bar must raise
+        # exactly when d1 of some column of the full d2 or relation chain
+        # leaves R.  Its check (a), d1_red T(B) ⊆ R, runs first; the cases
+        # that then fail (b), d1 = d1_red T modulo R, are the ones (a) alone
+        # would let through
+        rng = random.Random(14)
+        cases = raised = only_b = 0
+        for G in group_zoo() + [cyclic(4), cyclic(5)]:
+            for t in range(60):
+                M = random_module(rng, G)
+                if t % 2:
+                    M = _with_orbit_relations(rng, M, 1)
+                k = rng.randrange(len(M.action))
+                i, j = rng.randrange(M.n), rng.randrange(M.n)
+                rows = M.action[k].to_rows()
+                rows[i][j] += rng.choice((-1, 1))
+                action = list(M.action)
+                action[k] = IntMatrix.from_rows(rows)
+                P = GammaModule(G, M.n, M.relations, action)
+                P._validated = True
+                for K in [full_subgroup(G)] + cyclic_subgroups(G):
+                    try:
+                        h1_bar(P, K)
+                        message = None
+                    except ContainmentError as exc:
+                        message = str(exc)
+                    assert (message is not None) == breaks_d_d(P, K), (G.order, K.elements)
+                    cases += 1
+                    raised += message is not None
+                    only_b += message is not None and "generator blocks" in message
+        assert cases == 3120
+        assert 0 < raised < cases
+        assert only_b >= 1
+
     def test_torsion_coefficients_where_chains_mod_boundaries_differ(self):
         # with relations, the torsion of C1 / B can exceed H_1 = K / B: the
         # cycles must be cut out by the preimage under d1, not read off B
@@ -646,6 +710,18 @@ class TestBarBoundaryRoute:
                     cases += 1
         assert cases == 48
         assert differ >= 8
+
+
+class TestBarReach:
+    def test_norm_one_of_order_48_and_60(self):
+        # S4 x C2 and A5, under DEFAULT_BAR_CAP: C1 has rank n |H| = 2,256
+        # and 3,540, the generator blocks n k = 141 and 118
+        s4_c2 = from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])
+        a5 = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+        for G, expected in ((s4_c2, (2, 2)), (a5, (2,))):
+            M = norm_one_module(G)
+            got = h1_bar(M, full_subgroup(G))
+            assert got == h1(M, full_subgroup(G)) == FinAbInvariants(expected)
 
 
 class TestConstructions:
