@@ -396,10 +396,10 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     T_all = IntMatrix.from_rows(
         [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(rows)], cols=n * size
     )
-    rel = ColumnSolver(M.relations) if M.relations.cols else None
-    if not _in_span(rel, d1_red @ den):
+    rel = ColumnSolver(M.relations)
+    if not rel.contains(d1_red @ den):
         raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
-    if not _in_span(rel, d1_red @ T_all - d1):
+    if not rel.contains(d1_red @ T_all - d1):
         raise ContainmentError(
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"
         )
@@ -407,11 +407,6 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     block, kept = split_unit_pivots(hermite_column_form(den))
     d1_rows = IntMatrix.from_columns([d1_red.column(r) for r in kept], rows=n)
     return finite_quotient(preimage(d1_rows, M.relations), block)
-
-
-def _in_span(rel: ColumnSolver | None, A: IntMatrix) -> bool:
-    # columns of A in the relation lattice; None stands for the zero lattice
-    return not any(A.entries) if rel is None else rel.contains(A)
 
 
 def norm_one_module(G: CayleyGroup) -> GammaModule:

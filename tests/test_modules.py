@@ -548,6 +548,28 @@ def full_bar_d1(M, H):
     return hstack([M.element_matrix(G.inverses[a]) - ident for a in H.elements], rows=M.n)
 
 
+def bar_tree_map(M, H):
+    # T on all of C1, block a of n columns is T[a]: T[e] = 0 and
+    # T[a s_j] = T[a] + D[a^-1] in block j along h1_bar's breadth-first tree
+    G = M.group
+    gens = subgroup_closure(G, H.generators).generators
+    n = M.n
+    rows = n * len(gens)
+    T = {G.identity: [[0] * rows for _ in range(n)]}
+    order = [G.identity]
+    for a in order:
+        inv_cols = M.element_matrix(G.inverses[a]).columns()
+        for j, s in enumerate(gens):
+            c = G.table[a][s]
+            if c not in T:
+                T[c] = [list(col) for col in T[a]]
+                for i in range(n):
+                    for r in range(n):
+                        T[c][i][j * n + r] += inv_cols[i][r]
+                order.append(c)
+    return IntMatrix.from_columns([col for a in H.elements for col in T[a]], rows=rows)
+
+
 def full_bar_h1(M, H):
     # H_1 from the full complex: one Hermite form of every boundary column,
     # split at its unit pivots, and the preimage of R under d1 on the kept
@@ -600,8 +622,9 @@ def bar_denominators(monkeypatch):
 class TestBarSpanningSet:
     def test_denominator_spans_the_full_boundary_lattice(self, bar_denominators):
         # the [e|e] and [a|s] chains, taken to the k generator blocks along
-        # the tree, must give what every d2 column plus the relation chains
-        # give: the H_1 of the full complex, and the same H_1 as the cover
+        # the tree, must span what every d2 column plus the relation chains
+        # span there: the same lattice T(B), the H_1 of the full complex, and
+        # the same H_1 as the cover
         rng = random.Random(81)
         with_relations = 0
         cases = 0
@@ -617,8 +640,11 @@ class TestBarSpanningSet:
                     redundant = Subgroup(elements=H.elements, generators=H.elements)
                     for K in (full_subgroup(G), trivial_subgroup(G), H, redundant):
                         got = h1_bar(M, K)
+                        den = bar_denominators[-1]
                         k = len(subgroup_closure(G, K.generators).generators)
-                        assert bar_denominators[-1].rows == M.n * k
+                        assert den.rows == M.n * k
+                        full = bar_tree_map(M, K) @ full_bar_denominator(M, K)
+                        assert hermite_column_form(den) == hermite_column_form(full)
                         assert got == full_bar_h1(M, K), (G.order, K.elements)
                         assert got == h1(M, K)
                         cases += 1
