@@ -5,18 +5,16 @@ and for the known non-cyclic part of its complement, the defect is the
 finite quotient N1 / (N1 ∩ N2) inside the coinvariants of the cover kernel.
 N1 joins the torsion images coming from the non-cyclic S subgroups with the
 ambient relation lattice, and N2 = D does the same for the complement side
-with every cyclic subgroup adjoined for free (the Chebotarev step).  By the
-second isomorphism theorem, x + (N1 ∩ N2) -> x + N2 maps N1 / (N1 ∩ N2)
-isomorphically onto (N1 + N2) / N2: an x in N1 maps to zero only when it
-lies in N1 ∩ N2, and every coset of N2 in N1 + N2 meets N1.  So it computes
+with every cyclic subgroup adjoined for free (the Chebotarev step).  D
+holds the ambient relations, so N1 + N2 is D plus the S-side images, and
+`finite_quotient` of the S-side images over D returns
 
-    (D + the S-side images) / D
+    (D + the S-side images) / D  ≅  N1 / (N1 ∩ N2)
 
 with no lattice intersection.  D is one Hermite form of the ambient
-relations and the complement-side images; the numerator, D beside the
-S-side images, is left for `finite_quotient` to reduce.  Cyclic entries of
-S never contribute.  Each side adjoins its subgroups only up to conjugacy
-and containment, one representative per conjugacy class and none inside a
+relations and the complement-side images.  Cyclic entries of S never
+contribute.  Each side adjoins its subgroups only up to conjugacy and
+containment, one representative per conjugacy class and none inside a
 conjugate of another: the others add nothing to the image.
 """
 
@@ -144,8 +142,7 @@ def _image_quotient(
         hstack([coinvariants(Y, full_subgroup(G))] + images(list(sc_subgroups) + cyclic_subgroups(G)))
     )
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    numerator = hstack([denominator] + images([s_subgroups[k] for k in s_nc]))
-    return finite_quotient(numerator, denominator), s_nc
+    return finite_quotient(hstack(images([s_subgroups[k] for k in s_nc]), rows=Y.n), denominator), s_nc
 
 
 def _is_detectably_free(M: GammaModule) -> bool:

@@ -5,8 +5,8 @@ lattice quotients, and invariant factors of finitely presented abelian
 groups.  Everything runs on Python's arbitrary-precision integers; there is
 no overflow mode.  Preimages (a kernel is the preimage of the zero lattice)
 and solves come from one column Hermite form of the input stacked over
-[I 0], whose size reduction keeps entries small; a quotient takes one such
-form of its numerator and one of the relations it yields.  There is one
+[I 0], whose size reduction keeps entries small; a lattice quotient is
+the cokernel of one such preimage (:func:`finite_quotient`).  There is one
 Smith routine, :func:`smith_normal_form`, used only for invariant factors
 and torsion generators, and only on the block of a Hermite form left once
 its unit pivots are split off (:func:`split_unit_pivots`): a unit-pivot row
@@ -468,14 +468,13 @@ class ColumnSolver:
     their preimages, from the Hermite form of A stacked over the identity.
     Each basis column is stored as its support, the nonzero entries split at
     row m of [A; I]: a step updates the remainder from the top part and the
-    solution from the bottom part, and skips every zero entry.  The other
-    half of the split is `kernel`, the canonical basis of the kernel of A.
+    solution from the bottom part, and skips every zero entry.
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
         m = A.rows
-        echelon, self.kernel = _hermite_split(A, A.cols)
+        echelon = _hermite_split(A, A.cols)[0]
         # (pivot row, pivot, nonzero (row, entry) of the top, nonzero
         # (row - m, entry) of the bottom) in increasing pivot order
         self._echelon = []
@@ -619,21 +618,18 @@ def torsion_generators(relations: IntMatrix) -> IntMatrix:
 
 
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:
-    """Invariant factors of span(num) / span(den).
+    """Invariant factors of (span(num) + span(den)) / span(den).
 
-    Requires span(den) ⊆ span(num) and equal ranks, so the quotient is a
-    finite group; the result always has free rank 0.  Neither matrix is
-    reduced first: x -> num @ x maps Z^cols onto span(num), and the preimage
-    of span(den) is span(X) + ker(num) with num @ X = den, so the quotient is
-    Z^cols modulo [X | kernel], both from the one split of `ColumnSolver`.
+    By the second isomorphism theorem this is span(num) / (span(num) ∩
+    span(den)), and span(num) / span(den) when den lies in num.  The map
+    x -> num @ x + span(den) sends Z^cols onto it with kernel
+    preimage(num, den), so the quotient is the cokernel of that one
+    preimage; neither matrix is reduced first.  It must be finite: a
+    positive free rank raises QuotientNotFiniteError.
     """
     if num.rows != den.rows:
         raise DimensionError(f"quotient of spans in Z^{num.rows} and Z^{den.rows}")
-    solver = ColumnSolver(num)
-    X = solver.solve(den)
-    if X is None:
-        raise ContainmentError("denominator lattice is not contained in the numerator lattice")
-    inv = cokernel_invariants(hstack([X, solver.kernel]))
+    inv = cokernel_invariants(preimage(num, den))
     if inv.free_rank:
         raise QuotientNotFiniteError(
             f"quotient has free rank {inv.free_rank}; lattice ranks differ"

@@ -213,16 +213,17 @@ def _cover_shift_rows(G: CayleyGroup, d: int, B: IntMatrix, g: int) -> IntMatrix
 def free_cover(M: GammaModule) -> "FreeCover":
     """Free cover of M on a greedy generating set, with its kernel module.
 
-    Basis vectors of M are scanned in order; e_i is kept when it is not in
-    the lattice spanned by the relations and the orbits of the vectors kept
-    so far.  That test is read off the span's canonical Hermite form H:
-    e_i lies in span(H) iff e_i is a column of H.  For if e_i is a
-    combination of H's columns, let column k carry the first nonzero
-    coefficient c.  Every later column starts below k's pivot row and every
-    earlier one has coefficient 0, so that pivot row is i and c times the
-    pivot is 1: the pivot is 1 and c = 1.  At each later pivot row e_i is 0
-    and column k is reduced into [0, pivot), so by induction every later
-    coefficient is 0 and e_i is column k itself.
+    Basis vectors of M are scanned in order.  Let H be the canonical Hermite
+    form of the span so far: the relations and the orbits of the vectors
+    kept so far.  e_i is kept unless row i of H has a unit pivot.  Every
+    e_j ends up in the final span, by descending induction on j: a kept e_j
+    lies in its own orbit, and a skipped e_j is its unit-pivot column minus
+    a combination of the later e_j', all in the final span, which contains
+    every earlier span.  On any one span the rule skips every e_i already
+    in it: if e_i lies in span(H), its first nonzero entry, a 1 in row i,
+    is a multiple of row i's pivot, so that pivot is 1.  The scan is
+    greedy, so a cover is not minimal, and it can come out larger than a
+    scan that skips only the e_i in the span.
 
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form.  The kernel
@@ -240,7 +241,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
     span = hermite_column_form(M.relations)
     free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
     for i in range(n):
-        if tuple(int(r == i) for r in range(n)) in span.columns():
+        if i not in split_unit_pivots(span)[1]:
             continue
         kept.append(i)
         orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
@@ -501,8 +502,10 @@ def with_doubled_generators(M: GammaModule) -> GammaModule:
     """An isomorphic presentation on a redundantly doubled generator set.
 
     Each generator is listed twice; the duplicates are identified by extra
-    relations.  The greedy scan of `free_cover` keeps the same generators of
-    the first copy as for M, so both have the same cover.
+    relations.  Those relations give every row of the first copy a unit
+    pivot, so the greedy scan of `free_cover` keeps the second copy's
+    generators at the positions it keeps for M: both covers have the same
+    rank and the same kernel basis.
     """
     n = M.n
     n2 = 2 * n

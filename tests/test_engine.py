@@ -450,7 +450,7 @@ class TestClassRepresentatives:
 class TestSumQuotient:
     def test_one_hermite_form_per_lattice(self, monkeypatch):
         # one Hermite form per torsion image, one of D, and two inside
-        # finite_quotient: the numerator is passed unreduced
+        # finite_quotient: its preimage and that preimage's cokernel
         import wadefect.engine as engine_mod
         import wadefect.linalg as linalg_mod
 
@@ -476,6 +476,29 @@ class TestSumQuotient:
         assert free_cover(M).kernel is kernel
         assert len(torsion_calls) >= 4
         assert len(hnf_calls) == len(torsion_calls) + 3
+
+    def test_quotient_receives_the_s_side_images_alone(self, monkeypatch):
+        # D is not passed beside the S-side images: finite_quotient forms
+        # (D + images) / D itself
+        import wadefect.engine as engine_mod
+
+        calls = []
+
+        def recording(num, den):
+            calls.append((num, den))
+            return finite_quotient(num, den)
+
+        G = s4()
+        M = norm_one_module(G)
+        full = full_subgroup(G)
+        monkeypatch.setattr(engine_mod, "finite_quotient", recording)
+        assert defect(Scenario(G, M, (full, full), ()), use_shortcuts=False).invariants == FinAbInvariants((2,))
+        (num, den), = calls
+        Y = free_cover(M).kernel
+        assert num == torsion_generators(coinvariants(Y, full))
+        assert den == hermite_column_form(
+            hstack([coinvariants(Y, full)] + [torsion_generators(coinvariants(Y, H)) for H in cyclic_subgroups(G)])
+        )
 
     def test_zassenhaus_intersection_contained_and_isomorphic(self):
         rng = random.Random(13)

@@ -5,7 +5,6 @@ import pytest
 
 from wadefect.linalg import (
     ColumnSolver,
-    ContainmentError,
     DimensionError,
     FinAbInvariants,
     IntMatrix,
@@ -573,7 +572,7 @@ class TestUnitPivotSplit:
             assert cokernel_invariants(rel) == reference_invariants(rel), rel
 
     def test_unit_vector_in_span_iff_a_column(self):
-        # the free cover's scan test: e_i lies in span(H) iff e_i is a column of H
+        # a Hermite-form property: e_i lies in span(H) iff e_i is a column of H
         rng = random.Random(15)
         units_not_e = 0
         for rel in split_cases(rng):
@@ -610,8 +609,12 @@ class TestFiniteQuotient:
             assert finite_quotient(IntMatrix.identity(n), den).order == d
 
     def test_containment_error(self):
-        with pytest.raises(ContainmentError):
-            finite_quotient(cols((2, 0), (0, 2), rows=2), IntMatrix.identity(2))
+        # den need not lie in num: (2Z^2 + Z^2) / Z^2 is trivial
+        num, den = cols((2, 0), (0, 2), rows=2), IntMatrix.identity(2)
+        got = finite_quotient(num, den)
+        assert got == FinAbInvariants()
+        assert got == self.old_route(hstack([num, den]), den)
+        assert got.order == coset_count(hstack([num, den]), hermite_column_form(den))
 
     def test_rank_mismatch_error(self):
         with pytest.raises(QuotientNotFiniteError):
@@ -671,8 +674,11 @@ class TestFiniteQuotient:
                 continue
             moved = den.columns()
             moved[rng.randrange(den.cols)] = outside[0]
-            with pytest.raises(ContainmentError):
-                finite_quotient(num, IntMatrix.from_columns(moved, rows=num.rows))
+            den = IntMatrix.from_columns(moved, rows=num.rows)
+            # the quotient is (span(num) + span(den)) / span(den)
+            got = finite_quotient(num, den)
+            assert got == self.old_route(hstack([num, den]), den)
+            assert got.order == coset_count(hstack([num, den]), hermite_column_form(den))
             moved_cases += 1
         assert moved_cases >= 20
 
@@ -686,7 +692,11 @@ class TestFiniteQuotient:
             calls.append((B.rows, B.cols))
             return real(B)
 
+        def refuse(*args):
+            raise AssertionError("finite_quotient solved against its numerator")
+
         monkeypatch.setattr(linalg_mod, "hermite_column_form", counting)
+        monkeypatch.setattr(linalg_mod, "ColumnSolver", refuse)
         # span(num) is Z x 2Z and span(den) 2Z x 4Z
         num, den = cols((1, 0), (0, 2), (1, 2), rows=2), cols((2, 0), (0, 4), rows=2)
         assert finite_quotient(num, den) == FinAbInvariants((2, 2))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wadefect import modules
-from wadefect.engine import verify_cover
+from wadefect.engine import Scenario, defect, verify_cover
 from wadefect.groups import (
     Subgroup,
     cyclic_subgroups,
@@ -202,10 +202,56 @@ class TestFreeCover:
 
     def test_scan_keeps_e_i_behind_a_unit_pivot_column(self):
         # Z^2 / (1, 2): the relation's Hermite column has its unit pivot in
-        # row 0 but is not e_0, so e_0 is outside the span and is kept
+        # row 0, so e_0 = -2 e_1 modulo the span is skipped, though it is
+        # not a column; e_1 is kept and alone covers M
         G = cyclic(1)
         M = GammaModule(G, 2, IntMatrix.from_columns([(1, 2)], rows=2), [IntMatrix.identity(2)])
-        assert free_cover(M).projection == IntMatrix.identity(2)
+        cover = free_cover(M)
+        assert cover.projection == IntMatrix.from_columns([(0, 1)], rows=2)
+        assert cover.cover_rank == 1
+
+    def test_unit_pivot_scan_against_the_column_scan(self, monkeypatch):
+        # the earlier rule kept e_i unless e_i was a column of the span's
+        # Hermite form; covers built under it serve as the reference
+        def column_scan_rows(H):
+            columns = H.columns()
+            return None, [i for i in range(H.rows) if tuple(int(r == i) for r in range(H.rows)) not in columns]
+
+        rng = random.Random(17)
+        cases = []
+        for G in group_zoo():
+            for M in (random_module(rng, G), _with_orbit_relations(rng, random_module(rng, G), 1), norm_one_module(G)):
+                M = _conjugate(M, random_unimodular(rng, M.n))
+                sc = Scenario(G, M, (full_subgroup(G), random_subgroup(rng, G)), (random_subgroup(rng, G),))
+                cases.append((M, GammaModule(G, M.n, M.relations, M.action), sc))
+        spans = []
+
+        def recording(H):
+            spans.append(H)
+            return split_unit_pivots(H)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "split_unit_pivots", column_scan_rows)
+            references = [free_cover(ref) for _, ref, _ in cases]
+            patch.setattr(modules, "split_unit_pivots", recording)
+            covers = [free_cover(M) for M, _, _ in cases]
+        # on any one span, the rule keeps a subset of what the column rule
+        # keeps; the scan is greedy, so a whole cover can still come out larger
+        assert len(spans) >= len(cases)
+        for H in spans:
+            assert set(split_unit_pivots(H)[1]) <= set(column_scan_rows(H)[1])
+        smaller = nontrivial = 0
+        for (M, ref, sc), cover, old in zip(cases, covers, references):
+            smaller += cover.cover_rank < old.cover_rank
+            assert hermite_column_form(hstack([cover.projection, M.relations])) == IntMatrix.identity(M.n)
+            for H in (full_subgroup(M.group), *sc.s_subgroups, *sc.sc_subgroups):
+                assert tate_h_minus1(cover.kernel, H) == tate_h_minus1(old.kernel, H)
+            # ref carries the reference cover, cached on it
+            ref_sc = Scenario(sc.group, ref, sc.s_subgroups, sc.sc_subgroups)
+            got = defect(sc, use_shortcuts=False)
+            assert got == defect(ref_sc, use_shortcuts=False)
+            nontrivial += not got.invariants.is_trivial()
+        assert smaller >= 3 and nontrivial >= 3
 
     def test_free_rank_one_presentation_needs_no_correction(self):
         # Z[G] presented with a single module generator: the cover is bijective
