@@ -16,11 +16,35 @@ relations and the complement-side images.  Cyclic entries of S never
 contribute.  Each side adjoins its subgroups only up to conjugacy and
 containment, one representative per conjugacy class and none inside a
 conjugate of another: the others add nothing to the image.
+
+Every image lies in one finite group.  Y must be relation-free, as the
+cover kernel and a torus's cocharacters are, and L_H, the span of the
+columns rho(h) - 1 over H's generators, presents its coinvariants
+Z^n / L_H.  The torsion image of H lies in sat(L_H) ⊆ sat(L_G), so the
+defect is a subquotient of T = sat(L_G) / L_G, which is H_1(G, M) for the
+cover kernel of M.  The image stage stops as soon as T forces the answer:
+
+1. t = |T| is read off one Hermite form of L_G, split at its unit
+   pivots, as the product of the nonzero Smith invariants of the rest.
+   If t = 1, every image lies in L_G ⊆ D and the defect is 0.
+2. Y is torsion-free, so the torsion of Y_H is Tate H^-1(H, Y), which |H|
+   kills (Brown, Cohomology of Groups, III.10.2).  Its image in T is
+   therefore 0 when gcd(|H|, t) = 1, and such subgroups are dropped from
+   both sides before the containment pruning, which then keeps what it
+   kept before: a subgroup containing a conjugate of a kept H has an order
+   divisible by |H|, so it is not dropped either.  t = 1 drops every
+   subgroup.  If no S entry survives, the defect is 0.
+3. L_G ⊆ D ⊆ sat(L_G), so D spans L_G's rational span and its Hermite
+   form has the same pivot rows.  Hence [D : L_G] is the ratio of the
+   pivot products of the two forms, and [sat(L_G) : D] = t·pivprod(D) /
+   pivprod(L_G).  When that index is 1, D holds every S image and the
+   defect is 0; no S image is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .groups import (
@@ -34,9 +58,12 @@ from .groups import (
 from .linalg import (
     ColumnSolver,
     FinAbInvariants,
+    IntMatrix,
     finite_quotient,
     hermite_column_form,
     hstack,
+    smith_normal_form,
+    split_unit_pivots,
     torsion_generators,
 )
 from .modules import (
@@ -128,21 +155,47 @@ def _class_representatives(G: CayleyGroup, candidates: Sequence[Subgroup]) -> li
     return [H for H, _ in kept]
 
 
+def _pivot_product(H: IntMatrix) -> int:
+    # the first nonzero entry of each Hermite column is its pivot
+    return prod(next(e for e in col if e) for col in H.columns())
+
+
 def _image_quotient(
     Y: GammaModule,
     s_subgroups: Sequence[Subgroup],
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
+    """(D + the S-side images) / D, gated by T = sat(L_G) / L_G.
+
+    Y must be relation-free, so that |H| kills the torsion of Y_H.  Every
+    image lies in sat(L_G), and the answer is 0, with no S-side image
+    computed, at the first of these exits (proofs in the module docstring):
+    t = |T| is 1; no non-cyclic S entry has an order sharing a factor with
+    t, since the image of one that has none is killed by |H| and by t; or D
+    fills sat(L_G), that is t·pivprod(D) = pivprod(L_G), as L_G ⊆ D ⊆
+    sat(L_G) gives both Hermite forms the same pivot rows.  Subgroups of
+    order prime to t are dropped from the denominator as well.
+    """
     G = Y.group
-
-    def images(candidates: list[Subgroup]) -> list:
-        return [torsion_generators(coinvariants(Y, H)) for H in _class_representatives(G, candidates)]
-
-    denominator = hermite_column_form(
-        hstack([coinvariants(Y, full_subgroup(G))] + images(list(sc_subgroups) + cyclic_subgroups(G)))
-    )
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    return finite_quotient(hstack(images([s_subgroups[k] for k in s_nc]), rows=Y.n), denominator), s_nc
+    ambient = hermite_column_form(coinvariants(Y, full_subgroup(G)))
+    t = prod(d for d in smith_normal_form(split_unit_pivots(ambient)[0]).diagonal if d)
+
+    def representatives(candidates: list[Subgroup]) -> list[Subgroup]:
+        return _class_representatives(G, [H for H in candidates if gcd(H.order, t) > 1])
+
+    def images(reps: list[Subgroup]) -> list[IntMatrix]:
+        return [torsion_generators(coinvariants(Y, H)) for H in reps]
+
+    s_reps = representatives([s_subgroups[k] for k in s_nc])
+    if not s_reps:
+        return FinAbInvariants(), s_nc
+    denominator = hermite_column_form(
+        hstack([ambient] + images(representatives(list(sc_subgroups) + cyclic_subgroups(G))))
+    )
+    if t * _pivot_product(denominator) == _pivot_product(ambient):
+        return FinAbInvariants(), s_nc
+    return finite_quotient(hstack(images(s_reps), rows=Y.n), denominator), s_nc
 
 
 def _is_detectably_free(M: GammaModule) -> bool:

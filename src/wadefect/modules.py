@@ -91,7 +91,8 @@ class GammaModule:
         self.n = int(n)
         self.relations = relations
         self.action = tuple(action)
-        self._matrices: dict[int, IntMatrix] = {group.identity: IntMatrix.identity(self.n)}
+        # element matrices derived so far; the identity is seeded on first use
+        self._matrices: dict[int, IntMatrix] = {}
         self._validated = False
         self._cover: FreeCover | None = None
         if relations.rows != self.n:
@@ -109,6 +110,8 @@ class GammaModule:
         return self._validated
 
     def _derive(self, g: int) -> IntMatrix:
+        if not self._matrices:
+            self._matrices[self.group.identity] = IntMatrix.identity(self.n)
         return _along_tree(self.group.tree, self._matrices, self.action, g)
 
     def element_matrix(self, g: int) -> IntMatrix:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from wadefect import catalog
 from wadefect.cli import main
+from wadefect.engine import quick_vanish
 from wadefect.scenario_io import (
     SchemaError,
     parse_scenario,
@@ -12,7 +16,7 @@ from wadefect.scenario_io import (
 )
 from wadefect.groups import DEFAULT_ORDER_CAP, GroupError, from_permutations, full_subgroup
 from wadefect.linalg import FinAbInvariants
-from wadefect.modules import norm_one_module
+from wadefect.modules import norm_one_module, validate
 from wadefect.zoo import a4, klein
 
 
@@ -114,6 +118,23 @@ class TestComputeCommand:
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1
         assert capsys.readouterr().err.startswith("schema error:")
+
+    def test_wide_module_answered_without_an_element_matrix(self, tmp_path, capsys):
+        # 133 bytes of rank 2,000 over the trivial group: validate and the
+        # all-cyclic-S shortcut read no element matrix, so the dense
+        # 2,000 x 2,000 identity is never built
+        doc = {
+            "group": {"permutation_generators": []},
+            "module": {"generators": 2000, "relations": [], "action": []},
+            "S": [],
+            "S_complement": [],
+        }
+        sc = parse_scenario(doc)
+        validate(sc.module)
+        assert quick_vanish(sc).shortcut == "all-cyclic-S"
+        assert sc.module._matrices == {}
+        assert main(["compute", write_scenario(tmp_path, doc)]) == 0
+        assert "result: 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "case",
@@ -341,6 +362,26 @@ class TestSelfcheckCommand:
         first = capsys.readouterr().out
         assert main(["selfcheck", "--seed", "11"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestModuleEntryPoint:
+    """`python -m wadefect` from a checkout, through the real process exit."""
+
+    def run(self, *args):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "wadefect", *args], capture_output=True, text=True, env=env)
+
+    def test_selfcheck_passes(self):
+        proc = self.run("selfcheck")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
+
+    def test_missing_file_exits_with_schema_error(self, tmp_path):
+        proc = self.run("compute", str(tmp_path / "missing.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("schema error:")
 
 
 class TestScenarioParsing:

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,7 @@ from wadefect.linalg import (
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
+    cokernel_invariants,
     finite_quotient,
     hermite_column_form,
     hstack,
@@ -349,14 +352,18 @@ def zassenhaus_intersection(B1, B2):
 # The pruned pipeline against the unpruned one: every non-cyclic S entry,
 # every non-cyclic complement entry and every cyclic subgroup, adjoined as
 # given, and the defect taken as N1 / (N1 ∩ N2) rather than (N1 + N2) / N2.
-def unpruned_quotient(Y, s_subgroups, sc_subgroups):
+# `image(H)` may serve the torsion images from a cache.
+def unpruned_quotient(Y, s_subgroups, sc_subgroups, image=None):
     G = Y.group
     base = hermite_column_form(coinvariants(Y, full_subgroup(G)))
+    if image is None:
+        def image(H):
+            return torsion_generators(coinvariants(Y, H))
 
     def joined(subgroups):
         out = base
         for H in subgroups:
-            out = hermite_column_form(hstack([out, torsion_generators(coinvariants(Y, H))]))
+            out = hermite_column_form(hstack([out, image(H)]))
         return out
 
     num = joined(H for H in s_subgroups if not is_cyclic_subgroup(G, H))
@@ -430,8 +437,10 @@ class TestClassRepresentatives:
             cyclic = cyclic_subgroups(G)
             assert (len(cyclic), len(_class_representatives(G, cyclic))) == (total, kept)
 
-    def test_s4_norm_one_defect_takes_five_coinvariants(self, monkeypatch):
-        # the ambient, the full S entry and 3 of the 17 cyclic subgroups
+    def test_s4_norm_one_defect_takes_four_coinvariants(self, monkeypatch):
+        # the ambient, the full S entry and 2 of the 17 cyclic subgroups:
+        # T = Z/2, so the representative of order 3 is dropped before the
+        # containment pruning keeps those of orders 4 and 2
         import wadefect.engine as engine_mod
 
         calls = []
@@ -444,13 +453,14 @@ class TestClassRepresentatives:
         monkeypatch.setattr(engine_mod, "coinvariants", counting)
         G = s4()
         defect(Scenario(G, norm_one_module(G), (full_subgroup(G),), ()), use_shortcuts=False)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
 
 class TestSumQuotient:
     def test_one_hermite_form_per_lattice(self, monkeypatch):
-        # one Hermite form per torsion image, one of D, and two inside
-        # finite_quotient: its preimage and that preimage's cokernel
+        # one Hermite form per torsion image, one of the ambient L_G, one of
+        # D, and two inside finite_quotient: its preimage and that
+        # preimage's cokernel
         import wadefect.engine as engine_mod
         import wadefect.linalg as linalg_mod
 
@@ -474,8 +484,11 @@ class TestSumQuotient:
         sc = Scenario(G, M, (full_subgroup(G),) * 2, (random_subgroup(random.Random(1), G),))
         assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
         assert free_cover(M).kernel is kernel
-        assert len(torsion_calls) >= 4
-        assert len(hnf_calls) == len(torsion_calls) + 3
+        # the full S entry once, and the cyclic representatives of orders 4
+        # and 2; T = Z/2 drops the one of order 3, and the cyclic complement
+        # entry lies in a conjugate of a kept one
+        assert len(torsion_calls) == 3
+        assert len(hnf_calls) == len(torsion_calls) + 4
 
     def test_quotient_receives_the_s_side_images_alone(self, monkeypatch):
         # D is not passed beside the S-side images: finite_quotient forms
@@ -537,3 +550,77 @@ class TestSumQuotient:
             assert got == unpruned_quotient(free_cover(M).kernel, s, scs)
             nontrivial += not got.is_trivial()
         assert nontrivial >= 50
+
+
+class TestImageGate:
+    def test_gate_matches_unpruned_randomized(self, monkeypatch):
+        # Each draw's exit is read independently of the engine from T, the
+        # torsion of the G-coinvariants of the cover kernel: t = 1, every
+        # non-cyclic S entry of order prime to t, the unpruned denominator
+        # already holding sat(L_G), or the quotient.  The engine must take
+        # that exit, computing no image at the first two and no quotient at
+        # the first three, and agree with the unpruned quotient.
+        import wadefect.engine as engine_mod
+
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(engine_mod, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(engine_mod, name, counting)
+
+        spy("torsion_generators")
+        spy("finite_quotient")
+        rng = random.Random(2026)
+        modules = []
+        for G in group_zoo() + [z2_cubed(), s4()]:
+            norm_one = _conjugate(norm_one_module(G), random_unimodular(rng, G.order - 1))
+            modules += [norm_one, random_module(rng, G), random_module(rng, G), relabelled_copy(rng, norm_one)]
+        relations = sum(1 for M in modules if M.relations.cols)
+        table_groups = sum(1 for M in modules if len(M.group.generator_indices) == M.group.order > 2)
+        assert relations >= 5 and table_groups >= 5
+        subgroups, images = {}, {}
+        exits, nontrivial = Counter(), 0
+        for _ in range(400):
+            M = rng.choice(modules)
+            G, Y = M.group, free_cover(M).kernel
+            if id(G) not in subgroups:
+                found = {H.elements: H for H in all_subgroups_2gen(G) + [full_subgroup(G)]}
+                subgroups[id(G)] = [H for H in found.values() if not is_cyclic_subgroup(G, H)] or [full_subgroup(G)]
+            s = tuple(rng.choice(subgroups[id(G)]) if rng.random() < 0.6 else random_subgroup(rng, G)
+                      for _ in range(rng.randint(1, 3)))
+            scs = tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2)))
+
+            def image(H, Y=Y):
+                key = (id(Y), H.elements)
+                if key not in images:
+                    images[key] = torsion_generators(coinvariants(Y, H))
+                return images[key]
+
+            L_G = coinvariants(Y, full_subgroup(G))
+            t = cokernel_invariants(L_G).order
+            den = hermite_column_form(hstack(
+                [L_G] + [image(H) for H in [H for H in scs if not is_cyclic_subgroup(G, H)] + cyclic_subgroups(G)]
+            ))
+            if t == 1:
+                exit_ = "t=1"
+            elif all(math.gcd(H.order, t) == 1 for H in s if not is_cyclic_subgroup(G, H)):
+                exit_ = "coprime"
+            elif ColumnSolver(den).contains(torsion_generators(L_G)):
+                exit_ = "filled"
+            else:
+                exit_ = "quotient"
+            exits[exit_] += 1
+            calls.clear()
+            got = defect(Scenario(G, M, s, scs), use_shortcuts=False).invariants
+            assert got == unpruned_quotient(Y, s, scs, image)
+            assert calls["finite_quotient"] == (exit_ == "quotient")
+            if exit_ in ("t=1", "coprime"):
+                assert calls["torsion_generators"] == 0
+            nontrivial += not got.is_trivial()
+        assert nontrivial >= 50
+        assert min(exits[e] for e in ("t=1", "coprime", "filled", "quotient")) >= 10, exits
