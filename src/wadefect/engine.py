@@ -70,6 +70,7 @@ from .modules import (
     FreeCover,
     GammaModule,
     ModuleError,
+    _cover_shift_rows,
     coinvariants,
     free_cover,
     validate,
@@ -199,27 +200,28 @@ def _image_quotient(
 
 
 def _is_detectably_free(M: GammaModule) -> bool:
-    # relation-free, every element acts by a permutation matrix, and no
-    # nonidentity element fixes a basis vector: then the basis splits into
-    # regular orbits and the module is free
+    # relation-free, the generating positions permute the basis (a validated
+    # relation-free action is invertible, so one 1 per column and zeros
+    # elsewhere make a permutation), and every orbit has |G| elements: by
+    # orbit-stabilizer no nonidentity element fixes a basis vector, so the
+    # basis splits into regular orbits and the module is free
     if M.relations.cols:
         return False
-    G = M.group
-    if M.n % G.order:
-        return False
     validate(M)
-    for g in range(G.order):
-        mat = M.element_matrix(g)
-        images = []
-        for j in range(M.n):
-            col = mat.column(j)
-            ones = [i for i, e in enumerate(col) if e == 1]
-            if len(ones) != 1 or any(e not in (0, 1) for e in col):
-                return False
-            images.append(ones[0])
-        if sorted(images) != list(range(M.n)):
+    perms = []
+    for k in M.group.generating_positions:
+        cols = M.action[k].columns()
+        if any(c.count(1) != 1 or c.count(0) != M.n - 1 for c in cols):
             return False
-        if g != G.identity and any(images[j] == j for j in range(M.n)):
+        perms.append([c.index(1) for c in cols])
+    unseen = set(range(M.n))
+    while unseen:
+        orbit = [unseen.pop()]
+        for x in orbit:
+            step = {p[x] for p in perms} & unseen
+            unseen -= step
+            orbit += step
+        if len(orbit) != M.group.order:
             return False
     return True
 
@@ -280,18 +282,34 @@ def ch1_torus(
 def verify_cover(cover: FreeCover) -> None:
     """Deep consistency checks for a free cover; raises AssertionError on failure.
 
-    The kernel action must satisfy the group law exactly.  `free_cover`
-    marks its kernel validated by construction, so the law is checked on a
-    fresh module built from the kernel's action: `validate` checks it along
-    `G.tree`, on every (element, generating position) pair and once per
-    designated generator.  The projection must kill the kernel modulo the
-    module relations.
+    The kernel action is pinned by the identity that defines it.  Let B be
+    `kernel_basis` and P_g left translation by g on Z[G]^d, which
+    `free_cover` solves against.  Each generating position k must have
+    B A[k] = P_{s_k} B, and every other designated generator j must have
+    A[j] = D[s_j], the matrix `Y.element_matrix` derives along `G.tree`
+    from the generating positions' matrices.  The projection must kill the
+    kernel modulo the module relations.
+
+    These checks fix every derived matrix, and the group law then holds
+    exactly.  g -> P_g is a representation, so from D[e] = I and
+    D[p s_k] = D[p] A[k], induction down the tree gives B D[g] = P_g B for
+    every g: B D[p s_k] = P_p B A[k] = P_p P_{s_k} B = P_{p s_k} B.  Then
+    B D[g] D[h] = P_g P_h B = P_{gh} B = B D[gh], and B has full column
+    rank (a Hermite basis: its columns have distinct pivot rows), so
+    D[g] D[h] = D[gh].  A check of the law alone would accept any lawful
+    action, such as identity matrices or a conjugate of the true one.
     """
     Y = cover.kernel
-    try:
-        validate(GammaModule(Y.group, Y.n, Y.relations, Y.action))
-    except ModuleError as exc:
-        raise AssertionError(f"cover kernel: {exc}") from exc
+    G = Y.group
+    B = cover.kernel_basis
+    d = cover.cover_rank // G.order
+    gens = G.generator_indices
+    for k in G.generating_positions:
+        if B @ Y.action[k] != _cover_shift_rows(G, d, B, gens[k]):
+            raise AssertionError(f"cover kernel: generator {k} does not act by left translation")
+    for k, g in enumerate(gens):
+        if k not in G.generating_positions and Y.action[k] != Y.element_matrix(g):
+            raise AssertionError(f"cover kernel: generator {k} disagrees with its derived matrix")
     rel = ColumnSolver(cover.module.relations)
-    if not rel.contains(cover.projection @ cover.kernel_basis):
+    if not rel.contains(cover.projection @ B):
         raise AssertionError("projection does not kill the cover kernel")

@@ -81,8 +81,10 @@ class IntMatrix:
     """Immutable dense matrix over the integers, stored row-major.
 
     The public constructors coerce every entry with `int` and check the
-    count; results computed here from other matrices (products, sums,
-    stacks, normal forms, solves) are ints already and skip both.
+    count.  `_trusted` skips both, for entries the package makes as ints
+    itself: results computed here from other matrices (products, sums,
+    stacks, normal forms, solves), and in `modules` the stock builders and
+    the left translations of a cover kernel basis.
     """
 
     __slots__ = ("rows", "cols", "entries")

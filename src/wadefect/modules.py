@@ -8,7 +8,9 @@ to satisfy the group law modulo the relation lattice.  A relation-free
 module is a lattice, and its action matrices satisfy the group law
 exactly.  :func:`validate` checks the law once per module.  :func:`free_cover`
 builds one cover per module; its kernel is valid by construction, so only
-`engine.verify_cover` checks its law, on a fresh copy.
+`engine.verify_cover` checks it, against the left translation that defines
+it.  The stock modules are relation-free and come from one builder, each
+from a rule giving the (row, entry) pairs of every generator's columns.
 
 The homology entry points are :func:`h1` (through a free cover
 0 -> Y -> Z[G]^d -> M -> 0 on a greedy generating set of M: H_1 of M is
@@ -210,7 +212,7 @@ def _cover_shift_rows(G: CayleyGroup, d: int, B: IntMatrix, g: int) -> IntMatrix
         target = G.table[g][h]
         for k in range(d):
             rows[target * d + k] = B.row(h * d + k)
-    return IntMatrix.from_rows(rows, cols=B.cols)
+    return IntMatrix._trusted(B.rows, B.cols, chain.from_iterable(rows))
 
 
 def free_cover(M: GammaModule) -> "FreeCover":
@@ -413,6 +415,27 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     return finite_quotient(preimage(d1_rows, M.relations), block)
 
 
+def _relation_free(G: CayleyGroup, n: int, column) -> GammaModule:
+    # the relation-free rank-n module in which designated generator h sends
+    # e_j to the sum of entry * e_row over the (row, entry) pairs of
+    # column(h, j); every entry is an int made here, so nothing is coerced
+    action = []
+    for h in G.generator_indices:
+        entries = [0] * (n * n)
+        for j in range(n):
+            for r, e in column(h, j):
+                entries[r * n + j] += e
+        action.append(IntMatrix._trusted(n, n, entries))
+    return GammaModule(G, n, IntMatrix._trusted(n, 0, ()), action)
+
+
+def _block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    # [[a, 0], [0, b]]; a row-major matrix stacks by concatenating its rows
+    right, left = (0,) * b.cols, (0,) * a.cols
+    rows = [a.row(i) + right for i in range(a.rows)] + [left + b.row(i) for i in range(b.rows)]
+    return IntMatrix._trusted(a.rows + b.rows, a.cols + b.cols, chain.from_iterable(rows))
+
+
 def norm_one_module(G: CayleyGroup) -> GammaModule:
     """Augmentation-kernel module of rank |G| - 1.
 
@@ -421,20 +444,12 @@ def norm_one_module(G: CayleyGroup) -> GammaModule:
     """
     basis = [g for g in range(G.order) if g != G.identity]
     pos = {g: i for i, g in enumerate(basis)}
-    n = len(basis)
-    action = []
-    for h in G.generator_indices:
-        cols = []
-        for g in basis:
-            col = [0] * n
-            hg = G.table[h][g]
-            if hg != G.identity:
-                col[pos[hg]] += 1
-            if h != G.identity:
-                col[pos[h]] -= 1
-            cols.append(col)
-        action.append(IntMatrix.from_columns(cols, rows=n))
-    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+
+    def column(h: int, j: int) -> list[tuple[int, int]]:
+        hg = G.table[h][basis[j]]
+        return [(pos[x], s) for x, s in ((hg, 1), (h, -1)) if x != G.identity]
+
+    return _relation_free(G, len(basis), column)
 
 
 def induced_module(G: CayleyGroup, delta: Subgroup) -> GammaModule:
@@ -453,52 +468,24 @@ def induced_module(G: CayleyGroup, delta: Subgroup) -> GammaModule:
         for d in delta.elements:
             coset_of[G.table[g][d]] = len(reps)
         reps.append(g)
-    n = len(reps)
-    action = []
-    for h in G.generator_indices:
-        cols = []
-        for rep in reps:
-            col = [0] * n
-            col[coset_of[G.table[h][rep]]] = 1
-            cols.append(col)
-        action.append(IntMatrix.from_columns(cols, rows=n))
-    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+    return _relation_free(G, len(reps), lambda h, j: [(coset_of[G.table[h][reps[j]]], 1)])
 
 
 def trivial_module(G: CayleyGroup, rank: int = 1) -> GammaModule:
-    ident = IntMatrix.identity(rank)
-    return GammaModule(G, rank, IntMatrix(rank, 0, ()), [ident] * len(G.generator_indices))
+    return _relation_free(G, rank, lambda h, j: [(j, 1)])
 
 
 def free_module(G: CayleyGroup, copies: int = 1) -> GammaModule:
     """Z[G]^copies with the left regular action, basis (copy, element)."""
     N = G.order
-    n = N * copies
-    action = []
-    for h in G.generator_indices:
-        cols = []
-        for c in range(copies):
-            for g in range(N):
-                col = [0] * n
-                col[c * N + G.table[h][g]] = 1
-                cols.append(col)
-        action.append(IntMatrix.from_columns(cols, rows=n))
-    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+    return _relation_free(G, N * copies, lambda h, j: [(j - j % N + G.table[h][j % N], 1)])
 
 
 def direct_sum(M1: GammaModule, M2: GammaModule) -> GammaModule:
     if M1.group is not M2.group:
         raise ModuleError("direct sum requires modules over the same group")
-    n = M1.n + M2.n
-    rel_cols = [tuple(c) + (0,) * M2.n for c in M1.relations.columns()]
-    rel_cols += [(0,) * M1.n + tuple(c) for c in M2.relations.columns()]
-    relations = IntMatrix.from_columns(rel_cols, rows=n) if rel_cols else IntMatrix(n, 0, ())
-    action = []
-    for a, b in zip(M1.action, M2.action):
-        cols = [tuple(c) + (0,) * M2.n for c in a.columns()]
-        cols += [(0,) * M1.n + tuple(c) for c in b.columns()]
-        action.append(IntMatrix.from_columns(cols, rows=n))
-    return GammaModule(M1.group, n, relations, action)
+    action = [_block_diagonal(a, b) for a, b in zip(M1.action, M2.action)]
+    return GammaModule(M1.group, M1.n + M2.n, _block_diagonal(M1.relations, M2.relations), action)
 
 
 def with_doubled_generators(M: GammaModule) -> GammaModule:
@@ -511,17 +498,10 @@ def with_doubled_generators(M: GammaModule) -> GammaModule:
     rank and the same kernel basis.
     """
     n = M.n
-    n2 = 2 * n
-    rel_cols = [tuple(c) + (0,) * n for c in M.relations.columns()]
-    for i in range(n):
-        col = [0] * n2
-        col[i] = 1
-        col[n + i] = -1
-        rel_cols.append(tuple(col))
-    relations = IntMatrix.from_columns(rel_cols, rows=n2)
-    action = []
-    for a in M.action:
-        cols = [tuple(c) + (0,) * n for c in a.columns()]
-        cols += [(0,) * n + tuple(c) for c in a.columns()]
-        action.append(IntMatrix.from_columns(cols, rows=n2))
-    return GammaModule(M.group, n2, relations, action)
+    ident = IntMatrix.identity(n)
+    # [M.relations on the first copy | e_i - e_(n+i)]
+    relations = hstack([
+        _block_diagonal(M.relations, IntMatrix._trusted(n, 0, ())),
+        IntMatrix._trusted(2 * n, n, ident.entries + (-ident).entries),
+    ])
+    return GammaModule(M.group, 2 * n, relations, [_block_diagonal(a, a) for a in M.action])

@@ -4,7 +4,9 @@ Everything here deliberately avoids the normal-form machinery it is used to
 check: determinants come from fraction-free elimination, kernels and
 preimages from box enumeration, quotient orders from coset enumeration,
 subgroup counts from raw closure, and the Hermite form from row-by-row
-Euclid.  The selfcheck command and the test suite both lean on these.
+Euclid; box search and coset enumeration reduce against that Hermite form.
+Of `linalg` only the matrix type is used.  The selfcheck command and the
+test suite both lean on these.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 from .groups import CayleyGroup, Subgroup, subgroup_closure
-from .linalg import IntMatrix, hermite_column_form
+from .linalg import IntMatrix
 
 __all__ = [
     "det_bareiss",
@@ -161,17 +163,12 @@ def box_preimage_vectors(M: IntMatrix, R: IntMatrix, bound: int) -> list[tuple[i
     return out
 
 
-def coset_count(num: IntMatrix, den_hnf: IntMatrix, limit: int = 100000) -> int:
-    """Number of cosets of span(den_hnf) met by span(num), by breadth-first closure.
-
-    `den_hnf` must already be in column Hermite form with full row support on
-    its pivot rows for residues to be finite; raises if `limit` is hit.
-    """
-    pivots = _pivots(den_hnf)
-    zero = tuple([0] * num.rows)
-    seen = {_reduce_mod(list(zero), pivots)}
-    frontier = [next(iter(seen))]
-    gens = [num.column(j) for j in range(num.cols)]
+def _cosets(num: IntMatrix, pivots: dict[int, tuple[int, ...]], limit: int) -> set[tuple[int, ...]]:
+    # the cosets met by span(num), each as its residue against the pivots of
+    # a Hermite form of the lattice, by breadth-first closure
+    gens = num.columns()
+    seen = {(0,) * num.rows}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for rep in frontier:
@@ -184,7 +181,15 @@ def coset_count(num: IntMatrix, den_hnf: IntMatrix, limit: int = 100000) -> int:
                         seen.add(cand)
                         nxt.append(cand)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def coset_count(num: IntMatrix, den: IntMatrix, limit: int = 100000) -> int:
+    """Number of cosets of span(den) met by span(num), by breadth-first closure.
+
+    Raises when `limit` is hit, as it is when that number is infinite.
+    """
+    return len(_cosets(num, _pivots(hermite_reference(den)), limit))
 
 
 def all_subgroups_2gen(G: CayleyGroup) -> list[Subgroup]:
@@ -219,32 +224,11 @@ def quotient_element_orders(relations: IntMatrix, limit: int = 100000) -> list[i
     invariants on small finite quotients.
     """
     n = relations.rows
-    pivots: dict[int, tuple[int, ...]] = {}
-    hnf = hermite_column_form(relations)
-    for j in range(hnf.cols):
-        col = hnf.column(j)
-        r = next(i for i, e in enumerate(col) if e)
-        pivots[r] = col
+    pivots = _pivots(hermite_reference(relations))
     if len(pivots) != n:
         raise RuntimeError("quotient is infinite")
-    zero = tuple([0] * n)
-    seen = {zero}
-    frontier = [zero]
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for g in units:
-                for s in (1, -1):
-                    cand = _reduce_mod([a + s * b for a, b in zip(rep, g)], pivots)
-                    if cand not in seen:
-                        if len(seen) >= limit:
-                            raise RuntimeError("coset enumeration limit hit")
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
     orders = []
-    for rep in seen:
+    for rep in _cosets(IntMatrix.identity(n), pivots, limit):
         k = 1
         acc = rep
         while any(acc):

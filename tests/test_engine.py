@@ -9,6 +9,7 @@ from wadefect.engine import (
     Scenario,
     ScenarioError,
     _class_representatives,
+    _is_detectably_free,
     ch1_torus,
     defect,
     quick_vanish,
@@ -43,9 +44,11 @@ from wadefect.modules import (
     direct_sum,
     free_cover,
     free_module,
+    h1,
     induced_module,
     norm_one_module,
     trivial_module,
+    validate,
 )
 from wadefect.oracles import all_subgroups_2gen
 from wadefect.zoo import (
@@ -174,6 +177,45 @@ class TestQuickVanish:
         M = induced_module(G, subgroup_closure(G, (1,)))
         sc = Scenario(G, M, (full_subgroup(G),), ())
         assert quick_vanish(sc) is None
+
+
+    def test_generator_orbits_match_the_element_scan(self):
+        # the shortcut reads the generating positions only; the reference
+        # scans every element matrix for a fixed-point-free permutation action
+        def element_scan(M):
+            if M.relations.cols or M.n % M.group.order:
+                return False
+            G = M.group
+            for g in range(G.order):
+                mat = M.element_matrix(g)
+                images = []
+                for j in range(M.n):
+                    col = mat.column(j)
+                    ones = [i for i, e in enumerate(col) if e == 1]
+                    if len(ones) != 1 or any(e not in (0, 1) for e in col):
+                        return False
+                    images.append(ones[0])
+                if sorted(images) != list(range(M.n)):
+                    return False
+                if g != G.identity and any(images[j] == j for j in range(M.n)):
+                    return False
+            return True
+
+        rng = random.Random(503)
+        checked = free = 0
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                subgroups = [trivial_subgroup(G), full_subgroup(G)] + cyclic_subgroups(G)
+                modules = [free_module(G, k) for k in (1, 2, 3)]
+                modules += [induced_module(G, H) for H in subgroups]
+                modules += [direct_sum(free_module(G), induced_module(G, H)) for H in subgroups]
+                modules += [random_module(rng, G) for _ in range(16)]
+                for M in modules:
+                    expected = element_scan(M)
+                    assert _is_detectably_free(M) == expected, (G.order, M.n)
+                    checked += 1
+                    free += expected
+        assert checked >= 500 and 100 <= free < checked
 
 
 class TestReduceToNoncyclic:
@@ -325,6 +367,46 @@ def test_verify_cover_catches_a_corrupted_trusted_kernel():
     assert Y.validated
     with pytest.raises(AssertionError):
         verify_cover(cover)
+
+
+def test_verify_cover_rejects_an_identity_kernel_action():
+    # identity matrices obey the group law, so a law check alone accepts
+    # them, and H_1 then reads 0 instead of Z/2
+    G = klein()
+    M = norm_one_module(G)
+    cover = free_cover(M)
+    assert h1(M, full_subgroup(G)) == FinAbInvariants((2,))
+    Y = cover.kernel
+    Y.action = tuple(IntMatrix.identity(Y.n) for _ in Y.action)
+    Y._matrices.clear()
+    validate(GammaModule(G, Y.n, Y.relations, Y.action))
+    assert h1(M, full_subgroup(G)) == FinAbInvariants()
+    with pytest.raises(AssertionError, match="left translation"):
+        verify_cover(cover)
+
+
+def test_verify_cover_rejects_conjugated_kernels():
+    # a unimodular conjugate of the kernel action is lawful but no longer
+    # the left translation on the kernel basis
+    rng = random.Random(9)
+    rejected = 0
+    for P in group_zoo():
+        for G in (P, from_table(P.table)):
+            for M in (norm_one_module(G), trivial_module(G, 2)):
+                cover = free_cover(M)
+                Y = cover.kernel
+                if Y.n < 2:
+                    continue
+                conjugate = _conjugate(Y, random_unimodular(rng, Y.n))
+                if conjugate.action == Y.action:
+                    continue
+                validate(GammaModule(G, Y.n, Y.relations, conjugate.action))
+                Y.action = conjugate.action
+                Y._matrices.clear()
+                with pytest.raises(AssertionError, match="cover kernel"):
+                    verify_cover(cover)
+                rejected += 1
+    assert rejected >= 20
 
 
 def test_s4_norm_one_defect_derives_few_kernel_matrices():

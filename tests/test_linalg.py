@@ -703,6 +703,35 @@ class TestFiniteQuotient:
         assert len(calls) == 2
 
 
+class TestOracles:
+    def test_oracles_bind_no_linalg_routine_but_intmatrix(self):
+        # the oracles check linalg, so they may share its matrix type only
+        import wadefect.linalg
+        import wadefect.oracles
+
+        bound = {
+            name
+            for name, obj in vars(wadefect.oracles).items()
+            if obj is wadefect.linalg or getattr(obj, "__module__", None) == "wadefect.linalg"
+        }
+        assert bound == {"IntMatrix"}
+
+    def test_coset_count_takes_any_denominator(self):
+        # no Hermite form is asked of the caller: Z^n / span(den) has |det| elements
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            den = IntMatrix(n, n, (rng.randint(-3, 3) for _ in range(n * n)))
+            d = abs(det_bareiss(den))
+            if not 1 < d <= 150 or den == hermite_column_form(den):
+                continue
+            assert coset_count(IntMatrix.identity(n), den) == d
+            assert len(quotient_element_orders(den)) == d
+            checked += 1
+        assert checked >= 20
+
+
 class TestFinAbInvariants:
     def test_chain_enforced(self):
         with pytest.raises(ValueError):

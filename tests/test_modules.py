@@ -796,6 +796,97 @@ class TestBarReach:
             assert got == h1(M, full_subgroup(G)) == FinAbInvariants(expected)
 
 
+def reference_norm_one(G):
+    # the stock builders as they were written column by column through the
+    # public IntMatrix constructors, kept as the reference for the one builder
+    basis = [g for g in range(G.order) if g != G.identity]
+    pos = {g: i for i, g in enumerate(basis)}
+    n = len(basis)
+    action = []
+    for h in G.generator_indices:
+        cols = []
+        for g in basis:
+            col = [0] * n
+            hg = G.table[h][g]
+            if hg != G.identity:
+                col[pos[hg]] += 1
+            if h != G.identity:
+                col[pos[h]] -= 1
+            cols.append(col)
+        action.append(IntMatrix.from_columns(cols, rows=n))
+    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+
+
+def reference_induced(G, delta):
+    coset_of, reps = {}, []
+    for g in range(G.order):
+        if g in coset_of:
+            continue
+        for d in delta.elements:
+            coset_of[G.table[g][d]] = len(reps)
+        reps.append(g)
+    n = len(reps)
+    action = []
+    for h in G.generator_indices:
+        cols = []
+        for rep in reps:
+            col = [0] * n
+            col[coset_of[G.table[h][rep]]] = 1
+            cols.append(col)
+        action.append(IntMatrix.from_columns(cols, rows=n))
+    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+
+
+def reference_trivial(G, rank):
+    return GammaModule(G, rank, IntMatrix(rank, 0, ()), [IntMatrix.identity(rank)] * len(G.generator_indices))
+
+
+def reference_free(G, copies):
+    N = G.order
+    n = N * copies
+    action = []
+    for h in G.generator_indices:
+        cols = []
+        for c in range(copies):
+            for g in range(N):
+                col = [0] * n
+                col[c * N + G.table[h][g]] = 1
+                cols.append(col)
+        action.append(IntMatrix.from_columns(cols, rows=n))
+    return GammaModule(G, n, IntMatrix(n, 0, ()), action)
+
+
+def reference_direct_sum(M1, M2):
+    n = M1.n + M2.n
+    rel_cols = [tuple(c) + (0,) * M2.n for c in M1.relations.columns()]
+    rel_cols += [(0,) * M1.n + tuple(c) for c in M2.relations.columns()]
+    relations = IntMatrix.from_columns(rel_cols, rows=n) if rel_cols else IntMatrix(n, 0, ())
+    action = []
+    for a, b in zip(M1.action, M2.action):
+        cols = [tuple(c) + (0,) * M2.n for c in a.columns()]
+        cols += [(0,) * M1.n + tuple(c) for c in b.columns()]
+        action.append(IntMatrix.from_columns(cols, rows=n))
+    return GammaModule(M1.group, n, relations, action)
+
+
+def reference_doubled(M):
+    n = M.n
+    n2 = 2 * n
+    rel_cols = [tuple(c) + (0,) * n for c in M.relations.columns()]
+    for i in range(n):
+        col = [0] * n2
+        col[i] = 1
+        col[n + i] = -1
+        rel_cols.append(tuple(col))
+    relations = IntMatrix.from_columns(rel_cols, rows=n2)
+    action = []
+    for a in M.action:
+        cols = [tuple(c) + (0,) * n for c in a.columns()]
+        cols += [(0,) * n + tuple(c) for c in a.columns()]
+        action.append(IntMatrix.from_columns(cols, rows=n2))
+    return GammaModule(M.group, n2, relations, action)
+
+
 class TestConstructions:
     def test_norm_one_trivial_group(self):
         assert norm_one_module(cyclic(1)).n == 0
@@ -847,3 +938,29 @@ class TestConstructions:
         M = GammaModule(G, 1, IntMatrix.from_columns([(2,)], rows=1), [IntMatrix.identity(1)])
         with pytest.raises(ModuleError):
             tate_h_minus1(M, full_subgroup(G))
+
+    def test_builders_match_the_reference_constructions(self):
+        # every stock builder against its column-by-column reference, entry
+        # for entry, over the zoo groups and their table copies
+        def same(M, R):
+            assert (M.group, M.n, M.relations, M.action) == (R.group, R.n, R.relations, R.action)
+            assert all(type(e) is int for m in (M.relations, *M.action) for e in m.entries)
+
+        rng = random.Random(97)
+        compared = 0
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                pairs = [(norm_one_module(G), reference_norm_one(G))]
+                for H in [trivial_subgroup(G), full_subgroup(G)] + cyclic_subgroups(G):
+                    pairs.append((induced_module(G, H), reference_induced(G, H)))
+                for k in (1, 2, 3):
+                    pairs.append((trivial_module(G, k), reference_trivial(G, k)))
+                    pairs.append((free_module(G, k), reference_free(G, k)))
+                draws = [random_module(rng, G) for _ in range(3)] + [norm_one_module(G)]
+                for A, B in zip(draws, draws[1:] + draws[:1]):
+                    pairs.append((direct_sum(A, B), reference_direct_sum(A, B)))
+                    pairs.append((with_doubled_generators(A), reference_doubled(A)))
+                for M, R in pairs:
+                    same(M, R)
+                compared += len(pairs)
+        assert compared > 300
