@@ -17,87 +17,55 @@ __all__ = ["CATALOG_EXPECTED", "catalog_names", "catalog_document", "describe"]
 
 KLEIN_GENS = [[1, 0, 3, 2], [2, 3, 0, 1]]
 
-_DESCRIPTIONS = {
+# name -> (description, module over the Klein group, full places in S,
+# full places over the complement, invariant factors selfcheck re-checks)
+_ENTRIES = {
     "klein-norm-one-both-places": (
         "Klein four-group, norm-one module of rank 3; S holds both places with "
-        "full decomposition group, nothing non-cyclic over the complement."
+        "full decomposition group, nothing non-cyclic over the complement.",
+        norm_one_module, 2, 0, (2,),
     ),
     "klein-norm-one-one-place": (
         "Same module, but S holds only one of the two full places; the other "
-        "one lies over the complement and kills the defect."
+        "one lies over the complement and kills the defect.",
+        norm_one_module, 1, 1, (),
     ),
     "klein-norm-one-complement-full": (
         "Both full places in S and the full group also listed over the "
-        "complement; the defect vanishes."
+        "complement; the defect vanishes.",
+        norm_one_module, 2, 1, (),
     ),
     "quasi-trivial-free": (
         "Free module Z[G] over the Klein four-group; the defect vanishes for "
-        "every choice of places."
+        "every choice of places.",
+        free_module, 2, 0, (),
     ),
     "perm-module-coset": (
         "Coset permutation module of rank 2 over the Klein four-group (an "
-        "induced, hence quasi-trivial, torus); the defect vanishes."
+        "induced, hence quasi-trivial, torus); the defect vanishes.",
+        lambda G: induced_module(G, subgroup_closure(G, (1,))), 1, 0, (),
     ),
 }
 
-# invariant factors each entry must produce, re-checked by selfcheck
-CATALOG_EXPECTED = {
-    "klein-norm-one-both-places": (2,),
-    "klein-norm-one-one-place": (),
-    "klein-norm-one-complement-full": (),
-    "quasi-trivial-free": (),
-    "perm-module-coset": (),
-}
-
-
-def _klein_norm_one(s_full: int, sc_full: int) -> dict:
-    G = klein()
-    full = full_subgroup(G)
-    return scenario_document(
-        permutation_generators=KLEIN_GENS,
-        module=norm_one_module(G),
-        s_subgroups=[full] * s_full,
-        sc_subgroups=[full] * sc_full,
-    )
-
-
-def _build(name: str) -> dict:
-    G = klein()
-    full = full_subgroup(G)
-    if name == "klein-norm-one-both-places":
-        return _klein_norm_one(2, 0)
-    if name == "klein-norm-one-one-place":
-        return _klein_norm_one(1, 1)
-    if name == "klein-norm-one-complement-full":
-        return _klein_norm_one(2, 1)
-    if name == "quasi-trivial-free":
-        return scenario_document(
-            permutation_generators=KLEIN_GENS,
-            module=free_module(G),
-            s_subgroups=[full, full],
-            sc_subgroups=[],
-        )
-    if name == "perm-module-coset":
-        order2 = subgroup_closure(G, (1,))
-        return scenario_document(
-            permutation_generators=KLEIN_GENS,
-            module=induced_module(G, order2),
-            s_subgroups=[full],
-            sc_subgroups=[],
-        )
-    raise KeyError(name)
+CATALOG_EXPECTED = {name: entry[4] for name, entry in _ENTRIES.items()}
 
 
 def catalog_names() -> list[str]:
-    return sorted(_DESCRIPTIONS)
+    return sorted(_ENTRIES)
 
 
 def describe(name: str) -> str:
-    return _DESCRIPTIONS[name]
+    return _ENTRIES[name][0]
 
 
 def catalog_document(name: str) -> dict:
     """The scenario document for a catalog entry; KeyError for unknown names."""
-    if name not in _DESCRIPTIONS:
-        raise KeyError(name)
-    return _build(name)
+    _, module, s_full, sc_full, _ = _ENTRIES[name]
+    G = klein()
+    full = full_subgroup(G)
+    return scenario_document(
+        permutation_generators=KLEIN_GENS,
+        module=module(G),
+        s_subgroups=[full] * s_full,
+        sc_subgroups=[full] * sc_full,
+    )

@@ -17,7 +17,7 @@ from . import catalog
 from .engine import Scenario, ScenarioError, defect, verify_cover
 from .groups import DEFAULT_ORDER_CAP, GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
 from .linalg import FinAbInvariants
-from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar, tate_h_minus1
+from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar
 from .scenario_io import SchemaError, dumps_result, load_scenario, render_text, result_document
 from .selfcheck import run_selfcheck
 
@@ -82,9 +82,8 @@ def _cmd_compute(args) -> int:
     result = defect(sc)
     t2 = time.perf_counter()
     if args.oracle == "bar":
-        kernel = free_cover(sc.module).kernel
         for H in _oracle_subgroups(sc):
-            _check_bar(sc.module, H, tate_h_minus1(kernel, H))
+            _check_bar(sc.module, H, h1(sc.module, H))
     doc = result_document(
         result.invariants,
         shortcut=result.shortcut,

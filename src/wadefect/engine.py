@@ -267,15 +267,11 @@ def ch1_torus(
     sc_subgroups: Sequence[Subgroup],
 ) -> FinAbInvariants:
     """Torus-side pipeline: the cocharacter lattice is used directly, no cover."""
-    if y_module.group is not group:
-        raise ScenarioError("cocharacter module is defined over a different group object")
     if y_module.relations.cols:
         raise ModuleError("a torus cocharacter module must be relation-free")
-    validate(y_module)
-    for k, H in enumerate(tuple(s_subgroups) + tuple(sc_subgroups)):
-        if not is_subgroup(group, H):
-            raise ScenarioError(f"subgroup {k} is not a subgroup of the group")
-    inv, _ = _image_quotient(y_module, tuple(s_subgroups), tuple(sc_subgroups))
+    sc = Scenario(group, y_module, s_subgroups, sc_subgroups)
+    validate_scenario(sc)
+    inv, _ = _image_quotient(y_module, sc.s_subgroups, sc.sc_subgroups)
     return inv
 
 

@@ -13,6 +13,7 @@ acts by (x*y)(i) = x(y(i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Sequence
 
 from .linalg import FinAbInvariants
@@ -180,22 +181,19 @@ def from_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
                 raise GroupError(f"table entry {e!r} out of range 0..{n - 1}")
     _validate_latin(rows)
     identity = _find_identity(rows)
-    bad = _light_associativity(rows, _span(rows, identity, range(n))[0])
+    # an associative Latin square with an identity is a group, so each row's
+    # identity entry is a two-sided inverse; every element is designated
+    G = CayleyGroup(
+        table=rows,
+        identity=identity,
+        inverses=[row.index(identity) for row in rows],
+        generator_indices=range(n),
+    )
+    bad = _light_associativity(G.table, G.generating_positions)
     if bad is not None:
         x, a, y = bad
         raise GroupError(f"associativity fails on ({x}, {a}, {y})")
-    inverses = []
-    for i in range(n):
-        j = rows[i].index(identity)
-        if rows[j][i] != identity:
-            raise GroupError(f"element {i} has no two-sided inverse")
-        inverses.append(j)
-    return CayleyGroup(
-        table=rows,
-        identity=identity,
-        inverses=inverses,
-        generator_indices=range(n),
-    )
+    return G
 
 
 def from_permutations(gens: Sequence[Sequence[int]], *, order_cap: int = DEFAULT_ORDER_CAP) -> CayleyGroup:
@@ -322,61 +320,39 @@ def subgroup_cayley(G: CayleyGroup, H: Subgroup) -> CayleyGroup:
     return from_table(table)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _exact_log(value: int, p: int) -> int:
-    e = 0
-    while value > 1:
-        if value % p:
-            raise AssertionError(f"{value} is not a power of {p}")
-        value //= p
-        e += 1
-    return e
+def _left_cosets(G: CayleyGroup, elements: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """(coset index of each element, least element of each coset) for the left cosets g H, in element order."""
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for g in range(G.order):
+        if g not in coset_of:
+            for h in elements:
+                coset_of[G.table[g][h]] = len(reps)
+            reps.append(g)
+    return coset_of, reps
 
 
 def _invariants_from_orders(orders: Sequence[int]) -> FinAbInvariants:
-    """Invariant factors of a finite abelian group from its element orders."""
-    size = len(orders)
-    if size == 1:
-        return FinAbInvariants()
-    per_prime: dict[int, list[int]] = {}
-    for p in _prime_factors(size):
-        # lam_conj[j-1] = number of cyclic p-power factors of order >= p^j,
-        # read off from counts of elements killed by p^j
-        lam_conj: list[int] = []
-        prev = 0
-        j = 1
-        while True:
-            killed = sum(1 for o in orders if p**j % o == 0)
-            exponent = _exact_log(killed, p)
-            if exponent == prev:
-                break
-            lam_conj.append(exponent - prev)
-            prev = exponent
-            j += 1
-        lam = [sum(1 for c in lam_conj if c >= i) for i in range(1, lam_conj[0] + 1)] if lam_conj else []
-        per_prime[p] = lam
-    width = max((len(v) for v in per_prime.values()), default=0)
-    descending = []
-    for i in range(width):
-        d = 1
-        for p, lam in per_prime.items():
-            if i < len(lam):
-                d *= p ** lam[i]
-        descending.append(d)
-    return FinAbInvariants(factors=tuple(reversed(descending)))
+    """Invariant factors of a finite abelian group A from the orders of its elements.
+
+    The exponent e of A is its largest invariant factor, so A ≅ Z/e ⊕ A′
+    and the other factors are those of A′.  The count of a with m·a = 0
+    is multiplicative over direct sums and is gcd(m, d) in Z/d, so in A′
+    it is A's count divided by the product of gcd(m, d) over the factors
+    d taken so far.  m kills A′ exactly when that count is |A′|, so the
+    exponent of A′, which divides |A′|, is the least such divisor m of
+    |A′|.  The factors come off largest first.
+    """
+    factors: list[int] = []
+    rest = len(orders)
+    while rest > 1:
+        e = next(
+            m for m in range(2, rest + 1)
+            if rest % m == 0 and sum(m % o == 0 for o in orders) // prod(gcd(m, d) for d in factors) == rest
+        )
+        factors.append(e)
+        rest //= e
+    return FinAbInvariants(factors=tuple(reversed(factors)))
 
 
 def abelianization(G: CayleyGroup) -> FinAbInvariants:
@@ -391,20 +367,13 @@ def abelianization(G: CayleyGroup) -> FinAbInvariants:
         ainv = G.inverses[a]
         for b in range(G.order):
             comms.add(G.table[G.table[G.table[a][b]][ainv]][G.inverses[b]])
-    K = set(subgroup_closure(G, sorted(comms)).elements)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in range(G.order):
-        if x in coset_of:
-            continue
-        for k in K:
-            coset_of[G.table[x][k]] = len(reps)
-        reps.append(x)
+    coset_of, reps = _left_cosets(G, subgroup_closure(G, sorted(comms)).elements)
+    commutators = coset_of[G.identity]
     orders = []
     for a in reps:
         x = a
         k = 1
-        while x not in K:
+        while coset_of[x] != commutators:
             x = G.table[x][a]
             k += 1
         orders.append(k)

@@ -27,7 +27,7 @@ from itertools import chain
 from operator import add, sub
 from typing import Sequence
 
-from .groups import CayleyGroup, GroupError, Subgroup, subgroup_closure
+from .groups import CayleyGroup, GroupError, Subgroup, _left_cosets, subgroup_closure
 from .linalg import (
     ColumnSolver,
     ContainmentError,
@@ -234,7 +234,8 @@ def free_cover(M: GammaModule) -> "FreeCover":
     projection, so it comes out saturated and in canonical form.  The kernel
     action is solved for the generating positions only; the kernel's law
     holds exactly, so the other designated generators' matrices are derived
-    along `G.tree`.  The cover is built once per module and cached on it.
+    along `G.tree`, and the kernel keeps them and the identity as its
+    element matrices.  The cover is built once per module and cached on it.
     """
     if M._cover is not None:
         return M._cover
@@ -273,6 +274,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
         for k, g in enumerate(gens)
     ]
     kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), matrices)
+    kernel._matrices = derived
     kernel._validated = True
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
     return M._cover
@@ -460,14 +462,7 @@ def induced_module(G: CayleyGroup, delta: Subgroup) -> GammaModule:
     """
     if subgroup_closure(G, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in range(G.order):
-        if g in coset_of:
-            continue
-        for d in delta.elements:
-            coset_of[G.table[g][d]] = len(reps)
-        reps.append(g)
+    coset_of, reps = _left_cosets(G, delta.elements)
     return _relation_free(G, len(reps), lambda h, j: [(coset_of[G.table[h][reps[j]]], 1)])
 
 

@@ -163,7 +163,7 @@ def box_preimage_vectors(M: IntMatrix, R: IntMatrix, bound: int) -> list[tuple[i
     return out
 
 
-def _cosets(num: IntMatrix, pivots: dict[int, tuple[int, ...]], limit: int) -> set[tuple[int, ...]]:
+def _cosets(num: IntMatrix, pivots: dict[int, tuple[int, ...]]) -> set[tuple[int, ...]]:
     # the cosets met by span(num), each as its residue against the pivots of
     # a Hermite form of the lattice, by breadth-first closure
     gens = num.columns()
@@ -176,7 +176,7 @@ def _cosets(num: IntMatrix, pivots: dict[int, tuple[int, ...]], limit: int) -> s
                 for s in (1, -1):
                     cand = _reduce_mod([a + s * b for a, b in zip(rep, g)], pivots)
                     if cand not in seen:
-                        if len(seen) >= limit:
+                        if len(seen) >= 100000:
                             raise RuntimeError("coset enumeration limit hit; quotient too large or infinite")
                         seen.add(cand)
                         nxt.append(cand)
@@ -184,12 +184,12 @@ def _cosets(num: IntMatrix, pivots: dict[int, tuple[int, ...]], limit: int) -> s
     return seen
 
 
-def coset_count(num: IntMatrix, den: IntMatrix, limit: int = 100000) -> int:
+def coset_count(num: IntMatrix, den: IntMatrix) -> int:
     """Number of cosets of span(den) met by span(num), by breadth-first closure.
 
-    Raises when `limit` is hit, as it is when that number is infinite.
+    Raises past 100,000 cosets, as it does when that number is infinite.
     """
-    return len(_cosets(num, _pivots(hermite_reference(den)), limit))
+    return len(_cosets(num, _pivots(hermite_reference(den))))
 
 
 def all_subgroups_2gen(G: CayleyGroup) -> list[Subgroup]:
@@ -217,7 +217,7 @@ def cyclic_subgroup_count(G: CayleyGroup) -> int:
     return len(seen)
 
 
-def quotient_element_orders(relations: IntMatrix, limit: int = 100000) -> list[int]:
+def quotient_element_orders(relations: IntMatrix) -> list[int]:
     """Orders of all elements of Z^n / span(relations), when that quotient is finite.
 
     Brute force through coset enumeration; used to cross-check torsion
@@ -228,7 +228,7 @@ def quotient_element_orders(relations: IntMatrix, limit: int = 100000) -> list[i
     if len(pivots) != n:
         raise RuntimeError("quotient is infinite")
     orders = []
-    for rep in _cosets(IntMatrix.identity(n), pivots, limit):
+    for rep in _cosets(IntMatrix.identity(n), pivots):
         k = 1
         acc = rep
         while any(acc):

@@ -19,10 +19,11 @@ from .scenario_io import parse_scenario
 __all__ = ["run_selfcheck", "CHECKS"]
 
 
-def _random_matrix(rng: random.Random, max_dim: int = 6, bound: int = 9) -> IntMatrix:
-    rows = rng.randint(1, max_dim)
-    cols = rng.randint(1, max_dim)
-    return IntMatrix(rows, cols, (rng.randint(-bound, bound) for _ in range(rows * cols)))
+def _random_matrix(rng: random.Random) -> IntMatrix:
+    # 1 to 6 rows and columns, entries in [-9, 9]
+    rows = rng.randint(1, 6)
+    cols = rng.randint(1, 6)
+    return IntMatrix(rows, cols, (rng.randint(-9, 9) for _ in range(rows * cols)))
 
 
 def check_smith_postconditions(rng: random.Random) -> None:

@@ -50,27 +50,8 @@ def d4() -> CayleyGroup:
 
 
 def q8() -> CayleyGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k as indices 0..7
-    def qmul(a, b):
-        sign_a, axis_a = (-1) ** (a % 2), a // 2
-        sign_b, axis_b = (-1) ** (b % 2), b // 2
-        table3 = {
-            (0, 0): (1, 0),
-            (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-            (0, 1): (1, 1), (1, 0): (1, 1),
-            (0, 2): (1, 2), (2, 0): (1, 2),
-            (0, 3): (1, 3), (3, 0): (1, 3),
-            (1, 2): (1, 3), (2, 1): (-1, 3),
-            (2, 3): (1, 1), (3, 2): (-1, 1),
-            (3, 1): (1, 2), (1, 3): (-1, 2),
-        }
-        s, axis = table3[(axis_a, axis_b)]
-        s *= sign_a * sign_b
-        return axis * 2 + (0 if s == 1 else 1)
-
-    left_i = tuple(qmul(2, b) for b in range(8))
-    left_j = tuple(qmul(4, b) for b in range(8))
-    return from_permutations([left_i, left_j])
+    # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k as 0..7
+    return from_permutations([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)])
 
 
 def a4() -> CayleyGroup:
@@ -105,9 +86,9 @@ def sign_characters(G: CayleyGroup) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda chi: sum(1 << j for j, g in enumerate(gens) if chi[g] == -1))
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
+def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(6):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -132,12 +113,12 @@ def _conjugate(M: GammaModule, U: IntMatrix) -> GammaModule:
     return GammaModule(M.group, M.n, relations, action)
 
 
-def _with_orbit_relations(rng: random.Random, M: GammaModule, count: int, bound: int = 4) -> GammaModule:
+def _with_orbit_relations(rng: random.Random, M: GammaModule, count: int) -> GammaModule:
     validate(M)
     mats = M.element_matrices()
     cols = list(M.relations.columns())
     for _ in range(count):
-        v = tuple(rng.randint(-bound, bound) for _ in range(M.n))
+        v = tuple(rng.randint(-4, 4) for _ in range(M.n))
         for g in range(M.group.order):
             cols.append(mats[g].times_vector(v))
     relations = hermite_column_form(IntMatrix.from_columns(cols, rows=M.n)) if cols else M.relations

@@ -8,6 +8,7 @@ everything the package re-exports must be listed where it is defined.
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -54,3 +55,48 @@ def test_readme_library_example_runs_and_gives_the_stated_results():
             assert str(eval(ast.get_source_segment(code, node), namespace)) == stated
             checked += 1
     assert checked == 3
+
+
+def _parsed(*dirs):
+    root = Path(__file__).resolve().parents[1]
+    for d in dirs:
+        for path in sorted((root / d).rglob("*.py")):
+            yield path.relative_to(root), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_default_parameter_is_passed_by_some_call():
+    # a default that no call overrides is a constant with an option's cost;
+    # calls are matched by the callee's name, a class call reaching __init__
+    defaults = []
+    for path, tree in _parsed("src"):
+        for cls in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for fn in ast.iter_child_nodes(cls):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = cls.name if fn.name == "__init__" else fn.name
+                positional = fn.args.posonlyargs + fn.args.args
+                skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+                first = len(positional) - len(fn.args.defaults)
+                for i in range(first, len(positional)):
+                    defaults.append((f"{path}:{fn.name}", name, positional[i].arg, i - skip))
+                for arg, value in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if value is not None:
+                        defaults.append((f"{path}:{fn.name}", name, arg.arg, None))
+    keywords = set()  # (callee, keyword), with None for **kwargs
+    most_positional: dict = {}  # callee -> most positional arguments in one call
+    for _, tree in _parsed("src", "tests", "bench"):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            keywords.update((callee, kw.arg) for kw in call.keywords)
+            count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            most_positional[callee] = max(count, most_positional.get(callee, 0))
+    never = [
+        f"{where}({arg})"
+        for where, name, arg, index in defaults
+        if not (index is not None and most_positional.get(name, 0) > index)
+        and (name, arg) not in keywords
+        and (name, None) not in keywords
+    ]
+    assert not never, f"default parameters that no call passes: {never}"

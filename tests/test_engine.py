@@ -323,6 +323,20 @@ class TestCh1Torus:
         with pytest.raises(ModuleError):
             ch1_torus(G, M, (full_subgroup(G),), ())
 
+    def test_each_single_fault_raises_its_error_type(self):
+        G = klein()
+        full = full_subgroup(G)
+        not_closed = Subgroup(elements=(0, 1, 2), generators=(1, 2))
+        broken = GammaModule(G, 1, IntMatrix(1, 0, ()), [IntMatrix.from_rows([[2]])] * len(G.generator_indices))
+        with pytest.raises(ScenarioError):
+            ch1_torus(klein(), norm_one_module(G), (full,), ())
+        with pytest.raises(ModuleError):
+            ch1_torus(G, broken, (full,), ())
+        with pytest.raises(ScenarioError):
+            ch1_torus(G, norm_one_module(G), (not_closed,), ())
+        with pytest.raises(ScenarioError):
+            ch1_torus(G, norm_one_module(G), (full,), (not_closed,))
+
     def test_matches_defect_through_the_cover_kernel(self):
         # feeding the cover kernel back through the torus pipeline
         # reproduces the defect

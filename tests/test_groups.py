@@ -1,9 +1,13 @@
 import random
+from functools import reduce
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
 from wadefect.groups import (
     CayleyGroup,
+    _invariants_from_orders,
     GroupError,
     Subgroup,
     abelianization,
@@ -266,6 +270,68 @@ class TestAbelianization:
         assert abelianization(d4()) == FinAbInvariants((2, 2))
         assert abelianization(q8()) == FinAbInvariants((2, 2))
         assert abelianization(a4()) == FinAbInvariants((3,))
+
+    @pytest.mark.parametrize(
+        "cycles, factors",
+        [((2, 4), (2, 4)), ((2, 2, 2), (2, 2, 2)), ((4, 4), (4, 4)), ((2, 6), (2, 6)), ((3, 9), (3, 9))],
+    )
+    def test_abelian_groups_with_repeated_primes(self, cycles, factors):
+        # one cycle per factor, on disjoint points
+        degree = sum(cycles)
+        gens = []
+        start = 0
+        for n in cycles:
+            perm = list(range(degree))
+            perm[start : start + n] = [start + (i + 1) % n for i in range(n)]
+            gens.append(tuple(perm))
+            start += n
+        assert abelianization(from_permutations(gens)) == FinAbInvariants(factors)
+
+    def test_invariants_match_the_per_prime_partitions(self):
+        # products of cyclic groups, against a copy of the earlier routine
+        # that reads each prime's partition off the counts killed by p^j
+        rng = random.Random(19)
+        for _ in range(400):
+            cycles = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(0, 3))]
+            orders = [
+                reduce(lcm, (n // gcd(a, n) for a, n in zip(x, cycles)), 1)
+                for x in product(*(range(n) for n in cycles))
+            ]
+            rng.shuffle(orders)
+            assert _invariants_from_orders(orders) == per_prime_invariants(orders), cycles
+
+
+def per_prime_invariants(orders):
+    size = len(orders)
+    primes = [p for p in range(2, size + 1) if size % p == 0 and all(p % q for q in range(2, p))]
+    per_prime = {}
+    for p in primes:
+        # lam_conj[j-1] = number of cyclic p-power factors of order >= p^j
+        lam_conj = []
+        prev = 0
+        j = 1
+        while True:
+            killed = sum(1 for o in orders if p**j % o == 0)
+            exponent = 0
+            while killed > 1:
+                assert killed % p == 0
+                killed //= p
+                exponent += 1
+            if exponent == prev:
+                break
+            lam_conj.append(exponent - prev)
+            prev = exponent
+            j += 1
+        per_prime[p] = [sum(1 for c in lam_conj if c >= i) for i in range(1, lam_conj[0] + 1)] if lam_conj else []
+    width = max((len(v) for v in per_prime.values()), default=0)
+    descending = []
+    for i in range(width):
+        d = 1
+        for p, lam in per_prime.items():
+            if i < len(lam):
+                d *= p ** lam[i]
+        descending.append(d)
+    return FinAbInvariants(factors=tuple(reversed(descending)))
 
 
 class TestSubgroupCayley:

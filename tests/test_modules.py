@@ -387,6 +387,16 @@ class TestKernelActionsOnGeneratingPositions:
                 verify_cover(cover)
         assert derived
 
+    def test_the_kernel_keeps_the_matrices_free_cover_derived(self):
+        # the derivations along G.tree become the kernel's element matrices,
+        # so verify_cover and later calls reuse them instead of deriving again
+        for P in group_zoo():
+            T = from_table(P.table)
+            Y = free_cover(norm_one_module(T)).kernel
+            for k, g in enumerate(T.generator_indices):
+                if k not in T.generating_positions:
+                    assert Y.element_matrix(g) is Y.action[k], (T.order, k)
+
 
 class TestSignCharacters:
     @staticmethod
