@@ -253,97 +253,69 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by least-absolute-value pivoting.
+    """Smith normal form by one pivot rule on one working matrix.
 
-    Returns U, D, V with U @ A @ V = D exactly; the diagonal of D is
-    nonnegative and satisfies the divisibility chain d1 | d2 | ..., so it is
-    uniquely determined by A.
+    Returns U, D, V with U @ A @ V = D exactly and U, V unimodular; the
+    diagonal of D is nonnegative and satisfies the divisibility chain
+    d1 | d2 | ..., so it is uniquely determined by A.
+
+    The working matrix is W = [[A, I_m], [I_n, 0]], its zero block not
+    stored.  A row operation on the first m rows updates A and U together,
+    and a column operation on the first n columns updates A and V together,
+    so the top-left block is always U @ A @ V.  Step t, on the trailing
+    block of rows and columns t and beyond:
+
+    1. its least nonzero entry becomes the pivot p, swapped to (t, t);
+    2. floor-division multiples of row t and of column t are subtracted
+       from the rest of column t and row t;
+    3. if a remainder is left in column t or row t, step t repeats;
+    4. if p does not divide some entry, that entry's row is added to row t
+       and step t repeats;
+    5. otherwise p is made positive and step t + 1 begins.
+
+    |p| never grows, since p stays in the block, and it falls at least every
+    second pass: a remainder is nonzero and smaller than |p|, and after the
+    fold either a smaller entry exists or p is picked again at (t, t) (ties
+    go to the first entry in row order) and leaves a remainder in row t.
+    On leaving step t, p is alone in its row and column and divides the
+    block, which every later operation keeps, so the chain holds.
     """
     m, n = A.rows, A.cols
-    D = A.to_rows()
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in chain(D, V):
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for r in chain(D, V):
-            r[dst] += q * r[src]
-
-    size = min(m, n)
-    t = 0
+    # row i < m of W is row i of A and of U; row m + k is row k of V
+    W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+    W += [[int(k == j) for j in range(n)] for k in range(n)]
+    t, size = 0, min(m, n)
     while t < size:
-        # bring the smallest nonzero entry of the trailing block to (t, t)
-        best = None
-        pi = pj = -1
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pi, pj = i, j
-        if best is None:
+        least = min(((abs(e), i, j) for i in range(t, m) for j, e in enumerate(W[i][t:n], t) if e), default=None)
+        if least is None:
             break
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-
-        while True:
-            for i in range(t + 1, m):
-                while D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if D[i][t]:
-                        swap_rows(i, t)
-            swapped = False
-            for j in range(t + 1, n):
-                while D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if D[t][j]:
-                        swap_cols(j, t)
-                        swapped = True
-            if swapped:
-                # column t picked up entries from the swapped-in column
-                continue
-            d = D[t][t]
-            dirty_row = -1
-            for i in range(t + 1, m):
-                row = D[i]
-                for j in range(t + 1, n):
-                    if row[j] % d:
-                        dirty_row = i
-                        break
-                if dirty_row >= 0:
-                    break
-            if dirty_row < 0:
-                break
-            # fold the offending row into the pivot row and re-eliminate
-            add_row(t, dirty_row, 1)
-        if D[t][t] < 0:
-            D[t] = [-e for e in D[t]]
-            U[t] = [-e for e in U[t]]
+        _, i, j = least
+        W[t], W[i] = W[i], W[t]
+        if j != t:
+            for r in W:
+                r[t], r[j] = r[j], r[t]
+        row, p = W[t], W[t][t]
+        for i in range(t + 1, m):
+            if q := W[i][t] // p:
+                W[i] = [a - q * b for a, b in zip(W[i], row)]
+        for j in range(t + 1, n):
+            if q := row[j] // p:
+                for r in W:
+                    r[j] -= q * r[t]
+        if any(W[i][t] for i in range(t + 1, m)) or any(row[t + 1 : n]):
+            continue
+        bad = next((r for r in W[t + 1 : m] if any(e % p for e in r[t + 1 : n])), None)
+        if bad is not None:
+            W[t] = list(map(add, row, bad))
+            continue
+        if p < 0:
+            W[t] = list(map(neg, row))
         t += 1
-
     return SmithDecomposition(
-        U=IntMatrix._trusted(m, m, chain.from_iterable(U)),
-        D=IntMatrix._trusted(m, n, chain.from_iterable(D)),
-        V=IntMatrix._trusted(n, n, chain.from_iterable(V)),
-        diagonal=tuple(D[i][i] for i in range(size)),
+        U=IntMatrix._trusted(m, m, chain.from_iterable(r[n:] for r in W[:m])),
+        D=IntMatrix._trusted(m, n, chain.from_iterable(r[:n] for r in W[:m])),
+        V=IntMatrix._trusted(n, n, chain.from_iterable(W[m:])),
+        diagonal=tuple(W[i][i] for i in range(size)),
     )
 
 

@@ -2,8 +2,9 @@
 
 Scenario files are strict JSON: unknown members are rejected, booleans and
 floats are rejected wherever an integer is expected, and integers may be
-given either as JSON numbers or as decimal strings (the "int_str" fallback
-for toolchains that cannot emit big integers).  Either form may be as long
+given either as JSON numbers or as decimal strings, an optional sign and
+ASCII digits with nothing around them (the "int_str" fallback for
+toolchains that cannot emit big integers).  Either form may be as long
 as the interpreter converts from decimal text, 4,300 digits by default
 (`sys.get_int_max_str_digits`); a longer one is a schema error.
 
@@ -59,11 +60,10 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        s = value.strip()
-        body = s[1:] if s[:1] in "+-" else s
+        body = value[1:] if value[:1] in "+-" else value
         if body.isascii() and body.isdigit():
             try:
-                return int(s)
+                return int(value)
             except ValueError as exc:
                 raise SchemaError(
                     f"{where}: a decimal integer string of {len(body)} digits is longer than the interpreter converts"

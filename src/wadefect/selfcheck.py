@@ -27,10 +27,13 @@ def _random_matrix(rng: random.Random) -> IntMatrix:
 
 
 def check_smith_postconditions(rng: random.Random) -> None:
-    for _ in range(60):
-        A = _random_matrix(rng)
+    # 60 small dense matrices, then one sparse 24x30 (density 0.2)
+    cases = [_random_matrix(rng) for _ in range(60)]
+    cases.append(IntMatrix(24, 30, (rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(720))))
+    for A in cases:
         snf = smith_normal_form(A)
         assert snf.U @ A @ snf.V == snf.D, "U*A*V != D"
+        assert all(snf.D[i, j] == 0 for i in range(A.rows) for j in range(A.cols) if i != j), "D is not diagonal"
         assert abs(oracles.det_bareiss(snf.U)) == 1, "U is not unimodular"
         assert abs(oracles.det_bareiss(snf.V)) == 1, "V is not unimodular"
         diag = snf.diagonal

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib.resources import files
 
 import pytest
 
-from wadefect import catalog
+from wadefect import catalog, scenario_io
 from wadefect.cli import main
 from wadefect.engine import quick_vanish
 from wadefect.scenario_io import (
+    SCHEMA_VERSION,
     SchemaError,
     parse_scenario,
     result_document,
@@ -141,6 +144,7 @@ class TestComputeCommand:
         [
             "superscript-digit",
             "non-ascii-digit",
+            "padded-digit-strings",
             "directory",
             "non-utf8",
             "long-digit-string",
@@ -157,6 +161,10 @@ class TestComputeCommand:
         elif case == "non-ascii-digit":
             # Arabic-Indic three: int() reads it as 3, the schema's [0-9] does not
             doc["module"]["generators"] = "٣"
+        elif case == "padded-digit-strings":
+            # int() strips whitespace; the schema's anchored pattern does not
+            doc["module"]["generators"] = " 3"
+            doc["module"]["action"][0][0][0] = "-1\n"
         elif case.startswith("long-"):
             doc["module"]["generators"] = long_digits
         path = write_scenario(tmp_path, doc)
@@ -475,3 +483,60 @@ class TestScenarioParsing:
         sc = parse_scenario(doc)
         assert sc.group.order == 4
         assert sc.module.n == 3
+
+
+def load_schema(name):
+    return json.loads(files("wadefect").joinpath("schemas", name).read_text(encoding="utf-8"))
+
+
+class TestSchemaFiles:
+    """The JSON Schema documents describe what the parser and the result writer do."""
+
+    def test_int_strings_are_exactly_the_schema_pattern(self):
+        pattern = load_schema("scenario.schema.json")["definitions"]["int"]["oneOf"][1]["pattern"]
+        probes = ["7", "+7", "-7", "007", " 7", "7 ", "\t7\n", "-1\n", "", "+", "٣", "²", "7_0"]
+        for probe in probes:
+            # fullmatch: JSON Schema's $ does not match before a final newline
+            if re.fullmatch(pattern, probe):
+                assert scenario_io._as_int(probe, "x") == int(probe), probe
+            else:
+                with pytest.raises(SchemaError):
+                    scenario_io._as_int(probe, "x")
+
+    def test_scenario_members_match_the_parser(self):
+        schema = load_schema("scenario.schema.json")
+        props = schema["properties"]
+        assert set(props) == scenario_io._TOP_KEYS
+        assert set(schema["required"]) == scenario_io._TOP_KEYS - {"schema_version"}
+        assert props["schema_version"] == {"const": SCHEMA_VERSION}
+        assert set(props["group"]["properties"]) == scenario_io._GROUP_KEYS
+        assert "required" not in props["group"]
+        assert set(props["module"]["properties"]) == set(props["module"]["required"]) == scenario_io._MODULE_KEYS
+        subgroup = schema["definitions"]["subgroup_list"]["items"]
+        assert set(subgroup["properties"]) == scenario_io._SUBGROUP_KEYS
+        assert "required" not in subgroup
+        # draft-07 keeps reusable parts under "definitions"; every $ref names one
+        assert "draft-07" in schema["$schema"]
+        text = json.dumps(schema)
+        refs = re.findall(r'"\$ref": "#/definitions/(\w+)"', text)
+        assert text.count("$ref") == len(refs)
+        assert set(refs) == set(schema["definitions"])
+
+    def test_result_members_match_the_writer(self):
+        schema = load_schema("result.schema.json")
+        props = schema["properties"]
+        assert props["schema_version"] == {"const": SCHEMA_VERSION}
+        plain = result_document(FinAbInvariants((2,)))
+        short = result_document(FinAbInvariants(), shortcut="free-module", timings_ms={"total": 1.0})
+        assert set(schema["required"]) == set(plain)
+        assert set(props) == set(short)
+
+    def test_shortcut_enum_is_what_quick_vanish_returns(self):
+        complement = klein_doc()
+        complement["S_complement"] = [{"generator_words": [[0], [1]]}]
+        cyclic = klein_doc()
+        cyclic["S"] = [{"generator_words": [[0]]}]
+        free = catalog.catalog_document("quasi-trivial-free")
+        labels = {quick_vanish(parse_scenario(doc)).shortcut for doc in (complement, cyclic, free)}
+        assert labels == {"complement-full-group", "all-cyclic-S", "free-module"}
+        assert labels == set(load_schema("result.schema.json")["properties"]["shortcut"]["enum"])

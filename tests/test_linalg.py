@@ -184,10 +184,21 @@ class TestSmith:
 
     def test_postconditions_randomized(self):
         rng = random.Random(101)
-        for _ in range(120):
-            a = random_matrix(rng)
+        cases = [random_matrix(rng) for _ in range(120)]
+        for _ in range(60):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            density = rng.uniform(0.1, 0.5)
+            cases.append(IntMatrix(r, c, (rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(r * c))))
+        for _ in range(60):
+            # rank below min(r, c): a product through k < min(r, c) columns
+            r, c = rng.randint(2, 8), rng.randint(2, 8)
+            k = rng.randint(1, min(r, c) - 1)
+            left = IntMatrix(r, k, (rng.randint(-4, 4) for _ in range(r * k)))
+            cases.append(left @ IntMatrix(k, c, (rng.randint(-4, 4) for _ in range(k * c))))
+        for a in cases:
             snf = smith_normal_form(a)
             assert snf.U @ a @ snf.V == snf.D
+            assert all(snf.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
             assert abs(det_bareiss(snf.U)) == 1
             assert abs(det_bareiss(snf.V)) == 1
             d = snf.diagonal
@@ -197,8 +208,8 @@ class TestSmith:
 
     def test_diagonal_matches_minor_gcds(self):
         rng = random.Random(55)
-        for _ in range(40):
-            a = random_matrix(rng, max_dim=3, bound=6)
+        for k in range(200):
+            a = random_matrix(rng, max_dim=3 if k < 40 else 4, bound=6)
             assert smith_normal_form(a).diagonal == diagonal_from_minor_gcds(a)
 
     def test_diagonal_matches_minor_gcds_on_nearly_unit_triangles(self):
@@ -307,6 +318,21 @@ class TestEntryGrowth:
         sol = ColumnSolver(a).solve(b)
         assert a @ sol == b
         assert max_bits(sol) <= h + max_bits(b) + cols_.bit_length()
+
+    @pytest.mark.parametrize("shape", ["sparse-30x40", "dense-30x30"])
+    def test_smith_transforms_stay_small(self, shape):
+        # the inputs need a few hundred (sparse) to a few thousand (dense)
+        # bits in U and V; 10,000 bits catches a routine whose transforms blow up
+        rng = random.Random(2)
+        if shape == "sparse-30x40":
+            a = IntMatrix(30, 40, (rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(1200)))
+        else:
+            a = IntMatrix(30, 30, (rng.randint(-9, 9) for _ in range(900)))
+        snf = smith_normal_form(a)
+        assert snf.U @ a @ snf.V == snf.D
+        assert abs(det_bareiss(snf.U)) == 1
+        assert abs(det_bareiss(snf.V)) == 1
+        assert max(max_bits(snf.U), max_bits(snf.V)) < 10_000
 
 
 def bar_d2(M):
