@@ -43,9 +43,8 @@ cover kernel of M.  The image stage stops as soon as T forces the answer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd, prod
-from typing import Optional, Sequence
 
 from .groups import (
     CayleyGroup,
@@ -59,6 +58,7 @@ from .linalg import (
     ColumnSolver,
     FinAbInvariants,
     IntMatrix,
+    _Frozen,
     finite_quotient,
     hermite_column_form,
     hstack,
@@ -92,8 +92,7 @@ class ScenarioError(ValueError):
     """Scenario pieces do not fit together."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """Input to the defect computation.
 
     `s_subgroups` lists one decomposition subgroup per place of S
@@ -102,27 +101,49 @@ class Scenario:
     complement need never be listed: they are always adjoined.
     """
 
-    group: CayleyGroup
-    module: GammaModule
-    s_subgroups: tuple[Subgroup, ...]
-    sc_subgroups: tuple[Subgroup, ...] = ()
+    __slots__ = ("group", "module", "s_subgroups", "sc_subgroups")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_subgroups", tuple(self.s_subgroups))
-        object.__setattr__(self, "sc_subgroups", tuple(self.sc_subgroups))
+    def __init__(
+        self,
+        group: CayleyGroup,
+        module: GammaModule,
+        s_subgroups: Sequence[Subgroup],
+        sc_subgroups: Sequence[Subgroup] = (),
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "s_subgroups", tuple(s_subgroups))
+        object.__setattr__(self, "sc_subgroups", tuple(sc_subgroups))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.group, self.module, self.s_subgroups, self.sc_subgroups)
+        return mine == (other.group, other.module, other.s_subgroups, other.sc_subgroups)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.module, self.s_subgroups, self.sc_subgroups))
 
 
-@dataclass(frozen=True)
-class DefectResult:
+class DefectResult(_Frozen):
     """A finite abelian group plus bookkeeping about how it was obtained."""
 
-    invariants: FinAbInvariants
-    s_nc_used: tuple[int, ...]
-    shortcut: Optional[str] = None
+    __slots__ = ("invariants", "s_nc_used", "shortcut")
 
-    def __post_init__(self):
-        if self.invariants.free_rank:
+    def __init__(self, invariants: FinAbInvariants, s_nc_used: tuple[int, ...], shortcut: str | None = None):
+        if invariants.free_rank:
             raise AssertionError("the defect is a finite group; free rank must be 0")
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "s_nc_used", s_nc_used)
+        object.__setattr__(self, "shortcut", shortcut)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.invariants, self.s_nc_used, self.shortcut) == (other.invariants, other.s_nc_used, other.shortcut)
+
+    def __hash__(self) -> int:
+        return hash((self.invariants, self.s_nc_used, self.shortcut))
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -226,7 +247,7 @@ def _is_detectably_free(M: GammaModule) -> bool:
     return True
 
 
-def quick_vanish(sc: Scenario) -> Optional[DefectResult]:
+def quick_vanish(sc: Scenario) -> DefectResult | None:
     """Vanishing criteria that force a trivial defect, or None.
 
     Fires when the complement list contains the whole group, when every S

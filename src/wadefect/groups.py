@@ -12,11 +12,10 @@ acts by (x*y)(i) = x(y(i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from typing import Sequence
 
-from .linalg import FinAbInvariants
+from .linalg import FinAbInvariants, _Frozen
 
 __all__ = [
     "CayleyGroup",
@@ -43,7 +42,7 @@ class GroupError(ValueError):
     """Invalid group data: bad table, bad generators, or a cap exceeded."""
 
 
-class CayleyGroup:
+class CayleyGroup(_Frozen):
     """A finite group with a full multiplication table.
 
     `table[i][j]` is the index of g_i * g_j.  `generating_positions` lists,
@@ -72,27 +71,34 @@ class CayleyGroup:
         object.__setattr__(self, "generating_positions", tuple(kept))
         object.__setattr__(self, "tree", tree)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CayleyGroup is immutable")
+    def __reduce__(self):
+        # the other fields are derived from these four, in the same way
+        return CayleyGroup, (self.table, self.identity, self.inverses, self.generator_indices)
 
     def __repr__(self) -> str:
         return f"CayleyGroup(order={self.order}, generators={self.generator_indices})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup as a sorted element set plus a generating subset."""
 
-    elements: tuple[int, ...]
-    generators: tuple[int, ...] = ()
+    __slots__ = ("elements", "generators")
 
-    def __post_init__(self):
-        elems = tuple(sorted({int(e) for e in self.elements}))
-        gens = tuple(sorted({int(g) for g in self.generators}))
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, elements: Iterable[int], generators: Iterable[int] = ()):
+        elems = tuple(sorted({int(e) for e in elements}))
+        gens = tuple(sorted({int(g) for g in generators}))
         if not set(gens) <= set(elems):
             raise GroupError("subgroup generators must be listed among its elements")
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "generators", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.generators) == (other.elements, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.generators))
 
     @property
     def order(self) -> int:

@@ -26,11 +26,10 @@ canonical forms are equal, entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from math import prod
 from operator import add, neg, sub
-from typing import Iterable, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -77,7 +76,33 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-class IntMatrix:
+class _Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in `__slots__` and sets them in `__init__`
+    by `object.__setattr__`.  Assigning or deleting an attribute raises
+    AttributeError.  `repr` shows every field by name, and copy, deepcopy
+    and pickle rebuild a value by calling its class on its fields in order,
+    so `__init__` must accept them positionally.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class IntMatrix(_Frozen):
     """Immutable dense matrix over the integers, stored row-major.
 
     The public constructors coerce every entry with `int` and check the
@@ -102,9 +127,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -242,14 +264,24 @@ def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
     return IntMatrix._trusted(rows, len(cols), chain.from_iterable(zip(*cols)))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Frozen):
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    diagonal: tuple[int, ...]
+    __slots__ = ("U", "D", "V", "diagonal")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, diagonal: tuple[int, ...]):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "diagonal", diagonal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.U, self.D, self.V, self.diagonal) == (other.U, other.D, other.V, other.diagonal)
+
+    def __hash__(self) -> int:
+        return hash((self.U, self.D, self.V, self.diagonal))
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -485,8 +517,7 @@ class ColumnSolver:
         return self.solve(B) is not None
 
 
-@dataclass(frozen=True)
-class FinAbInvariants:
+class FinAbInvariants(_Frozen):
     """Isomorphism class of a finitely generated abelian group.
 
     `factors` is the invariant-factor chain d1 | d2 | ... with every entry
@@ -494,18 +525,27 @@ class FinAbInvariants:
     isomorphic iff these fields coincide.
     """
 
-    factors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("factors", "free_rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
-        if any(d < 2 for d in self.factors):
+    def __init__(self, factors: Iterable[int] = (), free_rank: int = 0):
+        factors = tuple(int(d) for d in factors)
+        if any(d < 2 for d in factors):
             raise ValueError("invariant factors must be at least 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
-                raise ValueError(f"invariant factors must form a divisibility chain, got {self.factors}")
-        if self.free_rank < 0:
+                raise ValueError(f"invariant factors must form a divisibility chain, got {factors}")
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "free_rank", free_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.free_rank) == (other.factors, other.free_rank)
+
+    def __hash__(self) -> int:
+        return hash((self.factors, self.free_rank))
 
     @property
     def order(self) -> int:

@@ -23,9 +23,9 @@ exists to be the independent cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
 from operator import add, sub
-from typing import Sequence
 
 from .groups import CayleyGroup, GroupError, Subgroup, _left_cosets, subgroup_closure
 from .linalg import (

@@ -16,7 +16,7 @@ ModuleError / ScenarioError so the command line can distinguish exit codes.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from .engine import Scenario, validate_scenario
 from .groups import (
@@ -54,7 +54,7 @@ class SchemaError(ValueError):
     """The document does not match the scenario schema."""
 
 
-def _as_int(value: Any, where: str) -> int:
+def _as_int(value: object, where: str) -> int:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not integers")
     if isinstance(value, int):
@@ -72,13 +72,14 @@ def _as_int(value: Any, where: str) -> int:
     raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
 
 
-def _as_int_list(value: Any, where: str) -> list[int]:
+def _as_int_list(value: object, where: str) -> list[int]:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected an array")
-    return [_as_int(v, f"{where}[{k}]") for k, v in enumerate(value)]
+    # plain ints (not bools) pass as they are, with no error location built
+    return [v if type(v) is int else _as_int(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
-def _as_matrix_rows(value: Any, rows: int, cols: int, where: str) -> IntMatrix:
+def _as_matrix_rows(value: object, rows: int, cols: int, where: str) -> IntMatrix:
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
     data = []
@@ -90,7 +91,7 @@ def _as_matrix_rows(value: Any, rows: int, cols: int, where: str) -> IntMatrix:
     return IntMatrix.from_rows(data, cols=cols)
 
 
-def _check_keys(obj: Any, allowed: set[str], where: str) -> None:
+def _check_keys(obj: object, allowed: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     unknown = set(obj) - allowed
@@ -98,7 +99,7 @@ def _check_keys(obj: Any, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown members {sorted(unknown)}")
 
 
-def _parse_group(doc: Any, group_cap: int) -> CayleyGroup:
+def _parse_group(doc: object, group_cap: int) -> CayleyGroup:
     _check_keys(doc, _GROUP_KEYS, "group")
     given = [k for k in _GROUP_KEYS if k in doc]
     if len(given) != 1:
@@ -117,7 +118,7 @@ def _parse_group(doc: Any, group_cap: int) -> CayleyGroup:
     return from_table([_as_int_list(r, f"group.cayley_table[{k}]") for k, r in enumerate(raw)])
 
 
-def _parse_module(doc: Any, group: CayleyGroup) -> GammaModule:
+def _parse_module(doc: object, group: CayleyGroup) -> GammaModule:
     _check_keys(doc, _MODULE_KEYS, "module")
     for key in _MODULE_KEYS:
         if key not in doc:
@@ -145,7 +146,7 @@ def _parse_module(doc: Any, group: CayleyGroup) -> GammaModule:
     return GammaModule(group, n, relations, action)
 
 
-def _parse_subgroup(doc: Any, group: CayleyGroup, where: str) -> Subgroup:
+def _parse_subgroup(doc: object, group: CayleyGroup, where: str) -> Subgroup:
     _check_keys(doc, _SUBGROUP_KEYS, where)
     given = [k for k in _SUBGROUP_KEYS if k in doc]
     if len(given) != 1:
@@ -173,7 +174,7 @@ def _parse_subgroup(doc: Any, group: CayleyGroup, where: str) -> Subgroup:
     return subgroup_closure(group, seeds)
 
 
-def parse_scenario(doc: Any, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
+def parse_scenario(doc: object, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
     """Parse and fully validate a scenario document; groups above `group_cap` are refused."""
     _check_keys(doc, _TOP_KEYS, "scenario")
     if "schema_version" in doc:

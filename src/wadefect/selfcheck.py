@@ -7,7 +7,7 @@ a given seed always exercises the same instances.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from . import catalog, oracles, zoo
 from .engine import Scenario, defect

@@ -9,7 +9,7 @@ randomized properties about the mathematics, not about input validation.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .groups import CayleyGroup, Subgroup, cyclic_subgroups, from_permutations, subgroup_closure
 from .linalg import ColumnSolver, IntMatrix, hermite_column_form
