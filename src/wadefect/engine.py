@@ -115,15 +115,6 @@ class Scenario(_Frozen):
         object.__setattr__(self, "s_subgroups", tuple(s_subgroups))
         object.__setattr__(self, "sc_subgroups", tuple(sc_subgroups))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self.group, self.module, self.s_subgroups, self.sc_subgroups)
-        return mine == (other.group, other.module, other.s_subgroups, other.sc_subgroups)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.module, self.s_subgroups, self.sc_subgroups))
-
 
 class DefectResult(_Frozen):
     """A finite abelian group plus bookkeeping about how it was obtained."""
@@ -134,16 +125,8 @@ class DefectResult(_Frozen):
         if invariants.free_rank:
             raise AssertionError("the defect is a finite group; free rank must be 0")
         object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "s_nc_used", s_nc_used)
+        object.__setattr__(self, "s_nc_used", tuple(s_nc_used))
         object.__setattr__(self, "shortcut", shortcut)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.invariants, self.s_nc_used, self.shortcut) == (other.invariants, other.s_nc_used, other.shortcut)
-
-    def __hash__(self) -> int:
-        return hash((self.invariants, self.s_nc_used, self.shortcut))
 
 
 def validate_scenario(sc: Scenario) -> None:

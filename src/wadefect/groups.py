@@ -58,6 +58,9 @@ class CayleyGroup(_Frozen):
     """
 
     __slots__ = ("order", "table", "identity", "inverses", "generator_indices", "generating_positions", "tree")
+    # groups are told apart by identity; the tables run to millions of entries
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, table, identity, inverses, generator_indices):
         object.__setattr__(self, "order", len(table))
@@ -91,14 +94,6 @@ class Subgroup(_Frozen):
             raise GroupError("subgroup generators must be listed among its elements")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "generators", gens)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.elements, self.generators) == (other.elements, other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.generators))
 
     @property
     def order(self) -> int:

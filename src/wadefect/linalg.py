@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from math import prod
-from operator import add, neg, sub
+from operator import add, attrgetter, neg, sub
 
 __all__ = [
     "IntMatrix",
@@ -79,14 +79,29 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class _Frozen:
     """Base of the package's immutable values.
 
-    A subclass names its fields in `__slots__` and sets them in `__init__`
-    by `object.__setattr__`.  Assigning or deleting an attribute raises
-    AttributeError.  `repr` shows every field by name, and copy, deepcopy
-    and pickle rebuild a value by calling its class on its fields in order,
-    so `__init__` must accept them positionally.
+    A subclass names two or more fields in `__slots__` and sets them in
+    `__init__` by `object.__setattr__`; assigning or deleting an attribute
+    raises AttributeError.  Equality, hashing and copies read the fields
+    through one getter per class, `_fields`: a value equals only a value of
+    exactly its class with equal fields and hashes its fields, and copy,
+    deepcopy and pickle call its class on them (so `__init__` takes them
+    positionally), so a copy equals its original wherever its fields do.
+    `repr` names every field.  `CayleyGroup` opts out: groups compare and
+    hash by identity.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -99,7 +114,7 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), self._fields(self)
 
 
 class IntMatrix(_Frozen):
@@ -230,14 +245,6 @@ class IntMatrix(_Frozen):
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._trusted(self.rows, self.cols, map(neg, self.entries))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})" if self.rows else f"IntMatrix(0, {self.cols}, ())"
 
@@ -274,14 +281,6 @@ class SmithDecomposition(_Frozen):
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "diagonal", diagonal)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.U, self.D, self.V, self.diagonal) == (other.U, other.D, other.V, other.diagonal)
-
-    def __hash__(self) -> int:
-        return hash((self.U, self.D, self.V, self.diagonal))
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -534,18 +533,11 @@ class FinAbInvariants(_Frozen):
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {factors}")
+        free_rank = int(free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "free_rank", free_rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.factors, self.free_rank) == (other.factors, other.free_rank)
-
-    def __hash__(self) -> int:
-        return hash((self.factors, self.free_rank))
 
     @property
     def order(self) -> int:

@@ -720,3 +720,64 @@ class TestImageGate:
             nontrivial += not got.is_trivial()
         assert nontrivial >= 50
         assert min(exits[e] for e in ("t=1", "coprime", "filled", "quotient")) >= 10, exits
+
+
+# Transitive groups of prime degree p: the p-cycle (0 1 ... p-1) plus the
+# listed generators, each a list of cycles, and the group order.
+PRIME_DEGREE = [
+    ("C5", 5, [], 5),
+    ("D5", 5, [[(1, 4), (2, 3)]], 10),
+    ("F20", 5, [[(1, 2, 4, 3)]], 20),
+    ("A5", 5, [[(0, 1, 2)]], 60),
+    ("S5", 5, [[(0, 1)]], 120),
+    ("F21", 7, [[(1, 2, 4), (3, 6, 5)]], 21),
+    ("F42", 7, [[(1, 3, 2, 6, 4, 5)]], 42),
+    ("PSL(3,2)", 7, [[(1, 2, 4), (3, 6, 5)], [(0, 1), (2, 4)]], 168),
+]
+
+
+def permutation(d, cycles):
+    images = list(range(d))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[a] = b
+    return images
+
+
+def points_norm_one_module(perms):
+    """The kernel of Z^d -> Z for the permutation module on d points.
+
+    Basis f_j = e_j - e_0 for j = 1..d-1; a permutation p sends f_j to
+    f_p(j) - f_p(0), where f_0 = 0.
+    """
+    n = len(perms[0]) - 1
+    action = []
+    for p in perms:
+        entries = [0] * (n * n)
+        for j in range(1, n + 1):
+            if p[j]:
+                entries[(p[j] - 1) * n + j - 1] += 1
+            if p[0]:
+                entries[(p[0] - 1) * n + j - 1] -= 1
+        action.append(IntMatrix(n, n, entries))
+    return GammaModule(from_permutations(perms), n, IntMatrix(n, 0, ()), action)
+
+
+@pytest.mark.parametrize("name, d, extra, order", PRIME_DEGREE, ids=[row[0] for row in PRIME_DEGREE])
+def test_prime_degree_norm_one_defect_vanishes(name, d, extra, order):
+    # The norm-one torus of a degree-p extension is retract rational
+    # (Colliot-Thélène and Sansuc, J. Algebra, 1987), so weak approximation
+    # holds and the defect is 0 for every S.  Cyclic subgroups add nothing
+    # to the other closed forms; here dropping their adjoin shows.
+    M = points_norm_one_module([permutation(d, [tuple(range(d))])] + [permutation(d, c) for c in extra])
+    G = M.group
+    assert G.order == order
+    full = full_subgroup(G)
+    cases = [((full,), ())]
+    if order <= 60:
+        rng = random.Random(d * 1000 + order)
+        noncyclic = [H for H in all_subgroups_2gen(G) if not is_cyclic_subgroup(G, H)]
+        for _ in range(3 if noncyclic else 0):
+            cases.append((tuple(rng.choices(noncyclic, k=2)), tuple(rng.choices(noncyclic, k=rng.randint(0, 2)))))
+    for s, sc in cases:
+        assert defect(Scenario(G, M, s, sc), use_shortcuts=False).invariants == FinAbInvariants(), (s, sc)

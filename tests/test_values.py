@@ -3,12 +3,18 @@
 `Scenario`, `DefectResult`, `Subgroup`, `SmithDecomposition` and
 `FinAbInvariants` are immutable records: construction by position or
 keyword with defaults, checks with fixed messages, equality only within the
-type, a hash over the fields, and a repr that names every field.  Every
-public value survives `copy.copy`, `copy.deepcopy` and `pickle`.
+type, a hash over the fields, and a repr that names every field.
+`IntMatrix` shares their equality, hashing and immutability; `CayleyGroup`
+compares and hashes by identity.  Every public value survives `copy.copy`,
+`copy.deepcopy` and `pickle`, and every value class but `CayleyGroup` takes
+its equality, hash and copies from the one base `_Frozen`.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +22,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import wadefect
 from wadefect import catalog
 from wadefect.engine import DefectResult, Scenario, defect
-from wadefect.groups import GroupError, Subgroup, from_permutations
-from wadefect.linalg import FinAbInvariants, IntMatrix, SmithDecomposition, smith_normal_form
+from wadefect.groups import CayleyGroup, GroupError, Subgroup, from_permutations
+from wadefect.linalg import FinAbInvariants, IntMatrix, SmithDecomposition, _Frozen, smith_normal_form
 from wadefect.modules import norm_one_module
 from wadefect.scenario_io import parse_scenario
 
@@ -41,6 +48,7 @@ FIELDS = {
     "Subgroup": ("elements", "generators"),
     "SmithDecomposition": ("U", "D", "V", "diagonal"),
     "FinAbInvariants": ("factors", "free_rank"),
+    "IntMatrix": ("rows", "cols", "entries"),
 }
 
 
@@ -56,6 +64,7 @@ def records():
         "Subgroup": lambda: Subgroup((0, 1), (1,)),
         "SmithDecomposition": lambda: SmithDecomposition(I, I, I, (1, 1)),
         "FinAbInvariants": lambda: FinAbInvariants((2, 4), 1),
+        "IntMatrix": lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
     }
 
 
@@ -86,6 +95,16 @@ class TestConstruction:
         H = Subgroup([3, 0, 3, 1], [1, 1])
         assert H.elements == (0, 1, 3) and H.generators == (1,) and H.order == 3
         assert FinAbInvariants([2.0, "4"]).factors == (2, 4)
+
+    def test_sequences_and_counts_are_normalised(self):
+        inv = FinAbInvariants((2,))
+        listed = DefectResult(inv, [0, 1])
+        assert listed.s_nc_used == (0, 1) and listed == DefectResult(inv, (0, 1))
+        assert hash(listed) == hash(DefectResult(inv, (0, 1)))
+        for rank in (1.0, "1", True):
+            A = FinAbInvariants((), rank)
+            assert type(A.free_rank) is int and A == FinAbInvariants((), 1)
+            assert A.pretty() == "Z" and repr(A) == "FinAbInvariants(factors=(), free_rank=1)"
 
     @pytest.mark.parametrize(
         "make, error, message",
@@ -190,6 +209,36 @@ class TestCopyAndPickle:
         for shortcuts in (True, False):
             assert defect(sc2, use_shortcuts=shortcuts) == defect(sc, use_shortcuts=shortcuts)
         assert defect(sc2).invariants == FinAbInvariants((2,))
+
+
+class TestCayleyGroupIdentity:
+    def test_equal_only_to_itself(self):
+        G, H = klein(), klein()
+        assert G.table == H.table and G != H and not G == H
+        assert G == G and hash(G) == object.__hash__(G)
+
+    @pytest.mark.parametrize("copier", sorted(COPIERS))
+    def test_copy_is_another_value_with_equal_fields(self, copier):
+        G = klein()
+        H = COPIERS[copier](G)
+        assert H is not G and H != G
+        assert all(getattr(H, f) == getattr(G, f) for f in CayleyGroup.__slots__)
+
+
+def test_equality_hashing_and_copies_come_from_the_base():
+    classes = {}  # every subclass of `_Frozen` in the package's modules, by name
+    for info in pkgutil.iter_modules(wadefect.__path__):
+        for cls in vars(importlib.import_module(f"wadefect.{info.name}")).values():
+            if inspect.isclass(cls) and issubclass(cls, _Frozen) and cls is not _Frozen:
+                classes[cls.__qualname__] = cls
+    assert set(classes) == set(FIELDS) | {"CayleyGroup"}
+    for name, cls in classes.items():
+        if cls is CayleyGroup:
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+            assert "__reduce__" in vars(cls)
+        else:
+            for method in ("__eq__", "__hash__", "__reduce__"):
+                assert getattr(cls, method) is getattr(_Frozen, method), (name, method)
 
 
 def test_import_set_leaves_out_heavy_stdlib_modules():
