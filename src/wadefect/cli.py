@@ -18,7 +18,7 @@ from .engine import Scenario, ScenarioError, defect, verify_cover
 from .groups import DEFAULT_ORDER_CAP, GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
 from .linalg import FinAbInvariants
 from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar
-from .scenario_io import SchemaError, dumps_result, load_scenario, render_text, result_document
+from .scenario_io import SchemaError, _as_int, dumps_result, load_scenario, render_text, result_document
 from .selfcheck import run_selfcheck
 
 __all__ = ["main", "OracleMismatchError"]
@@ -36,13 +36,10 @@ class OracleMismatchError(RuntimeError):
 
 
 def _group_cap() -> int:
-    raw = os.environ.get(GROUP_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{GROUP_CAP_ENV} must be an integer, got {raw!r}") from exc
+    cap = _as_int(os.environ.get(GROUP_CAP_ENV, str(DEFAULT_ORDER_CAP)), GROUP_CAP_ENV)
+    if cap < 1:
+        raise SchemaError(f"{GROUP_CAP_ENV} must be at least 1, got {cap}")
+    return cap
 
 
 def _emit(doc: dict, emit: str) -> None:

@@ -1,32 +1,24 @@
 """The defect pipeline.
 
-Given a group, a module, and decomposition subgroups for the places of S
-and for the known non-cyclic part of its complement, the defect is the
-finite quotient N1 / (N1 ∩ N2) inside the coinvariants of the cover kernel.
-N1 joins the torsion images coming from the non-cyclic S subgroups with the
-ambient relation lattice, and N2 = D does the same for the complement side
-with every cyclic subgroup adjoined for free (the Chebotarev step).  D
-holds the ambient relations, so N1 + N2 is D plus the S-side images, and
-`finite_quotient` of the S-side images over D returns
+The defect of weak approximation from a group, a module, and the
+decomposition subgroups of the places of S and of the known non-cyclic
+part of its complement.  Y must be relation-free, as the cover kernel and
+a torus's cocharacters are, and L_H, the span of the columns rho(h) - 1
+over H's generators, presents its coinvariants Z^n / L_H.  The torsion
+image of H lies in sat(L_H) ⊆ sat(L_G), so in T = sat(L_G) / L_G, which is
+H_1(G, M) for the cover kernel of M.  With S the span of the images of the
+non-cyclic S entries, and D that of the complement side with every cyclic
+subgroup adjoined for free (the Chebotarev step), the defect is
+(D + S) / D ≅ S / (S ∩ D), which `finite_quotient` of the S-side images
+over D gives with no lattice intersection.  Each side adjoins its
+subgroups only up to conjugacy and containment: one representative per
+conjugacy class, none inside a conjugate of another.
 
-    (D + the S-side images) / D  ≅  N1 / (N1 ∩ N2)
+The stage works in T ≅ ⊕ Z/d_i (`_torsion_coordinates`), so after L_G each
+matrix has rank(T) rows: D begins with diag(d_i), and every other entry of
+row i lies in [0, d_i).  It stops as soon as T forces the answer:
 
-with no lattice intersection.  D is one Hermite form of the ambient
-relations and the complement-side images.  Cyclic entries of S never
-contribute.  Each side adjoins its subgroups only up to conjugacy and
-containment, one representative per conjugacy class and none inside a
-conjugate of another: the others add nothing to the image.
-
-Every image lies in one finite group.  Y must be relation-free, as the
-cover kernel and a torus's cocharacters are, and L_H, the span of the
-columns rho(h) - 1 over H's generators, presents its coinvariants
-Z^n / L_H.  The torsion image of H lies in sat(L_H) ⊆ sat(L_G), so the
-defect is a subquotient of T = sat(L_G) / L_G, which is H_1(G, M) for the
-cover kernel of M.  The image stage stops as soon as T forces the answer:
-
-1. t = |T| is read off one Hermite form of L_G, split at its unit
-   pivots, as the product of the nonzero Smith invariants of the rest.
-   If t = 1, every image lies in L_G ⊆ D and the defect is 0.
+1. t = |T| = d_1 ... d_r.  If t = 1, every image is 0 and so is the defect.
 2. Y is torsion-free, so the torsion of Y_H is Tate H^-1(H, Y), which |H|
    kills (Brown, Cohomology of Groups, III.10.2).  Its image in T is
    therefore 0 when gcd(|H|, t) = 1, and such subgroups are dropped from
@@ -34,11 +26,8 @@ cover kernel of M.  The image stage stops as soon as T forces the answer:
    kept before: a subgroup containing a conjugate of a kept H has an order
    divisible by |H|, so it is not dropped either.  t = 1 drops every
    subgroup.  If no S entry survives, the defect is 0.
-3. L_G ⊆ D ⊆ sat(L_G), so D spans L_G's rational span and its Hermite
-   form has the same pivot rows.  Hence [D : L_G] is the ratio of the
-   pivot products of the two forms, and [sat(L_G) : D] = t·pivprod(D) /
-   pivprod(L_G).  When that index is 1, D holds every S image and the
-   defect is 0; no S image is computed.
+3. If T / D is trivial, D holds every S image and the defect is 0; no S
+   image is computed.
 """
 
 from __future__ import annotations
@@ -59,6 +48,7 @@ from .linalg import (
     FinAbInvariants,
     IntMatrix,
     _Frozen,
+    cokernel_invariants,
     finite_quotient,
     hermite_column_form,
     hstack,
@@ -160,9 +150,28 @@ def _class_representatives(G: CayleyGroup, candidates: Sequence[Subgroup]) -> li
     return [H for H, _ in kept]
 
 
-def _pivot_product(H: IntMatrix) -> int:
-    # the first nonzero entry of each Hermite column is its pivot
-    return prod(next(e for e in col if e) for col in H.columns())
+def _torsion_coordinates(L: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(Phi, moduli) such that x -> (Phi x mod d_i) maps sat(L) / L onto ⊕ Z/d_i.
+
+    `split_unit_pivots` of L's Hermite form H gives Z^k / block ≅ Z^n / H.
+    Back, a kept row is its own class and the row r of a unit-pivot column
+    c is that of e_r - c, -c on the kept rows: c is zero on every other
+    unit-pivot row.  Phi is the rows of the Smith U with d_i >= 2 times
+    these classes, row i reduced mod d_i.
+    """
+    H = hermite_column_form(L)
+    block, rows = split_unit_pivots(H)
+    snf = smith_normal_form(block)
+    kept = {r: p for p, r in enumerate(rows)}
+    pivot_column = {next(i for i, e in enumerate(col) if e): col for col in H.columns()}
+    torsion = [(snf.U.row(i), d) for i, d in enumerate(snf.diagonal) if d > 1]
+    phi = [[u[kept[j]] % d if j in kept else -sum(a * pivot_column[j][r] for a, r in zip(u, rows)) % d
+            for j in range(L.rows)] for u, d in torsion]
+    return IntMatrix.from_rows(phi, cols=L.rows), tuple(d for _, d in torsion)
+
+
+def _reduced(A: IntMatrix, moduli: tuple[int, ...]) -> IntMatrix:
+    return IntMatrix.from_rows([[e % d for e in A.row(i)] for i, d in enumerate(moduli)], cols=A.cols)
 
 
 def _image_quotient(
@@ -170,37 +179,32 @@ def _image_quotient(
     s_subgroups: Sequence[Subgroup],
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
-    """(D + the S-side images) / D, gated by T = sat(L_G) / L_G.
+    """(D + the S-side images) / D, in the coordinates of T = sat(L_G) / L_G.
 
-    Y must be relation-free, so that |H| kills the torsion of Y_H.  Every
-    image lies in sat(L_G), and the answer is 0, with no S-side image
-    computed, at the first of these exits (proofs in the module docstring):
-    t = |T| is 1; no non-cyclic S entry has an order sharing a factor with
-    t, since the image of one that has none is killed by |H| and by t; or D
-    fills sat(L_G), that is t·pivprod(D) = pivprod(L_G), as L_G ⊆ D ⊆
-    sat(L_G) gives both Hermite forms the same pivot rows.  Subgroups of
-    order prime to t are dropped from the denominator as well.
+    Y must be relation-free, so that |H| kills the torsion of Y_H.  The
+    answer is 0, with no S-side image computed, at the module docstring's
+    three exits: t = 1, no S entry of order sharing a factor with t, or
+    T / D trivial.  Subgroups of order prime to t are dropped on both sides.
     """
     G = Y.group
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    ambient = hermite_column_form(coinvariants(Y, full_subgroup(G)))
-    t = prod(d for d in smith_normal_form(split_unit_pivots(ambient)[0]).diagonal if d)
+    phi, moduli = _torsion_coordinates(coinvariants(Y, full_subgroup(G)))
+    t = prod(moduli)
 
     def representatives(candidates: list[Subgroup]) -> list[Subgroup]:
         return _class_representatives(G, [H for H in candidates if gcd(H.order, t) > 1])
 
     def images(reps: list[Subgroup]) -> list[IntMatrix]:
-        return [torsion_generators(coinvariants(Y, H)) for H in reps]
+        return [_reduced(phi @ torsion_generators(coinvariants(Y, H)), moduli) for H in reps]
 
     s_reps = representatives([s_subgroups[k] for k in s_nc])
     if not s_reps:
         return FinAbInvariants(), s_nc
-    denominator = hermite_column_form(
-        hstack([ambient] + images(representatives(list(sc_subgroups) + cyclic_subgroups(G))))
-    )
-    if t * _pivot_product(denominator) == _pivot_product(ambient):
+    diagonal = IntMatrix.from_rows([[d * (i == j) for j in range(len(moduli))] for i, d in enumerate(moduli)])
+    denominator = hstack([diagonal] + images(representatives(list(sc_subgroups) + cyclic_subgroups(G))))
+    if cokernel_invariants(denominator).is_trivial():
         return FinAbInvariants(), s_nc
-    return finite_quotient(hstack(images(s_reps), rows=Y.n), denominator), s_nc
+    return finite_quotient(hstack(images(s_reps), rows=len(moduli)), denominator), s_nc
 
 
 def _is_detectably_free(M: GammaModule) -> bool:
@@ -259,9 +263,7 @@ def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
         validate_scenario(sc)
     elif (short := quick_vanish(sc)) is not None:
         return short
-    cover = free_cover(sc.module)
-    inv, s_nc = _image_quotient(cover.kernel, sc.s_subgroups, sc.sc_subgroups)
-    return DefectResult(inv, s_nc, shortcut=None)
+    return DefectResult(*_image_quotient(free_cover(sc.module).kernel, sc.s_subgroups, sc.sc_subgroups))
 
 
 def ch1_torus(
@@ -275,8 +277,7 @@ def ch1_torus(
         raise ModuleError("a torus cocharacter module must be relation-free")
     sc = Scenario(group, y_module, s_subgroups, sc_subgroups)
     validate_scenario(sc)
-    inv, _ = _image_quotient(y_module, sc.s_subgroups, sc.sc_subgroups)
-    return inv
+    return _image_quotient(y_module, sc.s_subgroups, sc.sc_subgroups)[0]
 
 
 def verify_cover(cover: FreeCover) -> None:

@@ -120,7 +120,7 @@ def _parse_group(doc: object, group_cap: int) -> CayleyGroup:
 
 def _parse_module(doc: object, group: CayleyGroup) -> GammaModule:
     _check_keys(doc, _MODULE_KEYS, "module")
-    for key in _MODULE_KEYS:
+    for key in ("generators", "relations", "action"):
         if key not in doc:
             raise SchemaError(f"module: missing member '{key}'")
     n = _as_int(doc["generators"], "module.generators")

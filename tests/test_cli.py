@@ -222,11 +222,18 @@ class TestComputeCommand:
         assert main(["compute", path]) == 2
 
     def test_group_cap_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WA_DEFECT_GROUP_CAP", "3")
+        # the cap is a decimal integer string as a scenario file spells one,
+        # and at least 1; anything else is a schema error, even where int()
+        # takes it or the group would fit
         path = write_scenario(tmp_path, klein_doc())
-        assert main(["compute", path]) == 2
-        monkeypatch.setenv("WA_DEFECT_GROUP_CAP", "100")
-        assert main(["compute", path]) == 0
+        cases = [("3", 2), ("100", 0), ("+100", 0), ("4", 0),
+                 (" 5", 1), ("5 ", 1), ("1_0", 1), ("٣", 1), ("", 1), ("0", 1), ("-4", 1), ("2.0", 1)]
+        for raw, code in cases:
+            monkeypatch.setenv("WA_DEFECT_GROUP_CAP", raw)
+            assert main(["compute", path]) == code, raw
+            err = capsys.readouterr().err
+            if code == 1:
+                assert err.startswith("schema error: WA_DEFECT_GROUP_CAP"), raw
 
     def test_oracle_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         # sabotage the bar route to prove the trap fires with exit code 3
@@ -375,9 +382,9 @@ class TestSelfcheckCommand:
 class TestModuleEntryPoint:
     """`python -m wadefect` from a checkout, through the real process exit."""
 
-    def run(self, *args):
+    def run(self, *args, **env):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
         return subprocess.run([sys.executable, "-m", "wadefect", *args], capture_output=True, text=True, env=env)
 
     def test_selfcheck_passes(self):
@@ -390,6 +397,19 @@ class TestModuleEntryPoint:
         proc = self.run("compute", str(tmp_path / "missing.json"))
         assert proc.returncode == 1
         assert proc.stderr.startswith("schema error:")
+
+    def test_schema_error_text_ignores_the_hash_seed(self, tmp_path):
+        # a module missing two members names the first in a fixed order,
+        # not in the iteration order of a set of strings
+        doc = klein_doc()
+        doc["module"] = {"generators": 3}
+        path = write_scenario(tmp_path, doc)
+        errors = set()
+        for seed in range(6):
+            proc = self.run("compute", path, PYTHONHASHSEED=str(seed))
+            assert proc.returncode == 1
+            errors.add(proc.stderr)
+        assert errors == {"schema error: module: missing member 'relations'\n"}
 
 
 class TestScenarioParsing:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -554,9 +555,10 @@ class TestClassRepresentatives:
 
 class TestSumQuotient:
     def test_one_hermite_form_per_lattice(self, monkeypatch):
-        # one Hermite form per torsion image, one of the ambient L_G, one of
-        # D, and two inside finite_quotient: its preimage and that
-        # preimage's cokernel
+        # one Hermite form per torsion image, one of the ambient L_G for T's
+        # coordinates, one of D in those coordinates for the T / D exit, and
+        # two inside finite_quotient: its preimage and that preimage's
+        # cokernel; no Hermite form is taken of D over Y
         import wadefect.engine as engine_mod
         import wadefect.linalg as linalg_mod
 
@@ -588,7 +590,8 @@ class TestSumQuotient:
 
     def test_quotient_receives_the_s_side_images_alone(self, monkeypatch):
         # D is not passed beside the S-side images: finite_quotient forms
-        # (D + images) / D itself
+        # (D + images) / D itself, in T's coordinates.  Both matrices have
+        # rank(T) rows and D begins with diag(d_i), so T = Z^r / diag(d_i).
         import wadefect.engine as engine_mod
 
         calls = []
@@ -604,10 +607,49 @@ class TestSumQuotient:
         assert defect(Scenario(G, M, (full, full), ()), use_shortcuts=False).invariants == FinAbInvariants((2,))
         (num, den), = calls
         Y = free_cover(M).kernel
-        assert num == torsion_generators(coinvariants(Y, full))
-        assert den == hermite_column_form(
-            hstack([coinvariants(Y, full)] + [torsion_generators(coinvariants(Y, H)) for H in cyclic_subgroups(G)])
-        )
+        moduli = cokernel_invariants(coinvariants(Y, full)).factors
+        r = len(moduli)
+        diagonal = IntMatrix.from_rows([[d * (i == j) for j in range(r)] for i, d in enumerate(moduli)])
+        assert num.rows == den.rows == r
+        assert den.columns()[:r] == diagonal.columns()
+        # one column per torsion generator of the full S entry, whose image
+        # is all of T
+        assert num.cols == torsion_generators(coinvariants(Y, full)).cols
+        assert finite_quotient(num, diagonal) == FinAbInvariants(moduli)
+
+    def test_quotient_entries_are_bounded_by_the_moduli(self, monkeypatch):
+        # the image stage's stated entry bound: with T = ⊕ Z/d_i, the
+        # quotient's num and den have rank(T) rows, den begins with
+        # diag(d_i), and every other entry of row i lies in [0, d_i),
+        # whatever the size of the cover kernel
+        import wadefect.engine as engine_mod
+
+        calls = []
+
+        def recording(num, den):
+            calls.append((num, den))
+            return finite_quotient(num, den)
+
+        monkeypatch.setattr(engine_mod, "finite_quotient", recording)
+        rng = random.Random(3131)
+        groups = group_zoo() + [z2_cubed(), s4()]
+        checked = 0
+        for _ in range(100):
+            sc = norm_one_based_scenario(rng, rng.choice(groups))
+            calls.clear()
+            defect(sc, use_shortcuts=False)
+            if not calls:
+                continue
+            (num, den), = calls
+            Y = free_cover(sc.module).kernel
+            moduli = cokernel_invariants(coinvariants(Y, full_subgroup(sc.group))).factors
+            r = len(moduli)
+            assert num.rows == den.rows == r
+            for i, d in enumerate(moduli):
+                assert den.row(i)[:r] == tuple(d * (i == j) for j in range(r))
+                assert all(0 <= e < d for e in num.row(i) + den.row(i)[r:]), (i, d)
+            checked += 1
+        assert checked >= 15
 
     def test_zassenhaus_intersection_contained_and_isomorphic(self):
         rng = random.Random(13)
@@ -720,6 +762,93 @@ class TestImageGate:
             nontrivial += not got.is_trivial()
         assert nontrivial >= 50
         assert min(exits[e] for e in ("t=1", "coprime", "filled", "quotient")) >= 10, exits
+
+
+def abelian_group(dims):
+    """The group of coordinate tuples mod dims, by `from_table`, and its elements in index order."""
+    elements = list(itertools.product(*(range(d) for d in dims)))
+    index = {x: k for k, x in enumerate(elements)}
+    table = [[index[tuple((a + b) % d for a, b, d in zip(x, y, dims))] for y in elements] for x in elements]
+    return from_table(table), elements
+
+
+def wedge_quotient(num, den, moduli):
+    """Invariant factors of (span(num) + span(den)) / span(den) inside the sum of the Z/m, by enumeration.
+
+    With A the quotient, |A[m]| is the number of x in D + S with m x in D,
+    over |D|.  The exponent f of A is the least m with A[m] = A, and
+    A ≅ Z/f + A' with |A'[m]| = |A[m]| / gcd(m, f); peeling factors this
+    way uses nothing from `linalg`.
+    """
+    def span(gens):
+        seen = {tuple(0 for _ in moduli)}
+        frontier = list(seen)
+        for v in frontier:
+            for g in gens:
+                w = tuple((a + b) % q for a, b, q in zip(v, g, moduli))
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    D, DS = span(den), span(num + den)
+    size = len(DS) // len(D)
+    counts = {m: sum(tuple(m * a % q for a, q in zip(x, moduli)) in D for x in DS) // len(D)
+              for m in range(1, size + 1)}
+    factors = []
+    while size > 1:
+        f = next(m for m in range(1, size + 1) if counts[m] == size)
+        factors.append(f)
+        counts = {m: c // math.gcd(m, f) for m, c in counts.items()}
+        size //= f
+    return FinAbInvariants(reversed(factors))
+
+
+ABELIAN_DIMS = [(2, 2), (2, 4), (4, 4), (2, 2, 2), (2, 2, 4), (3, 3), (2, 6), (3, 9), (2, 2, 2, 2)]
+
+
+def exterior_square_scenarios(rng, count):
+    """Seeded regular norm-one scenarios over abelian groups, each with its closed-form defect.
+
+    Z[G] is H-free, so H_1(H, I_G) ≅ H_2(H, Z) naturally in H, and for
+    abelian H that is ∧²H (Brown, Cohomology of Groups, V.6.4).  For
+    G = ⊕ Z/d_i the defect is therefore (Σ_S ∧²Γ_v + D) / D inside
+    ∧²G = ⊕_(i<j) Z/gcd(d_i, d_j), with D = Σ_complement ∧²Γ_v; the image
+    of ∧²H is spanned by h ∧ h' over pairs of H's generators, so cyclic
+    subgroups add 0.  Yields (scenario, closed form, use_shortcuts).
+    """
+    groups = {dims: abelian_group(dims) for dims in ABELIAN_DIMS}
+    for k in range(count):
+        dims = ABELIAN_DIMS[k % len(ABELIAN_DIMS)]
+        G, elements = groups[dims]
+        M = norm_one_module(G)
+        if rng.random() < 0.3:
+            M = _conjugate(M, random_unimodular(rng, M.n))
+        pairs = [(i, j, math.gcd(dims[i], dims[j])) for i in range(len(dims)) for j in range(i + 1, len(dims))]
+        moduli = [q for _, _, q in pairs]
+
+        def wedges(H):
+            gens = [elements[g] for g in H.generators]
+            return [tuple((x[i] * y[j] - x[j] * y[i]) % q for i, j, q in pairs)
+                    for a, x in enumerate(gens) for y in gens[a + 1:]]
+
+        def draw(seeds):
+            return subgroup_closure(G, [rng.randrange(G.order) for _ in range(seeds)])
+
+        s = tuple(draw(rng.randint(2, 3)) for _ in range(rng.randint(1, 2)))
+        scs = tuple(draw(rng.randint(1, 2)) for _ in range(rng.randint(0, 2)))
+        expected = wedge_quotient([w for H in s for w in wedges(H)], [w for H in scs for w in wedges(H)], moduli)
+        yield Scenario(G, M, s, scs), expected, rng.random() < 0.5
+
+
+def test_abelian_regular_defect_is_an_exterior_square_quotient():
+    nontrivial, factors = 0, set()
+    for sc, expected, shortcuts in exterior_square_scenarios(random.Random(4242), 144):
+        got = defect(sc, use_shortcuts=shortcuts).invariants
+        assert got == expected, (sc.s_subgroups, sc.sc_subgroups)
+        nontrivial += not got.is_trivial()
+        factors.update(got.factors)
+    assert nontrivial >= 50 and {3, 4} <= factors, (nontrivial, factors)
 
 
 # Transitive groups of prime degree p: the p-cycle (0 1 ... p-1) plus the
