@@ -14,9 +14,9 @@ over D gives with no lattice intersection.  Each side adjoins its
 subgroups only up to conjugacy and containment: one representative per
 conjugacy class, none inside a conjugate of another.
 
-The stage works in T ≅ ⊕ Z/d_i (`_torsion_coordinates`), so after L_G each
-matrix has rank(T) rows: D begins with diag(d_i), and every other entry of
-row i lies in [0, d_i).  It stops as soon as T forces the answer:
+The stage works in T ≅ ⊕ Z/d_i (`linalg.torsion_coordinates`), so after
+L_G each matrix has rank(T) rows: D begins with diag(d_i), and every other
+entry of row i lies in [0, d_i).  It stops as soon as T forces the answer:
 
 1. t = |T| = d_1 ... d_r.  If t = 1, every image is 0 and so is the defect.
 2. Y is torsion-free, so the torsion of Y_H is Tate H^-1(H, Y), which |H|
@@ -50,10 +50,8 @@ from .linalg import (
     _Frozen,
     cokernel_invariants,
     finite_quotient,
-    hermite_column_form,
     hstack,
-    smith_normal_form,
-    split_unit_pivots,
+    torsion_coordinates,
     torsion_generators,
 )
 from .modules import (
@@ -150,26 +148,6 @@ def _class_representatives(G: CayleyGroup, candidates: Sequence[Subgroup]) -> li
     return [H for H, _ in kept]
 
 
-def _torsion_coordinates(L: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """(Phi, moduli) such that x -> (Phi x mod d_i) maps sat(L) / L onto ⊕ Z/d_i.
-
-    `split_unit_pivots` of L's Hermite form H gives Z^k / block ≅ Z^n / H.
-    Back, a kept row is its own class and the row r of a unit-pivot column
-    c is that of e_r - c, -c on the kept rows: c is zero on every other
-    unit-pivot row.  Phi is the rows of the Smith U with d_i >= 2 times
-    these classes, row i reduced mod d_i.
-    """
-    H = hermite_column_form(L)
-    block, rows = split_unit_pivots(H)
-    snf = smith_normal_form(block)
-    kept = {r: p for p, r in enumerate(rows)}
-    pivot_column = {next(i for i, e in enumerate(col) if e): col for col in H.columns()}
-    torsion = [(snf.U.row(i), d) for i, d in enumerate(snf.diagonal) if d > 1]
-    phi = [[u[kept[j]] % d if j in kept else -sum(a * pivot_column[j][r] for a, r in zip(u, rows)) % d
-            for j in range(L.rows)] for u, d in torsion]
-    return IntMatrix.from_rows(phi, cols=L.rows), tuple(d for _, d in torsion)
-
-
 def _reduced(A: IntMatrix, moduli: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_rows([[e % d for e in A.row(i)] for i, d in enumerate(moduli)], cols=A.cols)
 
@@ -188,7 +166,7 @@ def _image_quotient(
     """
     G = Y.group
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    phi, moduli = _torsion_coordinates(coinvariants(Y, full_subgroup(G)))
+    phi, moduli = torsion_coordinates(coinvariants(Y, full_subgroup(G)))
     t = prod(moduli)
 
     def representatives(candidates: list[Subgroup]) -> list[Subgroup]:

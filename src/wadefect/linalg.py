@@ -7,11 +7,11 @@ no overflow mode.  Preimages (a kernel is the preimage of the zero lattice)
 and solves come from one column Hermite form of the input stacked over
 [I 0], whose size reduction keeps entries small; a lattice quotient is
 the cokernel of one such preimage (:func:`finite_quotient`).  There is one
-Smith routine, :func:`smith_normal_form`, used only for invariant factors
-and torsion generators, and only on the block of a Hermite form left once
-its unit pivots are split off (:func:`split_unit_pivots`): a unit-pivot row
-is zero in every other column, so that row and its column are a zero
-summand of the quotient.  Every column reduction in the Hermite form and in
+Smith routine, :func:`smith_normal_form`, used only for the invariant
+factors, generators and coordinates of a torsion subgroup, and only on the
+block of a Hermite form left once its unit pivots are split off
+(:func:`split_unit_pivots`): a unit-pivot row is zero in every other
+column, so that row and its column are a zero summand of the quotient.  Every column reduction in the Hermite form and in
 back-substitution walks only the support (the nonzero rows) of the column
 it subtracts; a pivot's support is recomputed whenever it changes, and a
 product walks only the nonzero entries of its right factor.
@@ -44,6 +44,7 @@ __all__ = [
     "split_unit_pivots",
     "cokernel_invariants",
     "torsion_generators",
+    "torsion_coordinates",
     "finite_quotient",
     "ColumnSolver",
     "hstack",
@@ -555,14 +556,8 @@ class FinAbInvariants(_Frozen):
         return self.pretty()
 
 
-def _invariants_from_diagonal(diagonal: Sequence[int], ambient_rank: int) -> FinAbInvariants:
-    nonzero = [d for d in diagonal if d]
-    factors = tuple(d for d in nonzero if d > 1)
-    return FinAbInvariants(factors=factors, free_rank=ambient_rank - len(nonzero))
-
-
-def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int]]:
-    """Split the unit pivots off a column Hermite form: return (block, rows).
+def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int], dict[int, tuple[int, ...]]]:
+    """Split the unit pivots off a column Hermite form: return (block, rows, unit).
 
     In the canonical form H of :func:`hermite_column_form`, a row whose
     pivot is 1 is zero in every other column: columns to its right start
@@ -571,31 +566,39 @@ def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int]]:
     summand.  `rows` lists the other rows in order and `block` is the
     non-unit-pivot columns restricted to them; including Z^len(rows) into
     Z^H.rows on `rows` induces Z^len(rows) / span(block) ≅ Z^H.rows / span(H).
+    `unit` maps each unit-pivot row r to its column c, and gives the map
+    back: a kept row is its own class, and e_r that of e_r - c, which is
+    -c on the kept rows and zero on the unit-pivot ones.
     """
-    unit: set[int] = set()
+    unit: dict[int, tuple[int, ...]] = {}
     rest = []
     start = 0
     for col in H.columns():
         # pivot rows strictly increase, so each search starts below the last
         start = next(i for i in range(start, H.rows) if col[i])
         if col[start] == 1:
-            unit.add(start)
+            unit[start] = col
         else:
             rest.append(col)
         start += 1
     rows = [i for i in range(H.rows) if i not in unit]
-    return _from_columns([[col[i] for i in rows] for col in rest], len(rows)), rows
+    return _from_columns([[col[i] for i in rows] for col in rest], len(rows)), rows, unit
+
+
+def _split_smith(relations: IntMatrix) -> tuple[IntMatrix, list[int], dict[int, tuple[int, ...]], SmithDecomposition]:
+    block, rows, unit = split_unit_pivots(hermite_column_form(relations))
+    return block, rows, unit, smith_normal_form(block)
 
 
 def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
     """Invariant factors and free rank of Z^rows / (column span of relations).
 
     The relations are compressed to a Hermite basis and its unit pivots are
-    split off (:func:`split_unit_pivots`); only the remaining block goes
-    through the Smith form.
+    split off (:func:`split_unit_pivots`); only the remaining block, whose
+    rank is its width, goes through the Smith form.
     """
-    block, rows = split_unit_pivots(hermite_column_form(relations))
-    return _invariants_from_diagonal(smith_normal_form(block).diagonal, len(rows))
+    block, rows, _, snf = _split_smith(relations)
+    return FinAbInvariants(tuple(d for d in snf.diagonal if d > 1), len(rows) - block.cols)
 
 
 def torsion_generators(relations: IntMatrix) -> IntMatrix:
@@ -609,18 +612,32 @@ def torsion_generators(relations: IntMatrix) -> IntMatrix:
     entries >= 2 generate the block's torsion, one per torsion invariant
     factor, and column i of block @ V is d_i times column i of U^-1.
     """
-    block, rows = split_unit_pivots(hermite_column_form(relations))
-    snf = smith_normal_form(block)
+    block, rows, _, snf = _split_smith(relations)
     BV = block @ snf.V
-    m = relations.rows
     gens = []
     for i, d in enumerate(snf.diagonal):
         if d > 1:
-            col = [0] * m
-            for r, e in zip(rows, BV.column(i)):
-                col[r] = e // d
-            gens.append(col)
-    return _from_columns(gens, m)
+            col = dict(zip(rows, BV.column(i)))
+            gens.append([col.get(r, 0) // d for r in range(relations.rows)])
+    return _from_columns(gens, relations.rows)
+
+
+def torsion_coordinates(relations: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(Phi, moduli) such that x -> (Phi x mod d_i) maps the torsion onto ⊕ Z/d_i.
+
+    The torsion is that of Z^rows / relations, its invariant factors the
+    moduli d_i, and Phi inverts :func:`torsion_generators`.  With U the
+    Smith U behind both, Phi is the rows of U at d_i >= 2 times the classes
+    of :func:`split_unit_pivots`, each row reduced mod its d_i.
+    """
+    _, rows, unit, snf = _split_smith(relations)
+    phi, moduli = [], []
+    for u, d in zip(map(snf.U.row, range(len(rows))), snf.diagonal):
+        if d > 1:
+            cls = dict(zip(rows, u)) | {r: -sum(a * c[k] for a, k in zip(u, rows)) for r, c in unit.items()}
+            phi.append([cls[j] % d for j in range(relations.rows)])
+            moduli.append(d)
+    return IntMatrix._trusted(len(phi), relations.rows, chain.from_iterable(phi)), tuple(moduli)
 
 
 def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:

@@ -246,12 +246,14 @@ def free_cover(M: GammaModule) -> "FreeCover":
     kept: list[int] = []
     span = hermite_column_form(M.relations)
     free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
+    unit = split_unit_pivots(span)[2]
     for i in range(n):
-        if i not in split_unit_pivots(span)[1]:
+        if i in unit:
             continue
         kept.append(i)
         orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
         span = hermite_column_form(hstack([span, orbit]))
+        unit = split_unit_pivots(span)[2]
     d = len(kept)
     cover_rank = G.order * d
     projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
@@ -412,7 +414,7 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"
         )
     # H_1 of a finite group with finitely generated coefficients is finite
-    block, kept = split_unit_pivots(hermite_column_form(den))
+    block, kept, _ = split_unit_pivots(hermite_column_form(den))
     d1_rows = IntMatrix.from_columns([d1_red.column(r) for r in kept], rows=n)
     return finite_quotient(preimage(d1_rows, M.relations), block)
 

@@ -205,6 +205,8 @@ def load_scenario(path, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc)) from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nesting is deeper than the parser's recursion limit") from exc
     except ValueError as exc:
         # json raises a plain ValueError for a number literal of too many digits
         raise SchemaError("a JSON number literal is longer than the interpreter converts") from exc

@@ -149,6 +149,7 @@ class TestComputeCommand:
             "non-utf8",
             "long-digit-string",
             "long-number-literal",
+            "deep-nesting",
         ],
     )
     def test_unreadable_or_malformed_input_is_schema_error(self, tmp_path, capsys, case):
@@ -177,10 +178,15 @@ class TestComputeCommand:
         elif case == "non-utf8":
             (tmp_path / "latin1.json").write_bytes(b'{"S": "\xe9"}')
             path = str(tmp_path / "latin1.json")
+        elif case == "deep-nesting":
+            # json recurses once per array and raises RecursionError, not ValueError
+            (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+            path = str(tmp_path / "deep.json")
         assert main(["compute", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("schema error:")
         assert ("longer than the interpreter converts" in err) == case.startswith("long-")
+        assert ("nesting" in err) == (case == "deep-nesting")
 
     def test_default_cap_refuses_a_large_table(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("WA_DEFECT_GROUP_CAP", raising=False)

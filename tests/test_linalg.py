@@ -16,6 +16,7 @@ from wadefect.linalg import (
     preimage,
     smith_normal_form,
     split_unit_pivots,
+    torsion_coordinates,
     torsion_generators,
     xgcd,
 )
@@ -576,15 +577,65 @@ class TestPresentations:
         assert nontrivial >= 20
 
 
+def coordinate_cases(rng):
+    """Relation matrices for T's coordinates: many unit pivots, free rank, zero columns."""
+    yield from split_cases(rng)
+    for _ in range(180):
+        n = rng.randint(1, 8)
+        columns = []
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.random()
+            if kind < 0.1:
+                columns.append([0] * n)
+            elif kind < 0.8:
+                r = rng.randrange(n)
+                pivot = rng.choice((1, 1, 1, -1, 2, 3, 4, 6))
+                columns.append([0] * r + [pivot] + [rng.randint(-6, 6) for _ in range(n - r - 1)])
+            else:
+                columns.append([rng.randint(-4, 4) for _ in range(n)])
+        yield IntMatrix.from_columns(columns, rows=n)
+
+
+class TestTorsionCoordinates:
+    def test_coordinates_invert_the_generators(self):
+        # Phi kills the relations and sends the torsion generators to the
+        # unit vectors, row i mod d_i, and its moduli are the invariant factors
+        counts = dict(cases=0, unit_and_torsion=0, free=0, zero_column=0)
+        for rel in coordinate_cases(random.Random(24)):
+            phi, moduli = torsion_coordinates(rel)
+            inv = cokernel_invariants(rel)
+            assert moduli == inv.factors
+            assert (phi.rows, phi.cols) == (len(moduli), rel.rows)
+            gens = torsion_generators(rel)
+            killed, images = phi @ rel, phi @ gens
+            for i, d in enumerate(moduli):
+                assert all(0 <= e < d for e in phi.row(i))
+                assert all(e % d == 0 for e in killed.row(i)), rel
+                assert [e % d for e in images.row(i)] == [int(i == j) for j in range(len(moduli))], rel
+            counts["cases"] += 1
+            counts["unit_and_torsion"] += bool(moduli) and len(split_unit_pivots(hermite_column_form(rel))[2]) >= 2
+            counts["free"] += inv.free_rank > 0
+            counts["zero_column"] += not all(map(any, rel.columns()))
+        assert counts["cases"] >= 200
+        assert min(counts.values()) >= 20, counts
+
+
 class TestUnitPivotSplit:
     def test_block_keeps_the_non_unit_pivots(self):
         rng = random.Random(12)
         mixed = 0
         for rel in split_cases(rng):
             H = hermite_column_form(rel)
-            block, rows = split_unit_pivots(H)
+            block, rows, unit = split_unit_pivots(H)
             units = [c for c in H.columns() if next(e for e in c if e) == 1]
             assert rows == sorted(rows) and len(rows) == rel.rows - len(units)
+            # unit maps the unit-pivot rows, none of them kept, to their
+            # columns: a 1 at the row, zeros above it and on every other
+            # unit-pivot row, which Phi's unit-pivot correction relies on
+            assert sorted(unit.values()) == sorted(units) and not set(unit) & set(rows)
+            for r, c in unit.items():
+                assert c[r] == 1 and not any(c[:r])
+                assert all(c[s] == 0 for s in unit if s != r)
             assert block.cols == H.cols - len(units) and block.rows == len(rows)
             # the block is itself a Hermite form, with every pivot at least 2
             assert hermite_column_form(block) == block

@@ -215,7 +215,8 @@ class TestFreeCover:
         # Hermite form; covers built under it serve as the reference
         def column_scan_rows(H):
             columns = H.columns()
-            return None, [i for i in range(H.rows) if tuple(int(r == i) for r in range(H.rows)) not in columns]
+            units = {i: e for i in range(H.rows) if (e := tuple(int(r == i) for r in range(H.rows))) in columns}
+            return None, [i for i in range(H.rows) if i not in units], units
 
         rng = random.Random(17)
         cases = []
@@ -237,7 +238,8 @@ class TestFreeCover:
             covers = [free_cover(M) for M, _, _ in cases]
         # on any one span, the rule keeps a subset of what the column rule
         # keeps; the scan is greedy, so a whole cover can still come out larger
-        assert len(spans) >= len(cases)
+        # one split per span: the relations' and one after each kept orbit
+        assert len(spans) == sum(cover.cover_rank // M.group.order + 1 for (M, _, _), cover in zip(cases, covers))
         for H in spans:
             assert set(split_unit_pivots(H)[1]) <= set(column_scan_rows(H)[1])
         smaller = nontrivial = 0
@@ -630,7 +632,7 @@ def full_bar_h1(M, H):
     # H_1 from the full complex: one Hermite form of every boundary column,
     # split at its unit pivots, and the preimage of R under d1 on the kept
     # rows, modulo the block
-    block, rows = split_unit_pivots(hermite_column_form(full_bar_denominator(M, H)))
+    block, rows, _ = split_unit_pivots(hermite_column_form(full_bar_denominator(M, H)))
     d1 = full_bar_d1(M, H)
     d1_rows = IntMatrix.from_columns([d1.column(r) for r in rows], rows=M.n)
     return finite_quotient(preimage(d1_rows, M.relations), block)
