@@ -266,8 +266,11 @@ def verify_cover(cover: FreeCover) -> None:
     `free_cover` solves against.  Each generating position k must have
     B A[k] = P_{s_k} B, and every other designated generator j must have
     A[j] = D[s_j], the matrix `Y.element_matrix` derives along `G.tree`
-    from the generating positions' matrices.  The projection must kill the
-    kernel modulo the module relations.
+    from the generating positions' matrices.  The kernel's action derives
+    each such A[j] as D[s_j] on its first read, so this derives every one
+    it compares; the comparison catches an action replaced after the cover
+    was built.  The projection must kill the kernel modulo the module
+    relations.
 
     These checks fix every derived matrix, and the group law then holds
     exactly.  g -> P_g is a representation, so from D[e] = I and

@@ -198,7 +198,14 @@ def from_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
 
 
 def from_permutations(gens: Sequence[Sequence[int]], *, order_cap: int = DEFAULT_ORDER_CAP) -> CayleyGroup:
-    """Close permutation generators into a group with canonical BFS indexing."""
+    """Close permutation generators into a group with canonical BFS indexing.
+
+    The closure records right[x][k], the index of x * g_k, and the edge
+    (p, k) that first reached each element b = p * g_k.  Parents come
+    before their children, so row a of the table fills in element order
+    from a * e = a by a * b = (a * p) * g_k = right[table[a][p]][k]: |G|²
+    lookups, and no permutation is composed after the closure.
+    """
     perms = [tuple(int(v) for v in g) for g in gens]
     if perms:
         degree = len(perms[0])
@@ -211,20 +218,28 @@ def from_permutations(gens: Sequence[Sequence[int]], *, order_cap: int = DEFAULT
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        for g in perms:
-            y = tuple(x[g[i]] for i in range(degree))
-            if y not in index:
+    right: list[list[int]] = []
+    reached: list[tuple[int, int]] = []  # the edge (p, k) to element i + 1
+    for x, perm in enumerate(elements):  # the closure appends as it goes
+        step = []
+        for k, g in enumerate(perms):
+            y = tuple(map(perm.__getitem__, g))
+            i = index.get(y)
+            if i is None:
                 if len(elements) >= order_cap:
                     raise GroupError(f"group order exceeds the cap of {order_cap}")
-                index[y] = len(elements)
+                i = index[y] = len(elements)
                 elements.append(y)
-        pos += 1
+                reached.append((x, k))
+            step.append(i)
+        right.append(step)
 
-    n = len(elements)
-    table = [[index[tuple(a[b[i]] for i in range(degree))] for b in elements] for a in elements]
+    table = []
+    for a in range(len(elements)):
+        row = [a]
+        for p, k in reached:
+            row.append(right[row[p]][k])
+        table.append(row)
     inverses = [row.index(0) for row in table]
     return CayleyGroup(
         table=table,

@@ -26,6 +26,7 @@ canonical forms are equal, entry for entry.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from math import prod
@@ -356,11 +357,11 @@ def _support(col: list[int], row: int, m: int) -> list[int]:
 
 
 def _reduce_against_lower_pivots(
-    col: list[int], pivots: dict[int, list[int]], support: dict[int, list[int]], row: int
+    col: list[int], pivots: dict[int, list[int]], support: dict[int, list[int]], lower: list[int]
 ) -> None:
     # keep stored entries small; without this, repeated xgcd merges blow up
     # coefficients exponentially on wide inputs
-    for r in sorted(k for k in pivots if k > row):
+    for r in lower:
         p = pivots[r]
         q = col[r] // p[r]
         if q:
@@ -368,7 +369,10 @@ def _reduce_against_lower_pivots(
                 col[i] -= q * p[i]
 
 
-def _hnf_insert(v: list[int], pivots: dict[int, list[int]], support: dict[int, list[int]], m: int) -> None:
+def _hnf_insert(
+    v: list[int], pivots: dict[int, list[int]], rows: list[int], support: dict[int, list[int]], m: int
+) -> None:
+    # rows: the pivot rows, ascending
     row = 0
     while row < m:
         if not v[row]:
@@ -379,8 +383,9 @@ def _hnf_insert(v: list[int], pivots: dict[int, list[int]], support: dict[int, l
             if v[row] < 0:
                 for i in range(row, m):
                     v[i] = -v[i]
-            _reduce_against_lower_pivots(v, pivots, support, row)
+            _reduce_against_lower_pivots(v, pivots, support, rows[bisect_right(rows, row) :])
             pivots[row] = v
+            insort(rows, row)
             support[row] = _support(v, row, m)
             return
         a = c[row]
@@ -396,7 +401,7 @@ def _hnf_insert(v: list[int], pivots: dict[int, list[int]], support: dict[int, l
                 ci, vi = c[i], v[i]
                 c[i] = x * ci + y * vi
                 v[i] = aq * vi - bq * ci
-            _reduce_against_lower_pivots(c, pivots, support, row)
+            _reduce_against_lower_pivots(c, pivots, support, rows[bisect_right(rows, row) :])
             support[row] = _support(c, row, m)
         row += 1
 
@@ -421,11 +426,11 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     # but never reads it stale: step k reads support[r_k] and writes only
     # columns j < k, which no later step reads from.
     support: dict[int, list[int]] = {}
+    rows: list[int] = []
     for j in range(B.cols):
-        _hnf_insert(list(B.column(j)), pivots, support, m)
-    rows_sorted = sorted(pivots)
-    cols = [pivots[r] for r in rows_sorted]
-    for k, r in enumerate(rows_sorted):
+        _hnf_insert(list(B.column(j)), pivots, rows, support, m)
+    cols = [pivots[r] for r in rows]
+    for k, r in enumerate(rows):
         ck = cols[k]
         piv = ck[r]
         sk = support[r]

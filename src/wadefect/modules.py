@@ -67,24 +67,15 @@ class ModuleError(ValueError):
     """Invalid module data: incompatible action or unstable relation lattice."""
 
 
-def _along_tree(tree: dict[int, tuple[int, int]], derived: dict[int, IntMatrix], action, g: int) -> IntMatrix:
-    # D[g] from action[k] of the generating positions k: climb `tree` to an
-    # element already derived, then store D[h] = D[parent] action[k] on the
-    # way back down; iterative, since a cyclic group on one generator has a
-    # tree of depth |G| - 1
-    path = []
-    h = g
-    while h not in derived:
-        path.append(h)
-        h = tree[h][0]
-    for h in reversed(path):
-        parent, k = tree[h]
-        derived[h] = derived[parent] @ action[k]
-    return derived[g]
-
-
 class GammaModule:
-    """Z^n modulo a relation lattice, with a group acting by integer matrices."""
+    """Z^n modulo a relation lattice, with a group acting by integer matrices.
+
+    `action` holds one matrix per designated generator.  Scenario input
+    and the stock constructions give every one of them; a cover kernel
+    holds the generating positions' matrices and derives each other entry
+    on first read (:class:`_DerivedAction`).  `_matrices` holds the element
+    matrices derived so far along `group.tree`.
+    """
 
     __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_cover")
 
@@ -112,9 +103,22 @@ class GammaModule:
         return self._validated
 
     def _derive(self, g: int) -> IntMatrix:
-        if not self._matrices:
-            self._matrices[self.group.identity] = IntMatrix.identity(self.n)
-        return _along_tree(self.group.tree, self._matrices, self.action, g)
+        # D[g] from the action of the generating positions: climb the tree to
+        # an element already derived, then store D[h] = D[parent] A[k] on the
+        # way back down; iterative, since a cyclic group on one generator has
+        # a tree of depth |G| - 1
+        derived, tree = self._matrices, self.group.tree
+        if not derived:
+            derived[self.group.identity] = IntMatrix.identity(self.n)
+        path = []
+        h = g
+        while h not in derived:
+            path.append(h)
+            h = tree[h][0]
+        for h in reversed(path):
+            parent, k = tree[h]
+            derived[h] = derived[parent] @ self.action[k]
+        return derived[g]
 
     def element_matrix(self, g: int) -> IntMatrix:
         """Action matrix of an arbitrary element, derived along `group.tree` on first use."""
@@ -129,22 +133,58 @@ class GammaModule:
         return f"GammaModule(n={self.n}, relations={self.relations.cols}, group_order={self.group.order})"
 
 
+class _DerivedAction(Sequence):
+    """The action of a module lawful by construction, stored on the generating positions.
+
+    Entry k is the stored matrix of a generating position k, and otherwise
+    `module._derive(s_k)`, the element matrix of s_k along `G.tree`, which
+    is derived on first read and kept among the module's element matrices.
+    It reads, iterates and compares as a tuple of one matrix per designated
+    generator, and copies and pickles with its module.
+    """
+
+    __slots__ = ("module", "solved")
+
+    def __init__(self, module: GammaModule, solved: dict[int, IntMatrix]):
+        self.module = module
+        self.solved = solved
+
+    def __len__(self) -> int:
+        return len(self.module.group.generator_indices)
+
+    def __getitem__(self, k: int) -> IntMatrix:
+        g = self.module.group.generator_indices[k]  # an IndexError past the end stops iteration
+        mat = self.solved.get(k)
+        return mat if mat is not None else self.module._derive(g)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _DerivedAction) else other)
+
+
 def validate(M: GammaModule) -> None:
     """Check all module invariants, then mark M validated.
 
-    Every generator must preserve the relation lattice.  Each element's
-    matrix D[g] is derived along the spanning tree `G.tree` from D[e] = I
-    by D[p s_k] = D[p] A[k].  Every (element, generating position) pair off
-    the tree must agree with it, D[g] A[k] = D[g s_k], and each designated
-    generator j must have A[j] = D[s_j].  Equalities hold modulo the
-    relations; a violation raises :class:`ModuleError` naming it.  A
-    relation-free module is compared exactly, matrix by matrix, with no solve.
+    Every generating position's matrix must preserve the relation lattice.
+    Each element's matrix D[g] is derived along the spanning tree `G.tree`
+    from D[e] = I by D[p s_k] = D[p] A[k].  Every (element, generating
+    position) pair off the tree must agree with it, D[g] A[k] = D[g s_k],
+    and each designated generator j must have A[j] = D[s_j].  Equalities
+    hold modulo the relations R; a violation raises :class:`ModuleError`
+    naming it.  A relation-free module is compared exactly, matrix by
+    matrix, with no solve.
 
     Together this is the group law on all pairs.  Congruences survive right
     multiplication by any matrix and left multiplication by a lattice-stable
     one such as D[g].  Along `G.tree`, D[g] D[e] = D[g] and
     D[g] D[p] A[k] = D[gp] A[k] = D[gp s_k], so D[g] D[h] = D[gh] for all h,
     and D[g] A[j] = D[g] D[s_j] = D[g s_j].
+
+    The other designated generators need no lattice check of their own.
+    For such a j, D[s_j] is a product of generating positions' matrices, so
+    it preserves R, and A[j] ≡ D[s_j] puts every column of A[j] - D[s_j] in
+    span(R), so A[j] preserves R too.  A module whose A[j] breaks the
+    lattice fails that congruence instead, and the set of accepted modules
+    is the same as with a lattice check on every designated generator.
     """
     if M.validated:
         return
@@ -154,8 +194,8 @@ def validate(M: GammaModule) -> None:
     def agree(a: IntMatrix, b: IntMatrix) -> bool:
         return a == b if rel_solver is None else rel_solver.contains(a - b)
 
-    for k, mat in enumerate(M.action):
-        if rel_solver is not None and not rel_solver.contains(mat @ M.relations):
+    for k in G.generating_positions:
+        if rel_solver is not None and not rel_solver.contains(M.action[k] @ M.relations):
             raise ModuleError(
                 f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
             )
@@ -185,7 +225,9 @@ class FreeCover:
     translation.  Left translation permutes the basis of Z[G]^d, and the
     generating positions' matrices are solved exactly on the G-stable
     lattice Y, so the kernel action satisfies the group law by construction:
-    `kernel` is marked validated, and derives any other matrix along `G.tree`.
+    `kernel` is marked validated.  Its action stores only those matrices,
+    and derives the other designated generators, like any other element
+    matrix, along `G.tree` on first read.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -233,9 +275,11 @@ def free_cover(M: GammaModule) -> "FreeCover":
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form.  The kernel
     action is solved for the generating positions only; the kernel's law
-    holds exactly, so the other designated generators' matrices are derived
-    along `G.tree`, and the kernel keeps them and the identity as its
-    element matrices.  The cover is built once per module and cached on it.
+    holds exactly, so each other designated generator's matrix is the
+    element matrix derived along `G.tree`, on its first read.  A table
+    group designates all |G| elements, and only `coinvariants`, on a
+    subgroup's generators, and `engine.verify_cover` read them.  The cover
+    is built once per module and cached on it.
     """
     if M._cover is not None:
         return M._cover
@@ -270,13 +314,11 @@ def free_cover(M: GammaModule) -> "FreeCover":
     solved = {k: solver.solve(_cover_shift_rows(G, d, basis, gens[k])) for k in G.generating_positions}
     if any(C is None for C in solved.values()):
         raise AssertionError("cover kernel is not stable under the group action")
-    derived = {G.identity: IntMatrix.identity(basis.cols)}
-    matrices = [
-        solved[k] if k in solved else _along_tree(G.tree, derived, solved, g)
-        for k, g in enumerate(gens)
-    ]
-    kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), matrices)
-    kernel._matrices = derived
+    # identity placeholders pass the constructor's shape checks, and the
+    # action that replaces them derives its other entries on first read
+    placeholders = [IntMatrix.identity(basis.cols)] * len(gens)
+    kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), placeholders)
+    kernel.action = _DerivedAction(kernel, solved)
     kernel._validated = True
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
     return M._cover

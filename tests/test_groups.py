@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import reduce
 from itertools import product
@@ -27,6 +28,42 @@ from wadefect.oracles import all_subgroups_2gen, cyclic_subgroup_count
 from wadefect.zoo import a4, cyclic, d4, group_zoo, klein, q8, s3
 
 KLEIN_GENS = [(1, 0, 3, 2), (2, 3, 0, 1)]
+
+
+# name -> (permutation generators, order): the zoo's groups and three larger ones
+PERMUTATION_GROUPS = {
+    "C2": ([(1, 0)], 2),
+    "C3": ([(1, 2, 0)], 3),
+    "C6": ([(1, 2, 3, 4, 5, 0)], 6),
+    "klein": (KLEIN_GENS, 4),
+    "S3": ([(1, 2, 0), (1, 0, 2)], 6),
+    "D4": ([(1, 2, 3, 0), (3, 2, 1, 0)], 8),
+    "Q8": ([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)], 8),
+    "A4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 12),
+    "S5": ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 120),
+    "S5xC2": ([(1, 2, 3, 4, 0, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 6, 5)], 240),
+    "A6": ([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 360),
+}
+
+
+def composed_reference(gens):
+    """(table, inverses, generator indices) by composing every pair of permutations.
+
+    The elements are indexed as `from_permutations` documents: breadth-first
+    from the identity, by right multiplication by the generators in order.
+    """
+    degree = len(gens[0])
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    for x in elements:
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    table = tuple(tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elements) for a in elements)
+    inverses = tuple(row.index(0) for row in table)
+    return table, inverses, tuple(index[tuple(g)] for g in gens)
 
 
 def order_of(G, g):
@@ -62,6 +99,23 @@ class TestFromPermutations:
     def test_order_cap(self):
         with pytest.raises(GroupError):
             from_permutations([tuple((i + 1) % 12 for i in range(12))], order_cap=10)
+
+    def test_order_cap_is_inclusive(self):
+        cycle = [tuple((i + 1) % 12 for i in range(12))]
+        assert from_permutations(cycle, order_cap=12).order == 12
+        with pytest.raises(GroupError, match="^group order exceeds the cap of 11$"):
+            from_permutations(cycle, order_cap=11)
+
+    @pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+    def test_table_matches_composing_every_pair(self, name):
+        gens, order = PERMUTATION_GROUPS[name]
+        G = from_permutations(gens)
+        assert G.order == order
+        got = (G.table, G.inverses, G.generator_indices)
+        want = composed_reference(gens)
+        if order > 24:
+            got, want = (hashlib.sha256(repr(x).encode()).hexdigest() for x in (got, want))
+        assert got == want
 
     def test_canonical_bfs_indexing(self):
         # elements are discovered identity-first, then by right multiplication

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -85,6 +87,21 @@ class TestValidate:
             [IntMatrix.from_rows([[0, 1], [1, 0]])],
         )
         with pytest.raises(ModuleError, match="preserve"):
+            validate(M)
+
+    def test_unstable_relations_off_the_generating_positions_are_incompatible(self):
+        # designated generator 0 of a table group is the identity element,
+        # not a generating position; its swap moves (3, 0) out of the
+        # lattice, and validate reports it as a failed congruence with D[e]
+        T = from_table(cyclic(2).table)
+        assert 0 not in T.generating_positions and T.generator_indices[0] == T.identity
+        M = GammaModule(
+            T,
+            2,
+            IntMatrix.from_columns([(3, 0)], rows=2),
+            [IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.identity(2)],
+        )
+        with pytest.raises(ModuleError, match="incompatible action of generator 0"):
             validate(M)
 
     def test_congruence_only_modulo_relations(self):
@@ -398,6 +415,49 @@ class TestKernelActionsOnGeneratingPositions:
             for k, g in enumerate(T.generator_indices):
                 if k not in T.generating_positions:
                     assert Y.element_matrix(g) is Y.action[k], (T.order, k)
+
+    def test_the_cover_of_a_table_group_derives_nothing_in_advance(self):
+        # a table group designates every element; the kernel derives their
+        # matrices when they are read, not while the cover is built
+        for P in group_zoo():
+            T = from_table(P.table)
+            Y = free_cover(norm_one_module(T)).kernel
+            assert set(Y._matrices) <= {T.identity}, T.order
+
+    def test_derived_entries_match_an_eager_derivation_and_a_direct_solve(self):
+        rng = random.Random(97)
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for _ in range(2):
+                    M = random_module(rng, G, max_rank=3)
+                    cover = free_cover(M)
+                    basis = cover.kernel_basis
+                    d = cover.cover_rank // G.order
+                    solver = ColumnSolver(basis)
+                    gens = G.generator_indices
+                    # every element matrix, eagerly, along the tree from the solves
+                    eager = {G.identity: IntMatrix.identity(basis.cols)}
+                    for g, (parent, k) in G.tree.items():
+                        eager[g] = eager[parent] @ solver.solve(left_translated(G, d, basis, gens[k]))
+                    action = cover.kernel.action
+                    assert set(cover.kernel._matrices) <= {G.identity}
+                    for k in rng.sample(range(len(gens)), len(gens)):
+                        assert action[k] == eager[gens[k]], (G.order, k)
+                        assert action[k] == solver.solve(left_translated(G, d, basis, gens[k])), (G.order, k)
+
+    def test_the_derived_action_reads_as_a_tuple(self):
+        T = from_table(s3().table)
+        Y = free_cover(norm_one_module(T)).kernel
+        whole = tuple(Y.action)
+        assert len(Y.action) == len(whole) == T.order
+        assert Y.action == whole and whole == Y.action and not Y.action != whole
+        assert Y.action[-1] == whole[-1]
+        with pytest.raises(IndexError):
+            Y.action[T.order]
+        for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            Z = copier(Y)
+            assert Z.action == whole and Z.validated
+            assert tate_h_minus1(Z, full_subgroup(T)) == tate_h_minus1(Y, full_subgroup(T))
 
 
 class TestSignCharacters:
