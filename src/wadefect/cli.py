@@ -162,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", choices=("text", "json"), default="text", help="output format")
         p.add_argument("--oracle", choices=("bar",), default=None,
                        help="recompute every H_1 through the bar complex and fail on mismatch")
-        p.add_argument("--check", action="store_true", help="run deep module and cover validations")
+        p.add_argument("--check", action="store_true",
+                       help="verify the free cover against the left translation that defines its kernel")
 
     p_compute = sub.add_parser("compute", help="compute the defect of a scenario file")
     p_compute.add_argument("scenario", help="path to a scenario JSON file")

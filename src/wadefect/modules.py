@@ -71,9 +71,8 @@ class GammaModule:
     """Z^n modulo a relation lattice, with a group acting by integer matrices.
 
     `action` holds one matrix per designated generator.  Scenario input
-    and the stock constructions give every one of them; a cover kernel
-    holds the generating positions' matrices and derives each other entry
-    on first read (:class:`_DerivedAction`).  `_matrices` holds the element
+    and the stock constructions give every one of them; a cover kernel's
+    action is a :class:`_DerivedAction`.  `_matrices` holds the element
     matrices derived so far along `group.tree`.
     """
 
@@ -138,9 +137,12 @@ class _DerivedAction(Sequence):
 
     Entry k is the stored matrix of a generating position k, and otherwise
     `module._derive(s_k)`, the element matrix of s_k along `G.tree`, which
-    is derived on first read and kept among the module's element matrices.
-    It reads, iterates and compares as a tuple of one matrix per designated
-    generator, and copies and pickles with its module.
+    is derived on first read and kept among the module's element matrices:
+    `module.element_matrix(s_k)` is that same object.  So no other entry
+    can disagree with the element matrices, and the stored matrices alone
+    decide the action; a check of them (`engine.verify_cover`) checks it
+    all.  It reads, iterates and compares as a tuple of one matrix per
+    designated generator, and copies and pickles with its module.
     """
 
     __slots__ = ("module", "solved")
@@ -225,9 +227,8 @@ class FreeCover:
     translation.  Left translation permutes the basis of Z[G]^d, and the
     generating positions' matrices are solved exactly on the G-stable
     lattice Y, so the kernel action satisfies the group law by construction:
-    `kernel` is marked validated.  Its action stores only those matrices,
-    and derives the other designated generators, like any other element
-    matrix, along `G.tree` on first read.
+    `kernel` is marked validated.  Its action is a :class:`_DerivedAction`
+    on those matrices.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -274,12 +275,11 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form.  The kernel
-    action is solved for the generating positions only; the kernel's law
-    holds exactly, so each other designated generator's matrix is the
-    element matrix derived along `G.tree`, on its first read.  A table
-    group designates all |G| elements, and only `coinvariants`, on a
-    subgroup's generators, and `engine.verify_cover` read them.  The cover
-    is built once per module and cached on it.
+    action is solved for the generating positions only, and the other
+    designated generators are read through :class:`_DerivedAction`.  A
+    table group designates all |G| elements, and only `coinvariants`, on a
+    subgroup's generators, reads them.  The cover is built once per module
+    and cached on it.
     """
     if M._cover is not None:
         return M._cover

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 
 import pytest
@@ -566,3 +568,70 @@ class TestSchemaFiles:
         labels = {quick_vanish(parse_scenario(doc)).shortcut for doc in (complement, cyclic, free)}
         assert labels == {"complement-full-group", "all-cyclic-S", "free-module"}
         assert labels == set(load_schema("result.schema.json")["properties"]["shortcut"]["enum"])
+
+
+FUZZ_VALUES = (None, True, 1.5, "x", 2**70, [], {})
+FUZZ_ARGV = (
+    ["compute"],
+    ["compute", "--check"],
+    ["compute", "--check", "--oracle", "bar"],
+    ["h1", "--subgroup", "full"],
+)
+
+
+def _slots(node):
+    # every (container, key) pair inside a JSON document, the document's own members first
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        for key in node if isinstance(node, dict) else range(len(node)):
+            out.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return out
+
+
+def mutated(rng, doc):
+    """A copy of doc with one seeded mutation: a replaced value, a deleted
+    member, an integer moved by one, or an unknown member or duplicate list entry."""
+    doc = json.loads(json.dumps(doc))
+    slots = _slots(doc)
+    kind = rng.randrange(4)
+    if kind == 0:
+        node, key = rng.choice(slots)
+        node[key] = rng.choice(FUZZ_VALUES)
+    elif kind == 1:
+        node, key = rng.choice(slots)
+        del node[key]
+    elif kind == 2:
+        node, key = rng.choice([(n, k) for n, k in slots if type(n[k]) is int])
+        node[key] += rng.choice((-1, 1))
+    else:
+        containers = [doc] + [n[k] for n, k in slots if isinstance(n[k], dict) or (isinstance(n[k], list) and n[k])]
+        node = rng.choice(containers)
+        if isinstance(node, dict):
+            node["unknown"] = 0
+        else:
+            node.append(json.loads(json.dumps(rng.choice(node))))
+    return doc
+
+
+def test_mutated_catalog_documents_exit_cleanly(tmp_path, capsys):
+    # every mutation is either computed (0), refused as malformed (1) or
+    # refused as an invalid group or module (2); nothing else escapes
+    rng = random.Random(26)
+    docs = [catalog.catalog_document(name) for name in catalog.catalog_names()]
+    path = tmp_path / "scenario.json"
+    codes = Counter()
+    for i in range(300):
+        doc = mutated(rng, docs[i % len(docs)])
+        path.write_text(json.dumps(doc))
+        argv = FUZZ_ARGV[i % len(FUZZ_ARGV)]
+        try:
+            code = main([argv[0], str(path)] + argv[1:])
+        except Exception as exc:
+            pytest.fail(f"{argv} on {doc} raised {exc!r}")
+        assert code in (0, 1, 2), (argv, doc)
+        codes[code] += 1
+    assert set(codes) == {0, 1, 2}, codes

@@ -424,6 +424,18 @@ def test_verify_cover_rejects_conjugated_kernels():
     assert rejected >= 20
 
 
+def test_verify_cover_derives_no_kernel_matrix():
+    # the checks read only the generating positions' stored matrices, so a
+    # table group's kernel keeps at most the identity among its derived
+    # element matrices
+    s5 = from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    for P in group_zoo() + [s5]:
+        T = from_table(P.table)
+        cover = free_cover(norm_one_module(T))
+        verify_cover(cover)
+        assert set(cover.kernel._matrices) <= {T.identity}, T.order
+
+
 def test_s4_norm_one_defect_derives_few_kernel_matrices():
     G = s4()
     M = norm_one_module(G)
@@ -916,3 +928,20 @@ def test_prime_degree_norm_one_defect_vanishes(name, d, extra, order):
             cases.append((tuple(rng.choices(noncyclic, k=2)), tuple(rng.choices(noncyclic, k=rng.randint(0, 2)))))
     for s, sc in cases:
         assert defect(Scenario(G, M, s, sc), use_shortcuts=False).invariants == FinAbInvariants(), (s, sc)
+
+
+def test_psl_2_11_norm_one_defect_is_z2():
+    # PSL(2,11) on the 12 points of P^1(F_11), with infinity as point 11,
+    # acting on the norm-one module on the basis e_i - e_11.  Relabelling
+    # x -> x + 1 mod 12 moves infinity to 0, so that basis is the
+    # f_j = e_j - e_0 of points_norm_one_module, in the same order.
+    gens = [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11), (11, 10, 5, 7, 8, 2, 9, 3, 4, 6, 1, 0)]
+    M = points_norm_one_module([[(p[(y - 1) % 12] + 1) % 12 for y in range(12)] for p in gens])
+    G = M.group
+    assert (G.order, M.n) == (660, 11)
+    sc = Scenario(G, M, (full_subgroup(G),), ())
+    assert defect(sc).invariants == FinAbInvariants((2,))
+    cover = M._cover
+    assert cover is not None
+    assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
+    assert M._cover is cover

@@ -408,7 +408,7 @@ class TestKernelActionsOnGeneratingPositions:
 
     def test_the_kernel_keeps_the_matrices_free_cover_derived(self):
         # the derivations along G.tree become the kernel's element matrices,
-        # so verify_cover and later calls reuse them instead of deriving again
+        # so coinvariants and later reads reuse them instead of deriving again
         for P in group_zoo():
             T = from_table(P.table)
             Y = free_cover(norm_one_module(T)).kernel
