@@ -3,18 +3,21 @@
 Smith and Hermite normal forms, saturated kernels and preimages, finite
 lattice quotients, and invariant factors of finitely presented abelian
 groups.  Everything runs on Python's arbitrary-precision integers; there is
-no overflow mode.  Preimages (a kernel is the preimage of the zero lattice)
-and solves come from one column Hermite form of the input stacked over
+no overflow mode.  A preimage (a kernel is the preimage of the zero
+lattice) comes from one column Hermite form of the input stacked over
 [I 0], whose size reduction keeps entries small; a lattice quotient is
-the cokernel of one such preimage (:func:`finite_quotient`).  There is one
-Smith routine, :func:`smith_normal_form`, used only for the invariant
-factors, generators and coordinates of a torsion subgroup, and only on the
-block of a Hermite form left once its unit pivots are split off
-(:func:`split_unit_pivots`): a unit-pivot row is zero in every other
-column, so that row and its column are a zero summand of the quotient.  Every column reduction in the Hermite form and in
-back-substitution walks only the support (the nonzero rows) of the column
-it subtracts; a pivot's support is recomputed whenever it changes, and a
-product walks only the nonzero entries of its right factor.
+the cokernel of one such preimage (:func:`finite_quotient`).  A solve
+back-substitutes on the Hermite basis of its lattice
+(:class:`ColumnSolver`), so its solutions are coordinates in that basis.
+There is one Smith routine, :func:`smith_normal_form`, used only for the
+invariant factors, generators and coordinates of a torsion subgroup, and
+only on the block of a Hermite form left once its unit pivots are split
+off (:func:`split_unit_pivots`): a unit-pivot row is zero in every other
+column, so that row and its column are a zero summand of the quotient.
+Every column reduction in the Hermite form and in back-substitution walks
+only the support (the nonzero rows) of the column it subtracts; a pivot's
+support is recomputed whenever it changes, and a product walks only the
+nonzero entries of its right factor.
 
 Lattices and presentations are plain matrices: a lattice is the column span
 of an integer matrix, and a finitely presented abelian group is Z^rows
@@ -252,13 +255,13 @@ class IntMatrix(_Frozen):
 
 
 def hstack(mats: Sequence[IntMatrix], rows: int | None = None) -> IntMatrix:
-    """Concatenate matrices left to right; `rows` is required when the list is empty."""
+    """Concatenate matrices left to right; `rows`, required when the list is empty, must match each."""
     mats = [m for m in mats]
     if not mats:
         if rows is None:
             raise DimensionError("rows is required to hstack nothing")
         return IntMatrix(rows, 0, ())
-    height = mats[0].rows
+    height = mats[0].rows if rows is None else rows
     if any(m.rows != height for m in mats):
         raise DimensionError("hstack of matrices with different row counts")
     flat: list[int] = []
@@ -443,80 +446,62 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     return _from_columns(cols, m)
 
 
-def _hermite_split(A: IntMatrix, n: int) -> tuple[list[tuple[int, ...]], IntMatrix]:
-    """Hermite form of A stacked over [I_n 0], split at the first column with zero top.
-
-    Column j of the stack is A's column j over the unit vector e_j (zero for
-    j >= n), so every stacked vector is (A x; first n coordinates of x).
-    Pivot rows increase left to right, so the columns before the split have
-    nonzero tops, which form an echelon basis of span(A).  The bottoms of
-    the columns after it are a basis, in canonical Hermite form, of the
-    bottoms of the vectors in the span whose top is zero.
-    """
-    m, c = A.rows, A.cols
-    flat = list(A.entries)
-    for i in range(n):
-        flat += [0] * i + [1] + [0] * (c - i - 1)
-    cols = hermite_column_form(IntMatrix._trusted(m + n, c, flat)).columns()
-    k = next((k for k, col in enumerate(cols) if not any(col[:m])), len(cols))
-    return cols[:k], _from_columns([col[m:] for col in cols[k:]], n)
-
-
 def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
     """Basis of {x : A @ x in span(R)}, in canonical Hermite form.
 
-    The columns of [A R; I 0] span the pairs (A x + R z; x); those with zero
-    top have A x = -R z, so the bottoms of the Hermite columns with zero top
-    are a basis of the whole preimage lattice, not a finite-index sublattice.
+    Column j of the stack [A R; I 0] is column j of [A R] over the unit
+    vector e_j (zero for j >= A.cols), so the stack spans the pairs
+    (A x + R z; x).  Those with zero top have A x = -R z.  Pivot rows
+    increase left to right, so the Hermite columns with zero top come last,
+    and their bottoms are a basis, in canonical Hermite form, of the whole
+    preimage lattice, not a finite-index sublattice.
     """
-    return _hermite_split(hstack([A, R]), A.cols)[1]
+    S = hstack([A, R])
+    m, c, n = S.rows, S.cols, A.cols
+    flat = list(S.entries)
+    for i in range(n):
+        flat += [0] * i + [1] + [0] * (c - i - 1)
+    cols = hermite_column_form(IntMatrix._trusted(m + n, c, flat)).columns()
+    return _from_columns([col[m:] for col in cols if not any(col[:m])], n)
 
 
 class ColumnSolver:
-    """Exact integral solving A @ x = b for a fixed A.
+    """Exact integral solving in the Hermite basis of span(A).
 
-    Back-substitutes against an echelon basis of span(A) whose columns carry
-    their preimages, from the Hermite form of A stacked over the identity.
-    Each basis column is stored as its support, the nonzero entries split at
-    row m of [A; I]: a step updates the remainder from the top part and the
-    solution from the bottom part, and skips every zero entry.
+    `basis` is `hermite_column_form(A)`, and `solve(B)` returns X with
+    basis @ X = B.  A canonical A, such as a :func:`preimage` result, is its
+    own basis.  Each basis column is stored as its support, the nonzero
+    (row, entry) pairs, the first of them its pivot: back-substitution takes
+    x_j from the remainder at column j's pivot row and walks only the
+    support.
     """
 
     def __init__(self, A: IntMatrix):
-        self.A = A
-        m = A.rows
-        echelon = _hermite_split(A, A.cols)[0]
-        # (pivot row, pivot, nonzero (row, entry) of the top, nonzero
-        # (row - m, entry) of the bottom) in increasing pivot order
-        self._echelon = []
-        for c in echelon:
-            top = [(i, c[i]) for i in range(m) if c[i]]
-            bottom = [(i - m, c[i]) for i in range(m, len(c)) if c[i]]
-            self._echelon.append((top[0][0], top[0][1], top, bottom))
+        self.basis = hermite_column_form(A)
+        self._supports = [[(i, e) for i, e in enumerate(c) if e] for c in self.basis.columns()]
 
     def solve(self, B: IntMatrix) -> IntMatrix | None:
-        """Return X with A @ X = B, or None if some column has no integer solution."""
-        A = self.A
-        if B.rows != A.rows:
-            raise DimensionError(f"cannot solve {A.rows}x{A.cols} against {B.rows} rows")
-        n = A.cols
+        """Return X with basis @ X = B, or None if some column of B is outside the span."""
+        basis = self.basis
+        if B.rows != basis.rows:
+            raise DimensionError(f"cannot solve {basis.rows}x{basis.cols} against {B.rows} rows")
         xcols: list[list[int]] = []
         for j in range(B.cols):
             r = list(B.column(j))
-            x = [0] * n
-            for p, piv, top, bottom in self._echelon:
+            x = []
+            for support in self._supports:
+                p, piv = support[0]
                 # later basis columns are zero at row p, so a remainder there
                 # survives to the final check
                 q = r[p] // piv
                 if q:
-                    for i, e in top:
+                    for i, e in support:
                         r[i] -= q * e
-                    for i, e in bottom:
-                        x[i] += q * e
+                x.append(q)
             if any(r):
                 return None
             xcols.append(x)
-        return _from_columns(xcols, n)
+        return _from_columns(xcols, basis.cols)
 
     def contains(self, B: IntMatrix) -> bool:
         return self.solve(B) is not None

@@ -274,12 +274,13 @@ def free_cover(M: GammaModule) -> "FreeCover":
     scan that skips only the e_i in the span.
 
     The kernel is one `preimage` of the relations of M under the
-    projection, so it comes out saturated and in canonical form.  The kernel
-    action is solved for the generating positions only, and the other
-    designated generators are read through :class:`_DerivedAction`.  A
-    table group designates all |G| elements, and only `coinvariants`, on a
-    subgroup's generators, reads them.  The cover is built once per module
-    and cached on it.
+    projection, so it comes out saturated and in canonical form, which is
+    its own `ColumnSolver` basis: the solves give kernel coordinates.  The
+    kernel action is solved for the generating positions only, and the
+    other designated generators are read through :class:`_DerivedAction`.
+    A table group designates all |G| elements, and only `coinvariants`, on
+    a subgroup's generators, reads them.  The cover is built once per
+    module and cached on it.
     """
     if M._cover is not None:
         return M._cover

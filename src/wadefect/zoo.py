@@ -12,7 +12,7 @@ import random
 from collections.abc import Sequence
 
 from .groups import CayleyGroup, Subgroup, cyclic_subgroups, from_permutations, subgroup_closure
-from .linalg import ColumnSolver, IntMatrix, hermite_column_form
+from .linalg import IntMatrix, hermite_column_form, smith_normal_form
 from .modules import GammaModule, ModuleError, direct_sum, free_module, induced_module, norm_one_module
 from .modules import trivial_module, validate
 
@@ -107,7 +107,8 @@ def _twist(M: GammaModule, chi: Sequence[int]) -> GammaModule:
 
 
 def _conjugate(M: GammaModule, U: IntMatrix) -> GammaModule:
-    Uinv = ColumnSolver(U).solve(IntMatrix.identity(M.n))
+    snf = smith_normal_form(U)  # U is unimodular, so snf.U @ U @ snf.V = I
+    Uinv = snf.V @ snf.U
     action = [U @ mat @ Uinv for mat in M.action]
     relations = U @ M.relations
     return GammaModule(M.group, M.n, relations, action)

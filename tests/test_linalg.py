@@ -28,7 +28,7 @@ from wadefect.oracles import (
     hermite_reference,
     quotient_element_orders,
 )
-from wadefect.zoo import group_zoo, random_module
+from wadefect.zoo import group_zoo, random_module, random_unimodular
 
 
 def cols(*vecs, rows=None):
@@ -77,6 +77,12 @@ class TestIntMatrix:
             IntMatrix(2, 2, (1, 2, 3))
         with pytest.raises(DimensionError):
             IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_hstack_rows_must_match_the_inputs(self):
+        assert hstack([], rows=3) == IntMatrix(3, 0, ())
+        assert hstack([IntMatrix.identity(2)], rows=2) == IntMatrix.identity(2)
+        with pytest.raises(DimensionError):
+            hstack([IntMatrix.identity(2)], rows=3)
 
     def test_empty_matrices_are_legal(self):
         z = IntMatrix(0, 3, ())
@@ -316,8 +322,9 @@ class TestEntryGrowth:
         assert is_zero(a @ basis)
         assert max_bits(basis) <= h
         b = a @ IntMatrix(cols_, 3, (rng.randint(-9, 9) for _ in range(cols_ * 3)))
-        sol = ColumnSolver(a).solve(b)
-        assert a @ sol == b
+        solver = ColumnSolver(a)
+        sol = solver.solve(b)
+        assert solver.basis @ sol == b
         assert max_bits(sol) <= h + max_bits(b) + cols_.bit_length()
 
     @pytest.mark.parametrize("shape", ["sparse-30x40", "dense-30x30"])
@@ -415,9 +422,10 @@ class TestHermite:
             assert K.cols == A.cols - ref.cols
             assert hermite_reference(K) == K
             solver = ColumnSolver(A)
+            assert solver.basis == ref
             Y = IntMatrix(A.cols, 1, [rng.randint(-3, 3) for _ in range(A.cols)])
             X = solver.solve(A @ Y)
-            assert X is not None and A @ X == A @ Y
+            assert X is not None and ref @ X == A @ Y
             b = IntMatrix(A.rows, 1, [rng.randint(-5, 5) for _ in range(A.rows)])
             in_span = hermite_reference(hstack([A, b])) == ref
             assert (solver.solve(b) is not None) == in_span
@@ -467,9 +475,10 @@ class TestMembershipSolve:
             a = random_matrix(rng, max_dim=4, bound=4)
             x = IntMatrix(a.cols, 2, (rng.randint(-3, 3) for _ in range(a.cols * 2)))
             b = a @ x
-            sol = ColumnSolver(a).solve(b)
+            solver = ColumnSolver(a)
+            sol = solver.solve(b)
             assert sol is not None
-            assert a @ sol == b
+            assert solver.basis @ sol == b
 
     def test_solve_fails_exactly_outside_the_span(self):
         rng = random.Random(19)
@@ -477,10 +486,39 @@ class TestMembershipSolve:
             a = random_matrix(rng, max_dim=5, bound=4)
             b = IntMatrix(a.rows, 1, (rng.randint(-4, 4) for _ in range(a.rows)))
             outside = hermite_column_form(hstack([a, b])) != hermite_column_form(a)
-            sol = ColumnSolver(a).solve(b)
+            solver = ColumnSolver(a)
+            sol = solver.solve(b)
             assert (sol is None) == outside
             if sol is not None:
-                assert a @ sol == b
+                assert solver.basis @ sol == b
+
+    def test_a_canonical_matrix_is_its_own_basis(self):
+        # Hermite forms and preimages are canonical, so a solve against one
+        # returns coordinates in its own columns
+        rng = random.Random(23)
+        for _ in range(40):
+            a = random_matrix(rng, max_dim=5, bound=4)
+            k = rng.randint(0, 3)
+            r = IntMatrix(a.rows, k, (rng.randint(-4, 4) for _ in range(a.rows * k)))
+            for canonical in (hermite_column_form(a), preimage(a, r)):
+                solver = ColumnSolver(canonical)
+                assert solver.basis == canonical
+                x = IntMatrix(canonical.cols, 2, (rng.randint(-3, 3) for _ in range(canonical.cols * 2)))
+                assert solver.solve(canonical @ x) == x
+
+    def test_edge_shapes(self):
+        # a lattice with no columns contains only 0
+        empty = ColumnSolver(IntMatrix(3, 0, ()))
+        assert empty.basis == IntMatrix(3, 0, ())
+        assert empty.solve(zeros(3, 2)) == IntMatrix(0, 2, ())
+        assert not empty.contains(cols((0, 1, 0), rows=3))
+        # A with no rows spans the zero lattice of Z^0
+        no_rows = ColumnSolver(IntMatrix(0, 4, ()))
+        assert no_rows.basis == IntMatrix(0, 0, ())
+        assert no_rows.solve(IntMatrix(0, 2, ())) == IntMatrix(0, 2, ())
+        # B with no columns has the empty solution
+        solver = ColumnSolver(cols((2, 1), (0, 3)))
+        assert solver.solve(IntMatrix(2, 0, ())) == IntMatrix(2, 0, ())
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionError):
@@ -488,10 +526,24 @@ class TestMembershipSolve:
 
 
 class TestUnimodularInverse:
-    # the inverse of a square U is the solution of U @ X = I
+    # a unimodular U spans Z^n, so its Hermite basis is I; its inverse is
+    # V @ U' from its Smith form U' @ U @ V = I
     def test_round_trip(self):
         u = IntMatrix.from_rows([[1, 2], [0, 1]])
-        assert ColumnSolver(u).solve(IntMatrix.identity(2)) @ u == IntMatrix.identity(2)
+        assert ColumnSolver(u).basis == IntMatrix.identity(2)
+        snf = smith_normal_form(u)
+        assert snf.D == IntMatrix.identity(2)
+        assert snf.V @ snf.U @ u == IntMatrix.identity(2)
+
+    def test_random_unimodular_draws_invert(self):
+        rng = random.Random(41)
+        for n in range(1, 7):
+            for _ in range(10):
+                u = random_unimodular(rng, n)
+                snf = smith_normal_form(u)
+                assert snf.D == IntMatrix.identity(n)
+                inv = snf.V @ snf.U
+                assert u @ inv == IntMatrix.identity(n) == inv @ u
 
     def test_rejects_non_unimodular(self):
         assert ColumnSolver(IntMatrix.from_rows([[2, 0], [0, 1]])).solve(IntMatrix.identity(2)) is None

@@ -338,6 +338,32 @@ class TestFreeCover:
         # projection columns: identity block then the block of the generator
         assert free_cover(M).projection.to_rows() == [[1, 1]]
 
+    def test_the_kernel_basis_is_its_own_solver_basis(self):
+        # free_cover solves against its kernel basis, a preimage and so
+        # canonical: the solutions are coordinates in the kernel's own basis
+        rng = random.Random(61)
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for M in (norm_one_module(G), random_module(rng, G, max_rank=3)):
+                    basis = free_cover(M).kernel_basis
+                    solver = ColumnSolver(basis)
+                    assert solver.basis == basis, G.order
+                    x = IntMatrix(basis.cols, 1, (rng.randint(-3, 3) for _ in range(basis.cols)))
+                    assert solver.solve(basis @ x) == x, G.order
+
+
+class TestConjugate:
+    def test_the_action_is_intertwined_and_the_relations_move(self):
+        rng = random.Random(59)
+        for G in group_zoo():
+            for _ in range(3):
+                M = random_module(rng, G)
+                U = random_unimodular(rng, M.n)
+                C = _conjugate(M, U)
+                assert C.relations == U @ M.relations
+                for k, mat in enumerate(M.action):
+                    assert C.action[k] @ U == U @ mat, (G.order, k)
+
 
 def left_translated(G, d, B, g):
     # rows of B moved by left translation by g on Z[G]^d: (h, k) -> (g*h, k)
