@@ -262,22 +262,19 @@ def verify_cover(cover: FreeCover) -> None:
     """Deep consistency checks for a free cover; raises AssertionError on failure.
 
     The kernel action is pinned by the identity that defines it.  Let B be
-    `kernel_basis` and P_g left translation by g on Z[G]^d, which
-    `free_cover` solves against.  Each generating position k must have
-    B A[k] = P_{s_k} B, and the projection must kill the kernel modulo the
-    module relations.  The other designated generators' entries are read
-    from these (`modules._DerivedAction`), so no other entry is checked or
-    derived; a tuple assigned to `kernel.action` later is checked on its
-    generating positions only.
+    `kernel_basis` and P_g left translation by g on Z[G]^d.  Each
+    generating position k must have B A[k] = P_{s_k} B, and the projection
+    must kill the kernel modulo the module relations.  Only the generating
+    positions' stored matrices are read, so nothing is solved here; a tuple
+    assigned to `kernel.action` later is checked on them only.
 
-    These checks fix every derived matrix, and the group law then holds
-    exactly.  g -> P_g is a representation, so from D[e] = I and
-    D[p s_k] = D[p] A[k], induction down the tree gives B D[g] = P_g B for
-    every g: B D[p s_k] = P_p B A[k] = P_p P_{s_k} B = P_{p s_k} B.  Then
-    B D[g] D[h] = P_g P_h B = P_{gh} B = B D[gh], and B has full column
-    rank (a Hermite basis: its columns have distinct pivot rows), so
-    D[g] D[h] = D[gh].  A check of the law alone would accept any lawful
-    action, such as identity matrices or a conjugate of the true one.
+    B has full column rank (a Hermite basis: its columns have distinct
+    pivot rows), so D[g] is the unique X with B X = P_g B, which is how
+    `modules._CoverKernel` solves every element matrix.  g -> P_g is a
+    representation, so B D[g] D[h] = P_g P_h B = P_{gh} B = B D[gh], and
+    D[g] D[h] = D[gh] holds exactly.  A check of the law alone would accept
+    any lawful action, such as identity matrices or a conjugate of the
+    true one.
     """
     Y = cover.kernel
     G = Y.group

@@ -7,9 +7,9 @@ along the group's spanning tree `CayleyGroup.tree`, and is only required
 to satisfy the group law modulo the relation lattice.  A relation-free
 module is a lattice, and its action matrices satisfy the group law
 exactly.  :func:`validate` checks the law once per module.  :func:`free_cover`
-builds one cover per module; its kernel is valid by construction, so only
-`engine.verify_cover` checks it, against the left translation that defines
-it.  The stock modules are relation-free and come from one builder, each
+builds one cover per module; its kernel solves each matrix from the left
+translation that defines it, so only `engine.verify_cover` checks it.
+The stock modules are relation-free and come from one builder, each
 from a rule giving the (row, entry) pairs of every generator's columns.
 
 The homology entry points are :func:`h1` (through a free cover
@@ -70,10 +70,9 @@ class ModuleError(ValueError):
 class GammaModule:
     """Z^n modulo a relation lattice, with a group acting by integer matrices.
 
-    `action` holds one matrix per designated generator.  Scenario input
-    and the stock constructions give every one of them; a cover kernel's
-    action is a :class:`_DerivedAction`.  `_matrices` holds the element
-    matrices derived so far along `group.tree`.
+    `action` holds the given matrix of each designated generator, and
+    `_matrices` the element matrices derived so far along `group.tree`; a
+    :class:`_CoverKernel` solves its matrices instead.
     """
 
     __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_cover")
@@ -120,7 +119,7 @@ class GammaModule:
         return derived[g]
 
     def element_matrix(self, g: int) -> IntMatrix:
-        """Action matrix of an arbitrary element, derived along `group.tree` on first use."""
+        """Action matrix of an arbitrary element, derived on first use."""
         validate(self)
         return self._derive(g)
 
@@ -133,31 +132,23 @@ class GammaModule:
 
 
 class _DerivedAction(Sequence):
-    """The action of a module lawful by construction, stored on the generating positions.
+    """A cover kernel's action: entry k is `module._derive(s_k)`, its element matrix itself.
 
-    Entry k is the stored matrix of a generating position k, and otherwise
-    `module._derive(s_k)`, the element matrix of s_k along `G.tree`, which
-    is derived on first read and kept among the module's element matrices:
-    `module.element_matrix(s_k)` is that same object.  So no other entry
-    can disagree with the element matrices, and the stored matrices alone
-    decide the action; a check of them (`engine.verify_cover`) checks it
-    all.  It reads, iterates and compares as a tuple of one matrix per
+    It reads, slices, iterates and compares as a tuple of one matrix per
     designated generator, and copies and pickles with its module.
     """
 
-    __slots__ = ("module", "solved")
+    __slots__ = ("module",)
 
-    def __init__(self, module: GammaModule, solved: dict[int, IntMatrix]):
+    def __init__(self, module: GammaModule):
         self.module = module
-        self.solved = solved
 
     def __len__(self) -> int:
         return len(self.module.group.generator_indices)
 
-    def __getitem__(self, k: int) -> IntMatrix:
+    def __getitem__(self, k):
         g = self.module.group.generator_indices[k]  # an IndexError past the end stops iteration
-        mat = self.solved.get(k)
-        return mat if mat is not None else self.module._derive(g)
+        return tuple(map(self.module._derive, g)) if isinstance(k, slice) else self.module._derive(g)
 
     def __eq__(self, other) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, _DerivedAction) else other)
@@ -222,13 +213,12 @@ class FreeCover:
     e_{i_{d-1}} of M.  The middle term has basis (g, k) at index g*d + k
     (element index major); the projection sends (g, k) to g acting on
     e_{i_k}.  Y is the kernel: the preimage under the projection of the
-    relation lattice of M.  `kernel_basis` is its canonical Hermite basis,
-    and `kernel` is the relation-free module on that basis under left
-    translation.  Left translation permutes the basis of Z[G]^d, and the
-    generating positions' matrices are solved exactly on the G-stable
-    lattice Y, so the kernel action satisfies the group law by construction:
-    `kernel` is marked validated.  Its action is a :class:`_DerivedAction`
-    on those matrices.
+    relation lattice of M.  `kernel_basis` is its canonical Hermite basis
+    B, and `kernel` (a :class:`_CoverKernel`) is the relation-free module
+    on B under left translation P_g, which permutes the basis of Z[G]^d.
+    B has full column rank and Y is G-stable, so D[g] is the one X with
+    B X = P_g B.  g -> P_g is a representation, so the kernel satisfies
+    the group law by construction, and it is marked validated.
     """
 
     __slots__ = ("module", "cover_rank", "projection", "kernel_basis", "kernel")
@@ -258,6 +248,28 @@ def _cover_shift_rows(G: CayleyGroup, d: int, B: IntMatrix, g: int) -> IntMatrix
     return IntMatrix._trusted(B.rows, B.cols, chain.from_iterable(rows))
 
 
+class _CoverKernel(GammaModule):
+    """A cover kernel on its Hermite basis B: D[g] is the X with B X = P_g B, solved on first read."""
+
+    __slots__ = ("_solver", "_d")
+
+    def __init__(self, group: CayleyGroup, solver: ColumnSolver, d: int):
+        n = solver.basis.cols
+        self.group, self.n, self.relations = group, n, IntMatrix(n, 0, ())
+        self.action = _DerivedAction(self)
+        self._matrices, self._validated, self._cover = {}, True, None
+        self._solver, self._d = solver, d
+
+    def _derive(self, g: int) -> IntMatrix:
+        mat = self._matrices.get(g)
+        if mat is None:
+            mat = self._solver.solve(_cover_shift_rows(self.group, self._d, self._solver.basis, g))
+            if mat is None:
+                raise AssertionError("cover kernel is not stable under the group action")
+            self._matrices[g] = mat
+        return mat
+
+
 def free_cover(M: GammaModule) -> "FreeCover":
     """Free cover of M on a greedy generating set, with its kernel module.
 
@@ -275,11 +287,10 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form, which is
-    its own `ColumnSolver` basis: the solves give kernel coordinates.  The
-    kernel action is solved for the generating positions only, and the
-    other designated generators are read through :class:`_DerivedAction`.
-    A table group designates all |G| elements, and only `coinvariants`, on
-    a subgroup's generators, reads them.  The cover is built once per
+    its own `ColumnSolver` basis: the solves give kernel coordinates.  Only
+    the generating positions are solved here, so an unstable kernel fails
+    at once; a table group designates all |G| elements, and `coinvariants`
+    reads only a subgroup's generators.  The cover is built once per
     module and cached on it.
     """
     if M._cover is not None:
@@ -310,17 +321,9 @@ def free_cover(M: GammaModule) -> "FreeCover":
             f"cover kernel has rank {basis.cols}, exactness requires {expected_rank}"
         )
 
-    solver = ColumnSolver(basis)
-    gens = G.generator_indices
-    solved = {k: solver.solve(_cover_shift_rows(G, d, basis, gens[k])) for k in G.generating_positions}
-    if any(C is None for C in solved.values()):
-        raise AssertionError("cover kernel is not stable under the group action")
-    # identity placeholders pass the constructor's shape checks, and the
-    # action that replaces them derives its other entries on first read
-    placeholders = [IntMatrix.identity(basis.cols)] * len(gens)
-    kernel = GammaModule(G, basis.cols, IntMatrix(basis.cols, 0, ()), placeholders)
-    kernel.action = _DerivedAction(kernel, solved)
-    kernel._validated = True
+    kernel = _CoverKernel(G, ColumnSolver(basis), d)
+    for k in G.generating_positions:
+        kernel._derive(G.generator_indices[k])
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
     return M._cover
 

@@ -376,8 +376,8 @@ def left_translated(G, d, B, g):
 
 class TestKernelMatricesOnDemand:
     def test_derived_matrices_match_a_freshly_validated_kernel(self):
-        # the trusted kernel derives each matrix along G.tree on first use;
-        # it must equal the matrix a full validation derives, and the basis
+        # the trusted kernel solves each matrix on first use; it must equal
+        # the matrix a full validation derives along G.tree, and the basis
         # of Y must move by left translation under it
         rng = random.Random(71)
         for P in group_zoo():
@@ -409,12 +409,30 @@ class TestKernelMatricesOnDemand:
         M._validated = True
         assert M.element_matrix(far) == IntMatrix.from_rows([[(-1) ** (n - 1)]])
 
+    def test_reading_one_kernel_matrix_stores_only_that_element(self):
+        # Z/24 on one generator: the tree is a path of depth 23, and the
+        # kernel solves its far end directly instead of storing the path
+        G = cyclic(24)
+        depth = {G.identity: 0}
+        for g, (parent, _) in G.tree.items():
+            depth[g] = depth[parent] + 1
+        far = max(depth, key=depth.get)
+        assert depth[far] == 23
+        cover = free_cover(norm_one_module(G))
+        Y = cover.kernel
+        before = set(Y._matrices)
+        mat = Y.element_matrix(far)
+        assert set(Y._matrices) == before | {far} and far not in before
+        d = cover.cover_rank // G.order
+        assert cover.kernel_basis @ mat == left_translated(G, d, cover.kernel_basis, far)
+
 
 class TestKernelActionsOnGeneratingPositions:
     def test_every_designated_generator_matches_a_direct_solve(self):
         # free_cover solves the kernel action on the generating positions and
-        # derives the other designated generators along G.tree; each must be
-        # the matrix that moves the kernel basis by left translation
+        # the kernel solves the other designated generators on first read;
+        # each must be the matrix that moves the kernel basis by left
+        # translation
         rng = random.Random(211)
         derived = 0
         for P in group_zoo():
@@ -433,8 +451,9 @@ class TestKernelActionsOnGeneratingPositions:
         assert derived
 
     def test_the_kernel_keeps_the_matrices_free_cover_derived(self):
-        # the derivations along G.tree become the kernel's element matrices,
-        # so coinvariants and later reads reuse them instead of deriving again
+        # the solves of the action's entries become the kernel's element
+        # matrices, so coinvariants and later reads reuse them instead of
+        # solving again
         for P in group_zoo():
             T = from_table(P.table)
             Y = free_cover(norm_one_module(T)).kernel
@@ -443,12 +462,14 @@ class TestKernelActionsOnGeneratingPositions:
                     assert Y.element_matrix(g) is Y.action[k], (T.order, k)
 
     def test_the_cover_of_a_table_group_derives_nothing_in_advance(self):
-        # a table group designates every element; the kernel derives their
-        # matrices when they are read, not while the cover is built
+        # a table group designates every element; the kernel solves their
+        # matrices when they are read, and the cover solves only the
+        # generating positions while it is built
         for P in group_zoo():
             T = from_table(P.table)
             Y = free_cover(norm_one_module(T)).kernel
-            assert set(Y._matrices) <= {T.identity}, T.order
+            solved = {T.generator_indices[k] for k in T.generating_positions}
+            assert set(Y._matrices) <= {T.identity} | solved, T.order
 
     def test_derived_entries_match_an_eager_derivation_and_a_direct_solve(self):
         rng = random.Random(97)
@@ -466,7 +487,8 @@ class TestKernelActionsOnGeneratingPositions:
                     for g, (parent, k) in G.tree.items():
                         eager[g] = eager[parent] @ solver.solve(left_translated(G, d, basis, gens[k]))
                     action = cover.kernel.action
-                    assert set(cover.kernel._matrices) <= {G.identity}
+                    solved = {gens[k] for k in G.generating_positions}
+                    assert set(cover.kernel._matrices) <= {G.identity} | solved
                     for k in rng.sample(range(len(gens)), len(gens)):
                         assert action[k] == eager[gens[k]], (G.order, k)
                         assert action[k] == solver.solve(left_translated(G, d, basis, gens[k])), (G.order, k)
@@ -478,6 +500,8 @@ class TestKernelActionsOnGeneratingPositions:
         assert len(Y.action) == len(whole) == T.order
         assert Y.action == whole and whole == Y.action and not Y.action != whole
         assert Y.action[-1] == whole[-1]
+        assert Y.action[1:3] == whole[1:3] and type(Y.action[1:3]) is tuple
+        assert Y.action[::-1] == whole[::-1]
         with pytest.raises(IndexError):
             Y.action[T.order]
         for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
