@@ -2,11 +2,8 @@
 
 The defect of weak approximation from a group, a module, and the
 decomposition subgroups of the places of S and of the known non-cyclic
-part of its complement.  Y must be relation-free, as the cover kernel and
-a torus's cocharacters are, and L_H, the span of the columns rho(h) - 1
-over H's generators, presents its coinvariants Z^n / L_H.  The torsion
-image of H lies in sat(L_H) ⊆ sat(L_G), so in T = sat(L_G) / L_G, which is
-H_1(G, M) for the cover kernel of M.  With S the span of the images of the
+part of its complement.  It lives in T = H_1(G, M), where each subgroup H
+contributes the image of H_1(H, M).  With S the span of the images of the
 non-cyclic S entries, and D that of the complement side with every cyclic
 subgroup adjoined for free (the Chebotarev step), the defect is
 (D + S) / D ≅ S / (S ∩ D), which `finite_quotient` of the S-side images
@@ -14,17 +11,35 @@ over D gives with no lattice intersection.  Each side adjoins its
 subgroups only up to conjugacy and containment: one representative per
 conjugacy class, none inside a conjugate of another.
 
+One of two heads gives T's coordinates and the images; the tail,
+`_image_quotient`, does the rest and cannot tell them apart.
+
+- `_y_head` reads T from a relation-free Y, as the cover kernel and a
+  torus's cocharacters are.  L_H, the span of the columns rho(h) - 1 over
+  H's generators, presents the coinvariants Z^n / L_H.  The torsion image
+  of H lies in sat(L_H) ⊆ sat(L_G), so in T = sat(L_G) / L_G, which is
+  H_1(G, M) for the cover kernel of M.
+- `_bar_head` reads T = Z_G / T(B) from the bar complex on G's generator
+  blocks (`modules.h1_bar`), with no cover.
+
+`defect` takes the bar head when the module has no cover yet and n k < r.
+Those are the rows of the matrices each head reduces: T(B) has n k rows
+for the k generating positions, and the cover kernel of `free_cover` has
+rank r = |G| d - (free rank of M) on its d greedy generators.  A cover
+that exists already is reused.
+
 The stage works in T ≅ ⊕ Z/d_i (`linalg.torsion_coordinates`), so after
-L_G each matrix has rank(T) rows: D begins with diag(d_i), and every other
-entry of row i lies in [0, d_i).  It stops as soon as T forces the answer:
+the head each matrix has rank(T) rows: D begins with diag(d_i), and every
+other entry of row i lies in [0, d_i).  It stops as soon as T forces the
+answer:
 
 1. t = |T| = d_1 ... d_r.  If t = 1, every image is 0 and so is the defect.
-2. Y is torsion-free, so the torsion of Y_H is Tate H^-1(H, Y), which |H|
-   kills (Brown, Cohomology of Groups, III.10.2).  Its image in T is
-   therefore 0 when gcd(|H|, t) = 1, and such subgroups are dropped from
-   both sides before the containment pruning, which then keeps what it
-   kept before: a subgroup containing a conjugate of a kept H has an order
-   divisible by |H|, so it is not dropped either.  t = 1 drops every
+2. |H| kills H_1(H, M) (Brown, Cohomology of Groups, III.10.2; for Y
+   torsion-free it is the torsion of Y_H, Tate H^-1(H, Y)).  Its image in
+   T is therefore 0 when gcd(|H|, t) = 1, and such subgroups are dropped
+   from both sides before the containment pruning, which then keeps what
+   it kept before: a subgroup containing a conjugate of a kept H has an
+   order divisible by |H|, so it is not dropped either.  t = 1 drops every
    subgroup.  If no S entry survives, the defect is 0.
 3. If T / D is trivial, D holds every S image and the defect is 0; no S
    image is computed.
@@ -32,7 +47,8 @@ entry of row i lies in [0, d_i).  It stops as soon as T forces the answer:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import chain
 from math import gcd, prod
 
 from .groups import (
@@ -51,6 +67,7 @@ from .linalg import (
     cokernel_invariants,
     finite_quotient,
     hstack,
+    preimage,
     torsion_coordinates,
     torsion_generators,
 )
@@ -58,7 +75,10 @@ from .modules import (
     FreeCover,
     GammaModule,
     ModuleError,
+    _bar_d1,
+    _bar_walk,
     _cover_shift_rows,
+    _greedy_scan,
     coinvariants,
     free_cover,
     validate,
@@ -153,27 +173,30 @@ def _reduced(A: IntMatrix, moduli: tuple[int, ...]) -> IntMatrix:
 
 
 def _image_quotient(
-    Y: GammaModule,
+    G: CayleyGroup,
+    phi: IntMatrix,
+    moduli: tuple[int, ...],
+    image: Callable[[Subgroup], IntMatrix],
     s_subgroups: Sequence[Subgroup],
     sc_subgroups: Sequence[Subgroup],
 ) -> tuple[FinAbInvariants, tuple[int, ...]]:
-    """(D + the S-side images) / D, in the coordinates of T = sat(L_G) / L_G.
+    """(D + the S-side images) / D, in the coordinates of T = H_1(G, M) ≅ ⊕ Z/d_i.
 
-    Y must be relation-free, so that |H| kills the torsion of Y_H.  The
-    answer is 0, with no S-side image computed, at the module docstring's
-    three exits: t = 1, no S entry of order sharing a factor with t, or
-    T / D trivial.  Subgroups of order prime to t are dropped on both sides.
+    A head gives (phi, moduli, image): x -> (phi x mod d_i) maps its
+    ambient onto T, and the columns of image(H) span the image of
+    H_1(H, M) there.  |H| kills H_1(H, M), so the answer is 0, with no
+    S-side image computed, at the module docstring's three exits: t = 1,
+    no S entry of order sharing a factor with t, or T / D trivial.
+    Subgroups of order prime to t are dropped on both sides.
     """
-    G = Y.group
     s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
-    phi, moduli = torsion_coordinates(coinvariants(Y, full_subgroup(G)))
     t = prod(moduli)
 
     def representatives(candidates: list[Subgroup]) -> list[Subgroup]:
         return _class_representatives(G, [H for H in candidates if gcd(H.order, t) > 1])
 
     def images(reps: list[Subgroup]) -> list[IntMatrix]:
-        return [_reduced(phi @ torsion_generators(coinvariants(Y, H)), moduli) for H in reps]
+        return [_reduced(phi @ image(H), moduli) for H in reps]
 
     s_reps = representatives([s_subgroups[k] for k in s_nc])
     if not s_reps:
@@ -183,6 +206,42 @@ def _image_quotient(
     if cokernel_invariants(denominator).is_trivial():
         return FinAbInvariants(), s_nc
     return finite_quotient(hstack(images(s_reps), rows=len(moduli)), denominator), s_nc
+
+
+def _y_head(Y: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Subgroup], IntMatrix]]:
+    """T as the torsion of Y_G for a relation-free Y, and H's image as that of Y_H."""
+    phi, moduli = torsion_coordinates(coinvariants(Y, full_subgroup(Y.group)))
+    return phi, moduli, lambda H: torsion_generators(coinvariants(Y, H))
+
+
+def _bar_head(M: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Subgroup], IntMatrix]]:
+    """T = Z_G / T(B) on G's generator blocks (`modules.h1_bar`), with no cover.
+
+    The cycles Z_G = preimage(d1_red, R) are in canonical form, so they are
+    their own `ColumnSolver` basis, and T's coordinates come from T(B)
+    written in that basis.  A cycle of C1(H) on H's generators h_1, ...,
+    h_m is sum m_j ⊗ [h_j] with (m_j) in Z_H = preimage(d1_red of H, R), up
+    to boundaries of H, which lie in those of G.  So the image of H_1(H, M)
+    is spanned by [T[h_1] ... T[h_m]] Z_H in G's blocks (Brown, Cohomology
+    of Groups, III.8).  Those are cycles of G exactly when the action obeys
+    the group law, so a failed solve raises AssertionError.
+    """
+    G, R = M.group, M.relations
+    gens = tuple(G.generator_indices[k] for k in G.generating_positions)
+    T, boundaries = _bar_walk(M, gens)
+    cycles = ColumnSolver(preimage(_bar_d1(M, gens), R))
+
+    def coordinates(chains: IntMatrix) -> IntMatrix:
+        x = cycles.solve(chains)
+        if x is None:
+            raise AssertionError("bar chains are not cycles: the action breaks the group law")
+        return x
+
+    def image(H: Subgroup) -> IntMatrix:
+        blocks = [IntMatrix._trusted(boundaries.rows, M.n, chain.from_iterable(T[h])) for h in H.generators]
+        return coordinates(hstack(blocks, rows=boundaries.rows) @ preimage(_bar_d1(M, H.generators), R))
+
+    return (*torsion_coordinates(coordinates(boundaries)), image)
 
 
 def _is_detectably_free(M: GammaModule) -> bool:
@@ -241,7 +300,14 @@ def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
         validate_scenario(sc)
     elif (short := quick_vanish(sc)) is not None:
         return short
-    return DefectResult(*_image_quotient(free_cover(sc.module).kernel, sc.s_subgroups, sc.sc_subgroups))
+    M = sc.module
+    # the head whose matrices have fewer rows (module docstring); a cover
+    # built already is reused
+    if M._cover is None and M.n * len(M.group.generating_positions) < _greedy_scan(M)[1]:
+        head = _bar_head(M)
+    else:
+        head = _y_head(free_cover(M).kernel)
+    return DefectResult(*_image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups))
 
 
 def ch1_torus(
@@ -255,7 +321,7 @@ def ch1_torus(
         raise ModuleError("a torus cocharacter module must be relation-free")
     sc = Scenario(group, y_module, s_subgroups, sc_subgroups)
     validate_scenario(sc)
-    return _image_quotient(y_module, sc.s_subgroups, sc.sc_subgroups)[0]
+    return _image_quotient(group, *_y_head(y_module), sc.s_subgroups, sc.sc_subgroups)[0]
 
 
 def verify_cover(cover: FreeCover) -> None:

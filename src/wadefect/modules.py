@@ -18,7 +18,10 @@ the torsion of the coinvariants of the relation-free kernel module Y)
 and :func:`h1_bar` (directly from the inhomogeneous bar complex, with
 its 1-chains modulo boundaries read in the coordinates of the subgroup's
 generators along a spanning tree).  The two must always agree; h1_bar
-exists to be the independent cross-check.
+exists to be the independent cross-check.  `engine.defect` reads H_1 of
+the whole group from the same walk, `_bar_walk`, when its n k rows are
+fewer than the rank of the cover kernel, which the scan of `free_cover`
+gives before any cover is built (`_greedy_scan`).
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ class GammaModule:
 
     `action` holds the given matrix of each designated generator, and
     `_matrices` the element matrices derived so far along `group.tree`; a
-    :class:`_CoverKernel` solves its matrices instead.
+    :class:`_CoverKernel` solves its matrices instead.  `_scan` and
+    `_cover` cache the greedy scan and the free cover.
     """
 
-    __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_cover")
+    __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_scan", "_cover")
 
     def __init__(self, group: CayleyGroup, n: int, relations: IntMatrix, action: Sequence[IntMatrix]):
         self.group = group
@@ -85,6 +89,7 @@ class GammaModule:
         # element matrices derived so far; the identity is seeded on first use
         self._matrices: dict[int, IntMatrix] = {}
         self._validated = False
+        self._scan: tuple[tuple[int, ...], int] | None = None
         self._cover: FreeCover | None = None
         if relations.rows != self.n:
             raise ModuleError(f"relations have {relations.rows} rows for a rank-{self.n} presentation")
@@ -257,7 +262,7 @@ class _CoverKernel(GammaModule):
         n = solver.basis.cols
         self.group, self.n, self.relations = group, n, IntMatrix(n, 0, ())
         self.action = _DerivedAction(self)
-        self._matrices, self._validated, self._cover = {}, True, None
+        self._matrices, self._validated, self._scan, self._cover = {}, True, None, None
         self._solver, self._d = solver, d
 
     def _derive(self, g: int) -> IntMatrix:
@@ -268,6 +273,31 @@ class _CoverKernel(GammaModule):
                 raise AssertionError("cover kernel is not stable under the group action")
             self._matrices[g] = mat
         return mat
+
+
+def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
+    """(kept, kernel rank) of `free_cover`'s scan, run once per module and cached on it.
+
+    The cover on the kept basis vectors has rank |G| len(kept), and by
+    exactness its kernel has that rank minus the free rank of M.
+    """
+    if M._scan is None:
+        validate(M)
+        G, n = M.group, M.n
+        mats = M.element_matrices()
+        kept: list[int] = []
+        span = hermite_column_form(M.relations)
+        free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
+        unit = split_unit_pivots(span)[2]
+        for i in range(n):
+            if i in unit:
+                continue
+            kept.append(i)
+            orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
+            span = hermite_column_form(hstack([span, orbit]))
+            unit = split_unit_pivots(span)[2]
+        M._scan = (tuple(kept), G.order * len(kept) - free_rank)
+    return M._scan
 
 
 def free_cover(M: GammaModule) -> "FreeCover":
@@ -283,7 +313,8 @@ def free_cover(M: GammaModule) -> "FreeCover":
     in it: if e_i lies in span(H), its first nonzero entry, a 1 in row i,
     is a multiple of row i's pivot, so that pivot is 1.  The scan is
     greedy, so a cover is not minimal, and it can come out larger than a
-    scan that skips only the e_i in the span.
+    scan that skips only the e_i in the span.  It runs once per module, in
+    :func:`_greedy_scan`.
 
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form, which is
@@ -295,27 +326,13 @@ def free_cover(M: GammaModule) -> "FreeCover":
     """
     if M._cover is not None:
         return M._cover
-    validate(M)
+    kept, expected_rank = _greedy_scan(M)
     G = M.group
-    n = M.n
     mats = M.element_matrices()
-    kept: list[int] = []
-    span = hermite_column_form(M.relations)
-    free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
-    unit = split_unit_pivots(span)[2]
-    for i in range(n):
-        if i in unit:
-            continue
-        kept.append(i)
-        orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
-        span = hermite_column_form(hstack([span, orbit]))
-        unit = split_unit_pivots(span)[2]
     d = len(kept)
     cover_rank = G.order * d
-    projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=n)
+    projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=M.n)
     basis = preimage(projection, M.relations)
-
-    expected_rank = cover_rank - free_rank
     if basis.cols != expected_rank:
         raise AssertionError(
             f"cover kernel has rank {basis.cols}, exactness requires {expected_rank}"
@@ -328,6 +345,14 @@ def free_cover(M: GammaModule) -> "FreeCover":
     return M._cover
 
 
+def _minus_identity(A: IntMatrix) -> IntMatrix:
+    # A - I for a square A, with no identity matrix built or solved for
+    entries = list(A.entries)
+    for i in range(0, len(entries), A.cols + 1):
+        entries[i] -= 1
+    return IntMatrix._trusted(A.rows, A.cols, entries)
+
+
 def coinvariants(M: GammaModule, delta: Subgroup) -> IntMatrix:
     """Relation matrix of the coinvariants of M under a subgroup.
 
@@ -335,11 +360,10 @@ def coinvariants(M: GammaModule, delta: Subgroup) -> IntMatrix:
     (rho(g) - 1) for g running over the subgroup's generators; generator
     differences span the same lattice as differences over the whole subgroup.
     """
-    G = M.group
-    if subgroup_closure(G, delta.generators).elements != delta.elements:
+    if subgroup_closure(M.group, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    ident = M.element_matrix(G.identity)
-    blocks = [M.relations] + [M.element_matrix(g) - ident for g in delta.generators]
+    validate(M)  # here too, for a subgroup with no generators
+    blocks = [M.relations] + [_minus_identity(M.element_matrix(g)) for g in delta.generators]
     return hstack(blocks, rows=M.n)
 
 
@@ -354,6 +378,48 @@ def tate_h_minus1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
 def h1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     """First group homology of `delta` with coefficients in M, via the free cover."""
     return tate_h_minus1(free_cover(M).kernel, delta)
+
+
+def _bar_walk(M: GammaModule, gens: Sequence[int]) -> tuple[dict[int, list[tuple[int, ...]]], IntMatrix]:
+    """(T, T(B)) of :func:`h1_bar` on the blocks of `gens`, distinct and not e.
+
+    T maps each element c of the subgroup that `gens` generate, in the
+    order the breadth-first tree reaches it, to the rows of the n k x n
+    matrix T[c].  T(B) has one block of n columns per non-tree edge, then,
+    when M has relations R, T[a] R for each a in that order.
+    """
+    G, n = M.group, M.n
+    rows = n * len(gens)
+    mats = M.element_matrices()
+    # T[c] as its rows; a tree edge replaces block j of its parent's rows
+    # and shares the others.  Each non-tree edge (a, s_j) contributes
+    # T(boundary of [a|s_j]) = (T[a] + D[a^{-1}] in block j) - T[c].
+    T = {G.identity: [(0,) * n] * rows}
+    order = [G.identity]
+    edges: list[list[Sequence[int]]] = []
+    for a in order:
+        Ta = T[a]
+        inv = mats[G.inverses[a]]
+        for j, s in enumerate(gens):
+            lo = j * n
+            step = Ta[:lo] + [tuple(map(add, Ta[lo + i], inv.row(i))) for i in range(n)] + Ta[lo + n :]
+            c = G.table[a][s]
+            if c in T:
+                edges.append([tuple(map(sub, x, y)) for x, y in zip(step, T[c])])
+            else:
+                T[c] = step
+                order.append(c)
+    cols = n * len(edges)
+    if M.relations.cols:
+        edges += [(IntMatrix.from_rows(T[a], cols=n) @ M.relations).to_rows() for a in order]
+        cols += M.relations.cols * len(order)
+    den = IntMatrix.from_rows([list(chain.from_iterable(e[t] for e in edges)) for t in range(rows)], cols=cols)
+    return T, den
+
+
+def _bar_d1(M: GammaModule, elements: Sequence[int]) -> IntMatrix:
+    # d1 on the blocks of `elements`: [D[c^{-1}] - I]_c
+    return hstack([_minus_identity(M.element_matrix(M.group.inverses[c])) for c in elements], rows=M.n)
 
 
 def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
@@ -420,37 +486,11 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
         raise ModuleError(f"bar complex cap exceeded: subgroup order {size} > {DEFAULT_BAR_CAP}")
     gens = closure.generators
     n = M.n
-    rows = n * len(gens)
-    mats = M.element_matrices()
-    ident = mats[G.identity]
-
-    # T[c] as its rows; a tree edge replaces block j of its parent's rows
-    # and shares the others.  Each non-tree edge (a, s_j) contributes
-    # T(boundary of [a|s_j]) = (T[a] + D[a^{-1}] in block j) - T[c].
-    T = {G.identity: [(0,) * n] * rows}
-    order = [G.identity]
-    edges: list[list[Sequence[int]]] = []
-    for a in order:
-        Ta = T[a]
-        inv = mats[G.inverses[a]]
-        for j, s in enumerate(gens):
-            lo = j * n
-            step = Ta[:lo] + [tuple(map(add, Ta[lo + i], inv.row(i))) for i in range(n)] + Ta[lo + n :]
-            c = G.table[a][s]
-            if c in T:
-                edges.append([tuple(map(sub, x, y)) for x, y in zip(step, T[c])])
-            else:
-                T[c] = step
-                order.append(c)
-    cols = n * len(edges)
-    if M.relations.cols:
-        edges += [(IntMatrix.from_rows(T[a], cols=n) @ M.relations).to_rows() for a in order]
-        cols += M.relations.cols * len(order)
-    den = IntMatrix.from_rows([list(chain.from_iterable(e[t] for e in edges)) for t in range(rows)], cols=cols)
-    d1 = hstack([mats[G.inverses[g]] - ident for g in dl], rows=n)
-    d1_red = hstack([mats[G.inverses[s]] - ident for s in gens], rows=n)
+    T, den = _bar_walk(M, gens)
+    d1 = _bar_d1(M, dl)
+    d1_red = _bar_d1(M, gens)
     T_all = IntMatrix.from_rows(
-        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(rows)], cols=n * size
+        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(den.rows)], cols=n * size
     )
     rel = ColumnSolver(M.relations)
     if not rel.contains(d1_red @ den):

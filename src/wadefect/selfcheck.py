@@ -10,10 +10,17 @@ import random
 from collections.abc import Callable
 
 from . import catalog, oracles, zoo
-from .engine import Scenario, defect
-from .groups import abelianization, full_subgroup, subgroup_cayley, subgroup_closure, trivial_subgroup
+from .engine import Scenario, _bar_head, _image_quotient, _y_head, defect
+from .groups import (
+    abelianization,
+    from_permutations,
+    full_subgroup,
+    subgroup_cayley,
+    subgroup_closure,
+    trivial_subgroup,
+)
 from .linalg import ColumnSolver, IntMatrix, hermite_column_form, preimage, smith_normal_form
-from .modules import free_module, h1, h1_bar, trivial_module
+from .modules import GammaModule, free_cover, free_module, h1, h1_bar, trivial_module
 from .scenario_io import parse_scenario
 
 __all__ = ["run_selfcheck", "CHECKS"]
@@ -69,6 +76,16 @@ def check_kernel_saturation(rng: random.Random) -> None:
             assert solver.contains(v_col), f"box preimage vector {v} outside returned span"
 
 
+def _check_defect_routes(sc: Scenario) -> None:
+    # the image stage on the bar complex of G's generator blocks and on the cover kernel
+    M = sc.module
+    via_bar, via_cover = (
+        _image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups)
+        for head in (_bar_head(M), _y_head(free_cover(M).kernel))
+    )
+    assert via_bar == via_cover, f"the bar and cover routes disagree on the defect over {sc.group!r}"
+
+
 def check_oracle_equivalence(rng: random.Random) -> None:
     groups = zoo.group_zoo()
     for _ in range(20):
@@ -77,6 +94,18 @@ def check_oracle_equivalence(rng: random.Random) -> None:
         # the trivial subgroup needs the [e|e] chains, the full group k >= 2 generators
         for H in (zoo.random_subgroup(rng, G), full_subgroup(G), trivial_subgroup(G)):
             assert h1(M, H) == h1_bar(M, H), f"h1 disagrees with the bar complex on {G!r}, {H.elements}"
+        s = (full_subgroup(G) if rng.random() < 0.5 else zoo.random_subgroup(rng, G), zoo.random_subgroup(rng, G))
+        _check_defect_routes(Scenario(G, M, s, (zoo.random_subgroup(rng, G),)))
+    # the catalog's Klein norm-one entries answer Z/2
+    for name in catalog.catalog_names():
+        _check_defect_routes(parse_scenario(catalog.catalog_document(name)))
+    # A5 on the permutation module of its 5 points, from a 5-cycle and a 3-cycle
+    perms = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
+    G = from_permutations(perms)
+    action = [IntMatrix.from_columns([[int(i == p[j]) for i in range(5)] for j in range(5)]) for p in perms]
+    M = GammaModule(G, 5, IntMatrix(5, 0, ()), action)
+    s = (full_subgroup(G), zoo.random_subgroup(rng, G))
+    _check_defect_routes(Scenario(G, M, s, (zoo.random_subgroup(rng, G),)))
 
 
 def check_abelianization_oracle(rng: random.Random) -> None:

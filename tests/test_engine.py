@@ -9,8 +9,11 @@ from wadefect.engine import (
     DefectResult,
     Scenario,
     ScenarioError,
+    _bar_head,
     _class_representatives,
+    _image_quotient,
     _is_detectably_free,
+    _y_head,
     ch1_torus,
     defect,
     quick_vanish,
@@ -942,7 +945,73 @@ def test_psl_2_11_norm_one_defect_is_z2():
     assert (G.order, M.n) == (660, 11)
     sc = Scenario(G, M, (full_subgroup(G),), ())
     assert defect(sc).invariants == FinAbInvariants((2,))
-    cover = M._cover
-    assert cover is not None
+    # n k = 22 rows of T(B) against a cover kernel of rank 649: no cover
+    assert M._cover is None
+    # with a cover in place, defect takes the cover route and keeps it
+    cover = free_cover(M)
     assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
     assert M._cover is cover
+
+
+def test_psl_2_7_norm_one_defect_is_z2_without_a_cover():
+    # PSL(2,7) on the 8 points of P^1(F_7), with infinity as point 7:
+    # x -> x + 1 and x -> -1/x.  n k = 14 rows against a kernel of rank 161.
+    M = points_norm_one_module([(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)])
+    G = M.group
+    assert (G.order, M.n) == (168, 7)
+    sc = Scenario(G, M, (full_subgroup(G),), ())
+    for shortcuts in (True, False):
+        assert defect(sc, use_shortcuts=shortcuts).invariants == FinAbInvariants((2,))
+    assert M._cover is None
+    assert defect_by_both_routes(sc) == FinAbInvariants((2,))
+
+
+@pytest.mark.parametrize(
+    "G, factors",
+    [(s4(), (2,)), (from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), (2,)), (d4(), (2,)), (q8(), ()),
+     (a4(), (2,)), (klein(), (2,))],
+    ids=["S4", "A5", "D4", "Q8", "A4", "Klein"],
+)
+def test_regular_norm_one_defects_keep_the_cover_route(G, factors):
+    # here k = d = 2, so the regular module has n k = 2 (|G| - 1) rows of
+    # T(B) against a cover kernel of rank 2 |G| - (|G| - 1) = |G| + 1; Klein,
+    # 6 against 5, is the closest.  The answer is the Schur multiplier.
+    M = norm_one_module(G)
+    assert defect(Scenario(G, M, (full_subgroup(G),), ())).invariants == FinAbInvariants(factors)
+    assert M._cover is not None
+
+
+# The image stage on both heads: T(B) on G's generator blocks, and the
+# coinvariants of the cover kernel.
+def defect_by_both_routes(sc):
+    validate_scenario(sc)
+    M = sc.module
+    via_bar = _image_quotient(sc.group, *_bar_head(M), sc.s_subgroups, sc.sc_subgroups)
+    via_cover = _image_quotient(sc.group, *_y_head(free_cover(M).kernel), sc.s_subgroups, sc.sc_subgroups)
+    assert via_bar == via_cover, (sc.s_subgroups, sc.sc_subgroups)
+    return via_bar[0]
+
+
+def test_the_bar_and_cover_routes_agree_on_seeded_scenarios():
+    nontrivial = Counter()
+    for sc, expected, _ in exterior_square_scenarios(random.Random(4242), 144):
+        assert defect_by_both_routes(sc) == expected
+        nontrivial["exterior square"] += not expected.is_trivial()
+    rng = random.Random(612)
+    groups = group_zoo() + [z2_cubed(), s4()]
+    for _ in range(300):
+        nontrivial["norm one"] += not defect_by_both_routes(norm_one_based_scenario(rng, rng.choice(groups))).is_trivial()
+    kinds = Counter()
+    for _ in range(60):
+        # random_module conjugates every module and adds relations to about half
+        M = random_module(rng, rng.choice(groups))
+        if rng.random() < 0.3:
+            M = relabelled_copy(rng, M)
+            kinds["table"] += 1
+        G = M.group
+        kinds["relations"] += bool(M.relations.cols)
+        s = (full_subgroup(G) if rng.random() < 0.5 else random_subgroup(rng, G), random_subgroup(rng, G))
+        sc = Scenario(G, M, s, tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2))))
+        nontrivial["random module"] += not defect_by_both_routes(sc).is_trivial()
+    assert kinds["relations"] >= 10 and kinds["table"] >= 5, kinds
+    assert sum(nontrivial.values()) >= 50 and nontrivial["random module"], nontrivial

@@ -565,7 +565,7 @@ class TestCoinvariants:
         assert cokernel_invariants(coinvariants(M, full_subgroup(G))) == FinAbInvariants((2,))
 
     def test_no_identity_matrix_is_built(self, monkeypatch):
-        # coinvariants and h1_bar subtract the module's own identity matrix
+        # coinvariants and h1_bar subtract the identity entry by entry
         G = klein()
         M = norm_one_module(G)
         validate(M)
@@ -576,6 +576,22 @@ class TestCoinvariants:
         monkeypatch.setattr(IntMatrix, "identity", classmethod(refuse))
         assert cokernel_invariants(coinvariants(M, full_subgroup(G))) == FinAbInvariants((2, 2))
         assert h1_bar(M, full_subgroup(G)) == FinAbInvariants((2,))
+
+    def test_a_cover_kernel_solves_no_identity_matrix(self):
+        # on a cover kernel the identity would be one more solve, B X = B
+        G = a4()
+        Y = free_cover(norm_one_module(G)).kernel
+        # every subgroup but one listing the identity as its generator
+        for H in (full_subgroup(G), trivial_subgroup(G), *cyclic_subgroups(G)[1:]):
+            coinvariants(Y, H)
+        assert G.identity not in Y._matrices
+
+    def test_a_subgroup_with_no_generators_still_validates(self):
+        # the sign matrix doubled squares to 4, not 1: no action of C2
+        G = cyclic(2)
+        M = GammaModule(G, 1, IntMatrix(1, 0, ()), [IntMatrix.from_rows([[-2]])])
+        with pytest.raises(ModuleError, match="incompatible action"):
+            coinvariants(M, trivial_subgroup(G))
 
 
 class TestTateHMinus1:
