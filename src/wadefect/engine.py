@@ -19,8 +19,8 @@ One of two heads gives T's coordinates and the images; the tail,
   H's generators, presents the coinvariants Z^n / L_H.  The torsion image
   of H lies in sat(L_H) ⊆ sat(L_G), so in T = sat(L_G) / L_G, which is
   H_1(G, M) for the cover kernel of M.
-- `_bar_head` reads T = Z_G / T(B) from the bar complex on G's generator
-  blocks (`modules.h1_bar`), with no cover.
+- `_bar_head` reads T = Z_G / T(B) on G's generator blocks from
+  `modules._bar_homology`, as `modules.h1_bar` does, with no cover.
 
 `defect` takes the bar head when the module has no cover yet and n k < r.
 Those are the rows of the matrices each head reduces: T(B) has n k rows
@@ -76,7 +76,7 @@ from .modules import (
     GammaModule,
     ModuleError,
     _bar_d1,
-    _bar_walk,
+    _bar_homology,
     _cover_shift_rows,
     _greedy_scan,
     coinvariants,
@@ -215,33 +215,28 @@ def _y_head(Y: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Subgr
 
 
 def _bar_head(M: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Subgroup], IntMatrix]]:
-    """T = Z_G / T(B) on G's generator blocks (`modules.h1_bar`), with no cover.
+    """T = Z_G / T(B) on G's generator blocks (`modules._bar_homology`), with no cover.
 
-    The cycles Z_G = preimage(d1_red, R) are in canonical form, so they are
-    their own `ColumnSolver` basis, and T's coordinates come from T(B)
-    written in that basis.  A cycle of C1(H) on H's generators h_1, ...,
-    h_m is sum m_j ⊗ [h_j] with (m_j) in Z_H = preimage(d1_red of H, R), up
-    to boundaries of H, which lie in those of G.  So the image of H_1(H, M)
+    T's coordinates come from X, the Hermite form of T(B) written in the
+    basis of the cycles Z_G = preimage(d1_red, R), whose solve is check (a)
+    of `modules.h1_bar`.  A cycle of C1(H) on H's generators h_1, ..., h_m
+    is sum m_j ⊗ [h_j] with (m_j) in Z_H = preimage(d1_red of H, R), up to
+    boundaries of H, which lie in those of G.  So the image of H_1(H, M)
     is spanned by [T[h_1] ... T[h_m]] Z_H in G's blocks (Brown, Cohomology
     of Groups, III.8).  Those are cycles of G exactly when the action obeys
-    the group law, so a failed solve raises AssertionError.
+    the group law, so a failed image solve raises AssertionError.
     """
-    G, R = M.group, M.relations
-    gens = tuple(G.generator_indices[k] for k in G.generating_positions)
-    T, boundaries = _bar_walk(M, gens)
-    cycles = ColumnSolver(preimage(_bar_d1(M, gens), R))
+    T, cycles, X = _bar_homology(M, full_subgroup(M.group).generators)
+    rows = cycles.basis.rows
 
-    def coordinates(chains: IntMatrix) -> IntMatrix:
-        x = cycles.solve(chains)
+    def image(H: Subgroup) -> IntMatrix:
+        blocks = [IntMatrix._trusted(rows, M.n, chain.from_iterable(T[h])) for h in H.generators]
+        x = cycles.solve(hstack(blocks, rows=rows) @ preimage(_bar_d1(M, H.generators), M.relations))
         if x is None:
             raise AssertionError("bar chains are not cycles: the action breaks the group law")
         return x
 
-    def image(H: Subgroup) -> IntMatrix:
-        blocks = [IntMatrix._trusted(boundaries.rows, M.n, chain.from_iterable(T[h])) for h in H.generators]
-        return coordinates(hstack(blocks, rows=boundaries.rows) @ preimage(_bar_d1(M, H.generators), R))
-
-    return (*torsion_coordinates(coordinates(boundaries)), image)
+    return (*torsion_coordinates(X), image)
 
 
 def _is_detectably_free(M: GammaModule) -> bool:

@@ -19,9 +19,9 @@ and :func:`h1_bar` (directly from the inhomogeneous bar complex, with
 its 1-chains modulo boundaries read in the coordinates of the subgroup's
 generators along a spanning tree).  The two must always agree; h1_bar
 exists to be the independent cross-check.  `engine.defect` reads H_1 of
-the whole group from the same walk, `_bar_walk`, when its n k rows are
-fewer than the rank of the cover kernel, which the scan of `free_cover`
-gives before any cover is built (`_greedy_scan`).
+the whole group from the same reduction, `_bar_homology`, when its n k
+rows are fewer than the rank of the cover kernel, which the scan of
+`free_cover` gives before any cover is built (`_greedy_scan`).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .linalg import (
     ContainmentError,
     FinAbInvariants,
     IntMatrix,
+    QuotientNotFiniteError,
     cokernel_invariants,
-    finite_quotient,
     hermite_column_form,
     hstack,
     preimage,
@@ -48,7 +48,6 @@ __all__ = [
     "GammaModule",
     "FreeCover",
     "ModuleError",
-    "DEFAULT_BAR_CAP",
     "validate",
     "free_cover",
     "coinvariants",
@@ -62,9 +61,6 @@ __all__ = [
     "direct_sum",
     "with_doubled_generators",
 ]
-
-DEFAULT_BAR_CAP = 64
-
 
 class ModuleError(ValueError):
     """Invalid module data: incompatible action or unstable relation lattice."""
@@ -359,12 +355,13 @@ def coinvariants(M: GammaModule, delta: Subgroup) -> IntMatrix:
     The coinvariants are Z^n modulo the relations of M and the columns of
     (rho(g) - 1) for g running over the subgroup's generators; generator
     differences span the same lattice as differences over the whole subgroup.
+    The identity's block is zero, so no matrix is derived or solved for it.
     """
     if subgroup_closure(M.group, delta.generators).elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
     validate(M)  # here too, for a subgroup with no generators
-    blocks = [M.relations] + [_minus_identity(M.element_matrix(g)) for g in delta.generators]
-    return hstack(blocks, rows=M.n)
+    blocks = [_minus_identity(M.element_matrix(g)) for g in delta.generators if g != M.group.identity]
+    return hstack([M.relations] + blocks, rows=M.n)
 
 
 def tate_h_minus1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
@@ -422,6 +419,23 @@ def _bar_d1(M: GammaModule, elements: Sequence[int]) -> IntMatrix:
     return hstack([_minus_identity(M.element_matrix(M.group.inverses[c])) for c in elements], rows=M.n)
 
 
+def _bar_homology(
+    M: GammaModule, gens: Sequence[int]
+) -> tuple[dict[int, list[tuple[int, ...]]], ColumnSolver, IntMatrix]:
+    """(T, cycles, X) for H_1 = Z / T(B) = coker X on the blocks of `gens` (:func:`h1_bar`).
+
+    The cycles Z = preimage(d1_red, R) are canonical, so they are their own
+    `ColumnSolver` basis, and X is the Hermite form of T(B) solved in it.
+    A failed solve is check (a) of :func:`h1_bar` and raises ContainmentError.
+    """
+    T, den = _bar_walk(M, gens)
+    cycles = ColumnSolver(preimage(_bar_d1(M, gens), M.relations))
+    X = cycles.solve(hermite_column_form(den))
+    if X is None:
+        raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
+    return T, cycles, X
+
+
 def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     """First group homology from the inhomogeneous bar complex C2 -> C1 -> C0.
 
@@ -458,13 +472,13 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     of the |H| (k - 1) + 1 non-tree edges, n columns each, and T[a] R for
     every a in H.  C1 has rank n |H|; this matrix has n k rows.
 
-    d1 on the generator blocks is d1_red = [D[s_j^{-1}] - I]_j.  One Hermite
-    form of T(B), split at its unit pivots (:func:`linalg.split_unit_pivots`),
-    gives Z^(n k) / T(B) ≅ Z^rows / span(block) on the kept rows, and H_1 is
-    the preimage of R under d1_red at the kept rows, modulo the block.  That
+    d1 on the generator blocks is d1_red = [D[s_j^{-1}] - I]_j, and once
+    d1 = d1_red T modulo R the cycles map onto Z = preimage(d1_red, R), so
+    H_1 = Z / T(B): the cokernel of the Hermite form of T(B) solved in Z's
+    basis (:func:`_bar_homology`, which `engine.defect` shares).  That
     needs d∘d = 0 modulo R on all of B, which is checked in full, in two
-    parts, before any elimination, and an action that breaks the group law
-    raises ContainmentError: (a) d1_red T(B) ⊆ R, and (b) d1_red T[c] ≡
+    parts, and an action that breaks the group law raises ContainmentError:
+    (a) d1_red T(B) ⊆ R, which is that solve, and (b) d1_red T[c] ≡
     D[c^{-1}] - I modulo R for every c in H, that is d1 = d1_red T on C1.
     Together they give d1(B) ⊆ R.  Conversely d1(B) ⊆ R gives (b) by
     induction down the tree, since d1 kills the tree-edge boundaries modulo
@@ -472,37 +486,26 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
 
     Independent of the free-cover route: it shares only the element
     matrices and the subgroup's generators, and uses no kernel, cover or
-    solve from it.  A subgroup of order above DEFAULT_BAR_CAP is refused
-    before any chain is built.
+    solve from it.
     """
     validate(M)
-    G = M.group
-    closure = subgroup_closure(G, delta.generators)
+    closure = subgroup_closure(M.group, delta.generators)
     if closure.elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    dl = delta.elements
-    size = len(dl)
-    if size > DEFAULT_BAR_CAP:
-        raise ModuleError(f"bar complex cap exceeded: subgroup order {size} > {DEFAULT_BAR_CAP}")
-    gens = closure.generators
-    n = M.n
-    T, den = _bar_walk(M, gens)
-    d1 = _bar_d1(M, dl)
-    d1_red = _bar_d1(M, gens)
+    gens, dl = closure.generators, delta.elements
+    T, cycles, X = _bar_homology(M, gens)
     T_all = IntMatrix.from_rows(
-        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(den.rows)], cols=n * size
+        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(cycles.basis.rows)], cols=M.n * len(dl)
     )
-    rel = ColumnSolver(M.relations)
-    if not rel.contains(d1_red @ den):
-        raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
-    if not rel.contains(d1_red @ T_all - d1):
+    if not ColumnSolver(M.relations).contains(_bar_d1(M, gens) @ T_all - _bar_d1(M, dl)):
         raise ContainmentError(
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"
         )
     # H_1 of a finite group with finitely generated coefficients is finite
-    block, kept, _ = split_unit_pivots(hermite_column_form(den))
-    d1_rows = IntMatrix.from_columns([d1_red.column(r) for r in kept], rows=n)
-    return finite_quotient(preimage(d1_rows, M.relations), block)
+    inv = cokernel_invariants(X)
+    if inv.free_rank:
+        raise QuotientNotFiniteError(f"H_1 has free rank {inv.free_rank}; the action breaks the group law")
+    return inv
 
 
 def _relation_free(G: CayleyGroup, n: int, column) -> GammaModule:

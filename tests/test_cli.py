@@ -120,6 +120,24 @@ class TestComputeCommand:
         assert main(["compute", path, "--check", "--oracle", "bar", "--emit", "json"]) == 0
         assert load_json_output(capsys)["invariant_factors"] == [2]
 
+    def test_oracle_reaches_psl_2_7(self, tmp_path, capsys):
+        # PSL(2,7) on the 8 points of P^1(F_7) (|G| = 168) on the augmentation
+        # kernel, basis f_j = e_j - e_7: p f_j = f_p(j) - f_p(7) with f_7 = 0.
+        # The bar oracle walks the whole group, where H_1 is Z/6
+        perms = [(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)]
+        action = [[[(p[j] == i) - (p[7] == i) for j in range(7)] for i in range(7)] for p in perms]
+        doc = {
+            "group": {"permutation_generators": [list(p) for p in perms]},
+            "module": {"generators": 7, "relations": [], "action": action},
+            "S": [{"elements": list(range(168))}],
+            "S_complement": [],
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["compute", path, "--check", "--oracle", "bar", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == [2]
+        assert main(["h1", path, "--subgroup", "full", "--oracle", "bar", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == [6]
+
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1
         assert capsys.readouterr().err.startswith("schema error:")

@@ -578,13 +578,17 @@ class TestCoinvariants:
         assert h1_bar(M, full_subgroup(G)) == FinAbInvariants((2,))
 
     def test_a_cover_kernel_solves_no_identity_matrix(self):
-        # on a cover kernel the identity would be one more solve, B X = B
+        # on a cover kernel the identity would be one more solve, B X = B;
+        # cyclic_subgroups lists the trivial subgroup with generator e, and
+        # the last subgroup lists every element
         G = a4()
         Y = free_cover(norm_one_module(G)).kernel
-        # every subgroup but one listing the identity as its generator
-        for H in (full_subgroup(G), trivial_subgroup(G), *cyclic_subgroups(G)[1:]):
+        assert cyclic_subgroups(G)[0].generators == (G.identity,)
+        everything = Subgroup(elements=tuple(range(G.order)), generators=tuple(range(G.order)))
+        for H in (full_subgroup(G), trivial_subgroup(G), *cyclic_subgroups(G), everything):
             coinvariants(Y, H)
         assert G.identity not in Y._matrices
+        assert coinvariants(Y, cyclic_subgroups(G)[0]).cols == 0
 
     def test_a_subgroup_with_no_generators_still_validates(self):
         # the sign matrix doubled squares to 4, not 1: no action of C2
@@ -634,11 +638,12 @@ class TestH1:
         C3 = cyclic(3)
         assert h1_bar(trivial_module(C3), full_subgroup(C3)) == FinAbInvariants((3,))
 
-    def test_bar_cap(self):
-        # order 65 is above DEFAULT_BAR_CAP; refused before any chain is built
+    def test_bar_walks_any_subgroup_order(self):
+        # order 65: the only bound on the walk is the group-order cap applied
+        # when a scenario is read
         G = cyclic(65)
-        with pytest.raises(ModuleError, match="cap"):
-            h1_bar(trivial_module(G), full_subgroup(G))
+        M = trivial_module(G)
+        assert h1_bar(M, full_subgroup(G)) == h1(M, full_subgroup(G)) == FinAbInvariants((65,))
 
     def test_torsion_coefficients(self):
         # Z/2 with trivial C2-action: H_1(C2, Z/2) = Z/2 by both routes
@@ -924,14 +929,24 @@ class TestBarBoundaryRoute:
 
 class TestBarReach:
     def test_norm_one_of_order_48_and_60(self):
-        # S4 x C2 and A5, under DEFAULT_BAR_CAP: C1 has rank n |H| = 2,256
-        # and 3,540, the generator blocks n k = 141 and 118
+        # S4 x C2 and A5: C1 has rank n |H| = 2,256 and 3,540, the generator
+        # blocks n k = 141 and 118
         s4_c2 = from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])
         a5 = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
         for G, expected in ((s4_c2, (2, 2)), (a5, (2,))):
             M = norm_one_module(G)
             got = h1_bar(M, full_subgroup(G))
             assert got == h1(M, full_subgroup(G)) == FinAbInvariants(expected)
+
+    def test_points_module_of_order_168(self):
+        # PSL(2,7) on the 8 points of P^1(F_7): x -> x + 1 and x -> -1/x.
+        # By Shapiro's lemma the augmentation kernel sits between the Schur
+        # multiplier Z/2 and H_1 of a point stabilizer of order 21, Z/3
+        M = points_module([(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)])
+        G = M.group
+        assert G.order == 168
+        got = h1_bar(M, full_subgroup(G))
+        assert got == h1(M, full_subgroup(G)) == FinAbInvariants((6,))
 
 
 def reference_norm_one(G):
