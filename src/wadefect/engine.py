@@ -28,6 +28,20 @@ for the k generating positions, and the cover kernel of `free_cover` has
 rank r = |G| d - (free rank of M) on its d greedy generators.  A cover
 that exists already is reused.
 
+With shortcuts on and no cover yet, `defect` first divides G by N, the
+kernel of the action: the g with D[g] ≡ I modulo the relations.  Over
+Q = G/N, with each listed entry replaced by its image, the defect is the
+same.  The five-term exact sequence of 1 -> N -> G -> Q -> 1 (Brown,
+Cohomology of Groups, VII.6) ends H_1(N, M)_Q -> H_1(G, M) -> H_1(Q, M)
+-> 0, as M_N = M.  N acts trivially, so H_1(N, M) = N^ab ⊗ M (universal
+coefficients), and x ⊗ m is the image of x ⊗ m in H_1(<x>, M) = <x> ⊗ M:
+the cyclic images span it, so the kernel of T -> T_Q lies in D.  The same
+sequence for H ∩ N puts H_1(H, M) onto H_1(HN/N, M), so by naturality
+T -> T_Q carries the image of each subgroup onto that of its image, and
+the cyclic subgroups of G map onto those of Q.  Hence D and the S images
+map onto their counterparts over Q, with kernel inside D, and (D + S)/D
+is unchanged.  When N = G, T_Q = 0 and the defect is 0.
+
 The stage works in T ≅ ⊕ Z/d_i (`linalg.torsion_coordinates`), so after
 the head each matrix has rank(T) rows: D begins with diag(d_i), and every
 other entry of row i lies in [0, d_i).  It stops as soon as T forces the
@@ -54,6 +68,7 @@ from math import gcd, prod
 from .groups import (
     CayleyGroup,
     Subgroup,
+    _left_cosets,
     cyclic_subgroups,
     full_subgroup,
     is_cyclic_subgroup,
@@ -79,6 +94,7 @@ from .modules import (
     _bar_homology,
     _cover_shift_rows,
     _greedy_scan,
+    _minus_identity,
     coinvariants,
     free_cover,
     validate,
@@ -168,6 +184,10 @@ def _class_representatives(G: CayleyGroup, candidates: Sequence[Subgroup]) -> li
     return [H for H, _ in kept]
 
 
+def _noncyclic_positions(G: CayleyGroup, subgroups: Sequence[Subgroup]) -> tuple[int, ...]:
+    return tuple(k for k, H in enumerate(subgroups) if not is_cyclic_subgroup(G, H))
+
+
 def _reduced(A: IntMatrix, moduli: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_rows([[e % d for e in A.row(i)] for i, d in enumerate(moduli)], cols=A.cols)
 
@@ -189,7 +209,7 @@ def _image_quotient(
     no S entry of order sharing a factor with t, or T / D trivial.
     Subgroups of order prime to t are dropped on both sides.
     """
-    s_nc = tuple(k for k, H in enumerate(s_subgroups) if not is_cyclic_subgroup(G, H))
+    s_nc = _noncyclic_positions(G, s_subgroups)
     t = prod(moduli)
 
     def representatives(candidates: list[Subgroup]) -> list[Subgroup]:
@@ -275,9 +295,7 @@ def quick_vanish(sc: Scenario) -> DefectResult | None:
     """
     validate_scenario(sc)
     G = sc.group
-    s_nc = tuple(
-        k for k, H in enumerate(sc.s_subgroups) if not is_cyclic_subgroup(G, H)
-    )
+    s_nc = _noncyclic_positions(G, sc.s_subgroups)
     trivial = FinAbInvariants()
     if any(len(H.elements) == G.order for H in sc.sc_subgroups):
         return DefectResult(trivial, s_nc, shortcut="complement-full-group")
@@ -288,21 +306,81 @@ def quick_vanish(sc: Scenario) -> DefectResult | None:
     return None
 
 
+def _faithful_quotient(sc: Scenario) -> Scenario | None:
+    """The scenario over Q = G/N for N the kernel of the action: sc itself when N = 1, None when N = G.
+
+    N is the set of g with D[g] ≡ I modulo the relations, read from the
+    element matrices `validate` derived.  Q's elements are the left cosets
+    of N, indexed by `groups._left_cosets`, and its designated generators
+    are the images of G's generating positions, acting by their matrices.
+    Each listed entry is replaced by its image.  The module docstring says
+    why the defect does not change.  N acts trivially modulo R, so the
+    generators' matrices define the module over Q.
+    """
+    G, M = sc.group, sc.module
+    if M.relations.cols:
+        rel = ColumnSolver(M.relations)
+        acts_trivially = lambda D: rel.contains(_minus_identity(D))
+    else:
+        identity = IntMatrix.identity(M.n)
+        acts_trivially = lambda D: D == identity
+    kernel = [g for g, D in enumerate(M.element_matrices()) if acts_trivially(D)]
+    if len(kernel) == 1:
+        return sc
+    if len(kernel) == G.order:
+        return None
+    coset_of, reps = _left_cosets(G, kernel)
+    positions = G.generating_positions
+    Q = CayleyGroup(
+        table=[[coset_of[G.table[a][b]] for b in reps] for a in reps],
+        identity=coset_of[G.identity],
+        inverses=[coset_of[G.inverses[a]] for a in reps],
+        generator_indices=[coset_of[G.generator_indices[k]] for k in positions],
+    )
+
+    def image(H: Subgroup) -> Subgroup:
+        gens = {coset_of[h] for h in H.generators} - {Q.identity}
+        return Subgroup({coset_of[h] for h in H.elements}, gens)
+
+    return Scenario(
+        Q,
+        GammaModule(Q, M.n, M.relations, [M.action[k] for k in positions]),
+        [image(H) for H in sc.s_subgroups],
+        [image(H) for H in sc.sc_subgroups],
+    )
+
+
 def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
-    """The weak-approximation defect of a scenario, as invariant factors."""
+    """The weak-approximation defect of a scenario, as invariant factors.
+
+    With shortcuts on and no cover built yet, the pipeline runs over the
+    faithful quotient Q = G/N (`_faithful_quotient`), and a module on which
+    all of G acts trivially has defect 0, with no shortcut label.  This is
+    sound by the five-term exact sequence H_1(N, M)_Q -> H_1(G, M) ->
+    H_1(Q, M) -> 0 of 1 -> N -> G -> Q -> 1 (Brown, Cohomology of Groups,
+    VII.6): N acts trivially, so H_1(N, M) = N^ab ⊗ M, spanned by the
+    x ⊗ m that come from H_1(<x>, M) = <x> ⊗ M for x in N, and those
+    cyclic images lie in the denominator (module docstring).  `s_nc_used`
+    is read over G, since a non-cyclic S entry can have a cyclic image in Q.
+    """
     # quick_vanish validates the scenario; without it, validate here
     if not use_shortcuts:
         validate_scenario(sc)
     elif (short := quick_vanish(sc)) is not None:
         return short
+    s_nc = _noncyclic_positions(sc.group, sc.s_subgroups)
+    # a cover built already is reused, over G
+    if use_shortcuts and sc.module._cover is None:
+        sc = _faithful_quotient(sc)
+        if sc is None:
+            return DefectResult(FinAbInvariants(), s_nc)
     M = sc.module
-    # the head whose matrices have fewer rows (module docstring); a cover
-    # built already is reused
+    # the head whose matrices have fewer rows (module docstring)
     if M._cover is None and M.n * len(M.group.generating_positions) < _greedy_scan(M)[1]:
         head = _bar_head(M)
     else:
         head = _y_head(free_cover(M).kernel)
-    return DefectResult(*_image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups))
+    return DefectResult(_image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups)[0], s_nc)
 
 
 def ch1_torus(

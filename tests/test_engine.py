@@ -934,13 +934,18 @@ def test_prime_degree_norm_one_defect_vanishes(name, d, extra, order):
         assert defect(Scenario(G, M, s, sc), use_shortcuts=False).invariants == FinAbInvariants(), (s, sc)
 
 
+# PSL(2,11) on the 12 points of P^1(F_11), with infinity as point 11:
+# x -> x + 1 and x -> -1/x.  Relabelling x -> x + 1 mod 12 moves infinity
+# to 0, so that the basis e_i - e_11 of its norm-one module is the
+# f_j = e_j - e_0 of points_norm_one_module, in the same order.
+PSL_2_11 = [
+    [(p[(y - 1) % 12] + 1) % 12 for y in range(12)]
+    for p in ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11), (11, 10, 5, 7, 8, 2, 9, 3, 4, 6, 1, 0))
+]
+
+
 def test_psl_2_11_norm_one_defect_is_z2():
-    # PSL(2,11) on the 12 points of P^1(F_11), with infinity as point 11,
-    # acting on the norm-one module on the basis e_i - e_11.  Relabelling
-    # x -> x + 1 mod 12 moves infinity to 0, so that basis is the
-    # f_j = e_j - e_0 of points_norm_one_module, in the same order.
-    gens = [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11), (11, 10, 5, 7, 8, 2, 9, 3, 4, 6, 1, 0)]
-    M = points_norm_one_module([[(p[(y - 1) % 12] + 1) % 12 for y in range(12)] for p in gens])
+    M = points_norm_one_module(PSL_2_11)
     G = M.group
     assert (G.order, M.n) == (660, 11)
     sc = Scenario(G, M, (full_subgroup(G),), ())
@@ -951,6 +956,59 @@ def test_psl_2_11_norm_one_defect_is_z2():
     cover = free_cover(M)
     assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
     assert M._cover is cover
+
+
+def psl_2_11_variant(variant):
+    """The norm-one scenario of PSL(2,11) on 12 points with S = {G}, changed in one way that keeps the defect's form."""
+    a, b = PSL_2_11
+    M = points_norm_one_module(PSL_2_11)
+    if variant == "generators":
+        # b, ab and ba, composed as permutations: a new element order, tree and k
+        M = points_norm_one_module([b, [a[i] for i in b], [b[i] for i in a]])
+    elif variant == "M+M":
+        M = direct_sum(M, M)
+    elif variant == "M+Z":
+        M = direct_sum(M, trivial_module(M.group))
+    elif variant == "conjugate":
+        M = _conjugate(M, random_unimodular(random.Random(11), M.n))
+    G = M.group
+    sc = Scenario(G, M, (full_subgroup(G),), ())
+    return inflation(sc, 2, as_table=False) if variant == "xC2" else sc
+
+
+@pytest.mark.parametrize(
+    "variant, order, factors",
+    [("generators", 660, (2,)), ("M+M", 660, (2, 2)), ("M+Z", 660, (2,)), ("conjugate", 660, (2,)),
+     ("xC2", 1320, (2,))],
+    ids=["generators", "M+M", "M+Z", "conjugate", "xC2"],
+)
+def test_psl_2_11_norm_one_defect_keeps_its_form(variant, order, factors):
+    # with shortcuts on, the inflation is solved over its faithful quotient
+    # PSL(2,11), and with them off over all 1,320 elements
+    sc = psl_2_11_variant(variant)
+    assert sc.group.order == order
+    for shortcuts in (True, False):
+        assert defect(sc, use_shortcuts=shortcuts).invariants == FinAbInvariants(factors), shortcuts
+
+
+def test_trivial_action_gives_a_zero_defect_with_no_shortcut(monkeypatch):
+    import wadefect.engine as engine_mod
+
+    G = klein()
+    M = trivial_module(G, 2)
+    sc = Scenario(G, M, (full_subgroup(G),) * 2, ())
+    # N = G: no head runs, and no shortcut label is set
+    assert defect(sc) == DefectResult(FinAbInvariants(), (0, 1))
+    assert M._scan is None and M._cover is None
+    assert defect(sc, use_shortcuts=False).invariants.is_trivial()
+    # a cover built already is reused over G, with no quotient
+    free_cover(M)
+
+    def no_quotient(sc):
+        raise AssertionError("the quotient ran beside a built cover")
+
+    monkeypatch.setattr(engine_mod, "_faithful_quotient", no_quotient)
+    assert defect(sc) == DefectResult(FinAbInvariants(), (0, 1))
 
 
 def test_psl_2_7_norm_one_defect_is_z2_without_a_cover():
@@ -1015,3 +1073,99 @@ def test_the_bar_and_cover_routes_agree_on_seeded_scenarios():
         nontrivial["random module"] += not defect_by_both_routes(sc).is_trivial()
     assert kinds["relations"] >= 10 and kinds["table"] >= 5, kinds
     assert sum(nontrivial.values()) >= 50 and nontrivial["random module"], nontrivial
+
+
+# The faithful quotient.  Over G × C_m with C_m acting trivially, and each
+# entry pulled back to its full preimage, the defect is the one over G: the
+# argument of `defect`'s docstring, with N containing C_m.
+def inflation(sc, m, as_table):
+    """sc lifted to G × C_m, on which C_m acts trivially, with each entry replaced by its full preimage.
+
+    The product is a table group when `as_table` is set, and otherwise the
+    permutation group of G's left-regular generators beside an m-cycle.
+    """
+    G, M = sc.group, sc.module
+    mats = M.element_matrices()
+    if as_table:
+        pairs = [(a, i) for a in range(G.order) for i in range(m)]
+        lifted = from_table([[G.table[a][b] * m + (i + j) % m for b, j in pairs] for a, i in pairs])
+    else:
+        d = G.order
+        perms = [list(G.table[s]) + list(range(d, d + m)) for s in G.generator_indices]
+        lifted = from_permutations(perms + [list(range(d)) + [d + (i + 1) % m for i in range(m)]])
+        # the tree reaches parents first; position k < |gens| lifts G's
+        # designated generator k, and the last one generates C_m
+        steps = [(s, 0) for s in G.generator_indices] + [(G.identity, 1)]
+        pair_of = {lifted.identity: (G.identity, 0)}
+        for x, (p, k) in lifted.tree.items():
+            (a, i), (b, j) = pair_of[p], steps[k]
+            pair_of[x] = (G.table[a][b], (i + j) % m)
+        pairs = [pair_of[x] for x in range(lifted.order)]
+    index = {pair: x for x, pair in enumerate(pairs)}
+
+    def preimage(H):
+        P = subgroup_closure(lifted, [index[h, 0] for h in H.generators] + [index[G.identity, 1]])
+        assert P.elements == tuple(sorted(index[h, i] for h in H.elements for i in range(m)))
+        return P
+
+    return Scenario(
+        lifted,
+        GammaModule(lifted, M.n, M.relations, [mats[pairs[x][0]] for x in lifted.generator_indices]),
+        [preimage(H) for H in sc.s_subgroups],
+        [preimage(H) for H in sc.sc_subgroups],
+    )
+
+
+def test_inflations_by_a_trivially_acting_cyclic_factor_keep_the_defect(monkeypatch):
+    import wadefect.engine as engine_mod
+
+    quotients = []
+    real = engine_mod._faithful_quotient
+
+    def spy(sc):
+        quotients.append(real(sc))
+        return quotients[-1]
+
+    monkeypatch.setattr(engine_mod, "_faithful_quotient", spy)
+    rng = random.Random(3131)
+    groups = group_zoo() + [z2_cubed()]
+    # the exterior-square draws over groups of order at most 12 give most of the nontrivial answers
+    wedges = (w[0] for w in exterior_square_scenarios(rng, 1000) if w[0].group.order <= 12)
+    kinds, nontrivial = Counter(), 0
+    for draw in range(200):
+        G = rng.choice(groups)
+        if draw % 2 == 0:
+            sc = next(wedges)
+            G = sc.group
+        elif draw % 4 == 1:
+            sc = norm_one_based_scenario(rng, G)
+        else:
+            # random_module twists by a sign character and adds relations to about half
+            M = random_module(rng, G)
+            s = (full_subgroup(G) if rng.random() < 0.5 else random_subgroup(rng, G), random_subgroup(rng, G))
+            sc = Scenario(G, M, s, tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2))))
+        as_table = rng.random() < 0.3
+        lifted = inflation(sc, rng.choice((2, 3, 4)), as_table)
+        expected = defect(sc, use_shortcuts=False).invariants
+        assert defect(sc).invariants == expected
+        quotients.clear()
+        results = (defect(lifted), defect(lifted, use_shortcuts=False))
+        for got in results:
+            assert got.invariants == expected, draw
+            # read over G × C_m, where the pulled-back entries may have stopped being cyclic
+            assert got.s_nc_used == tuple(
+                k for k, H in enumerate(lifted.s_subgroups) if not is_cyclic_subgroup(lifted.group, H)
+            )
+        if results[0].shortcut is None:
+            # the quotient is by N, the elements acting trivially modulo the relations, read here one by one
+            (Q,) = quotients
+            M = lifted.module
+            rel, identity = ColumnSolver(M.relations), IntMatrix.identity(M.n)
+            kernel = sum(rel.contains(D - identity) for D in M.element_matrices())
+            assert (1 if Q is None else Q.group.order) * kernel == lifted.group.order, draw
+            kinds["N = G" if Q is None else "proper"] += 1
+        nontrivial += not expected.is_trivial()
+        kinds["relations"] += bool(sc.module.relations.cols)
+        kinds["table"] += as_table or len(G.generator_indices) == G.order > 2
+    assert nontrivial >= 50 and kinds["proper"] >= 50 and kinds["N = G"] >= 5, (nontrivial, kinds)
+    assert kinds["relations"] >= 10 and kinds["table"] >= 10, kinds

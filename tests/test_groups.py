@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from counting_oracles import cyclic_subgroup_count
 from wadefect.groups import (
     CayleyGroup,
     _invariants_from_orders,
@@ -24,7 +25,7 @@ from wadefect.groups import (
     trivial_subgroup,
 )
 from wadefect.linalg import FinAbInvariants
-from wadefect.oracles import all_subgroups_2gen, cyclic_subgroup_count
+from wadefect.oracles import all_subgroups_2gen
 from wadefect.zoo import a4, cyclic, d4, group_zoo, klein, q8, s3
 
 KLEIN_GENS = [(1, 0, 3, 2), (2, 3, 0, 1)]

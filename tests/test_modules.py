@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from counting_oracles import quotient_element_orders
 from wadefect import modules
 from wadefect.engine import Scenario, defect, verify_cover
 from wadefect.groups import (
@@ -43,7 +44,7 @@ from wadefect.modules import (
     validate,
     with_doubled_generators,
 )
-from wadefect.oracles import all_subgroups_2gen, quotient_element_orders
+from wadefect.oracles import all_subgroups_2gen
 from wadefect.zoo import (
     _conjugate,
     _with_orbit_relations,
