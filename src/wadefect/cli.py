@@ -74,10 +74,10 @@ def _cmd_compute(args) -> int:
     t0 = time.perf_counter()
     sc = load_scenario(args.scenario, group_cap=_group_cap())
     t1 = time.perf_counter()
-    if args.check:
-        verify_cover(free_cover(sc.module))
     result = defect(sc)
     t2 = time.perf_counter()
+    if args.check:
+        verify_cover(free_cover(sc.module))
     if args.oracle == "bar":
         for H in _oracle_subgroups(sc):
             _check_bar(sc.module, H, h1(sc.module, H))

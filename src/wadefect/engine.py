@@ -22,18 +22,19 @@ One of two heads gives T's coordinates and the images; the tail,
 - `_bar_head` reads T = Z_G / T(B) on G's generator blocks from
   `modules._bar_homology`, as `modules.h1_bar` does, with no cover.
 
-`defect` takes the bar head when the module has no cover yet and n k < r.
-Those are the rows of the matrices each head reduces: T(B) has n k rows
-for the k generating positions, and the cover kernel of `free_cover` has
-rank r = |G| d - (free rank of M) on its d greedy generators.  A cover
-that exists already is reused.
+`defect` takes the bar head when n k < r.  Those are the rows of the
+matrices each head reduces: T(B) has n k rows for the k generating
+positions, and the cover kernel of `free_cover` has rank
+r = |G| d - (free rank of M) on its d greedy generators.  The route reads
+the scenario and `use_shortcuts` alone; a cover built earlier is a memo
+that `free_cover` returns if the cover head runs on its module.
 
-With shortcuts on and no cover yet, `defect` first divides G by N, the
-kernel of the action: the g with D[g] ≡ I modulo the relations.  Over
-Q = G/N, with each listed entry replaced by its image, the defect is the
-same.  The five-term exact sequence of 1 -> N -> G -> Q -> 1 (Brown,
-Cohomology of Groups, VII.6) ends H_1(N, M)_Q -> H_1(G, M) -> H_1(Q, M)
--> 0, as M_N = M.  N acts trivially, so H_1(N, M) = N^ab ⊗ M (universal
+With shortcuts on, `defect` first divides G by N, the kernel of the
+action: the g with D[g] ≡ I modulo the relations.  Over Q = G/N, with
+each listed entry replaced by its image, the defect is the same.  The
+five-term exact sequence of 1 -> N -> G -> Q -> 1 (Brown, Cohomology of
+Groups, VII.6) ends H_1(N, M)_Q -> H_1(G, M) -> H_1(Q, M) -> 0, as
+M_N = M.  N acts trivially, so H_1(N, M) = N^ab ⊗ M (universal
 coefficients), and x ⊗ m is the image of x ⊗ m in H_1(<x>, M) = <x> ⊗ M:
 the cyclic images span it, so the kernel of T -> T_Q lies in D.  The same
 sequence for H ∩ N puts H_1(H, M) onto H_1(HN/N, M), so by naturality
@@ -199,7 +200,7 @@ def _image_quotient(
     image: Callable[[Subgroup], IntMatrix],
     s_subgroups: Sequence[Subgroup],
     sc_subgroups: Sequence[Subgroup],
-) -> tuple[FinAbInvariants, tuple[int, ...]]:
+) -> FinAbInvariants:
     """(D + the S-side images) / D, in the coordinates of T = H_1(G, M) ≅ ⊕ Z/d_i.
 
     A head gives (phi, moduli, image): x -> (phi x mod d_i) maps its
@@ -209,7 +210,6 @@ def _image_quotient(
     no S entry of order sharing a factor with t, or T / D trivial.
     Subgroups of order prime to t are dropped on both sides.
     """
-    s_nc = _noncyclic_positions(G, s_subgroups)
     t = prod(moduli)
 
     def representatives(candidates: list[Subgroup]) -> list[Subgroup]:
@@ -218,14 +218,14 @@ def _image_quotient(
     def images(reps: list[Subgroup]) -> list[IntMatrix]:
         return [_reduced(phi @ image(H), moduli) for H in reps]
 
-    s_reps = representatives([s_subgroups[k] for k in s_nc])
+    s_reps = representatives([H for H in s_subgroups if not is_cyclic_subgroup(G, H)])
     if not s_reps:
-        return FinAbInvariants(), s_nc
+        return FinAbInvariants()
     diagonal = IntMatrix.from_rows([[d * (i == j) for j in range(len(moduli))] for i, d in enumerate(moduli)])
     denominator = hstack([diagonal] + images(representatives(list(sc_subgroups) + cyclic_subgroups(G))))
     if cokernel_invariants(denominator).is_trivial():
-        return FinAbInvariants(), s_nc
-    return finite_quotient(hstack(images(s_reps), rows=len(moduli)), denominator), s_nc
+        return FinAbInvariants()
+    return finite_quotient(hstack(images(s_reps), rows=len(moduli)), denominator)
 
 
 def _y_head(Y: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Subgroup], IntMatrix]]:
@@ -353,15 +353,16 @@ def _faithful_quotient(sc: Scenario) -> Scenario | None:
 def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
     """The weak-approximation defect of a scenario, as invariant factors.
 
-    With shortcuts on and no cover built yet, the pipeline runs over the
-    faithful quotient Q = G/N (`_faithful_quotient`), and a module on which
-    all of G acts trivially has defect 0, with no shortcut label.  This is
-    sound by the five-term exact sequence H_1(N, M)_Q -> H_1(G, M) ->
-    H_1(Q, M) -> 0 of 1 -> N -> G -> Q -> 1 (Brown, Cohomology of Groups,
-    VII.6): N acts trivially, so H_1(N, M) = N^ab ⊗ M, spanned by the
-    x ⊗ m that come from H_1(<x>, M) = <x> ⊗ M for x in N, and those
-    cyclic images lie in the denominator (module docstring).  `s_nc_used`
-    is read over G, since a non-cyclic S entry can have a cyclic image in Q.
+    With shortcuts on, the pipeline runs over the faithful quotient
+    Q = G/N (`_faithful_quotient`), and a module on which all of G acts
+    trivially has defect 0, with no shortcut label.  This is sound by the
+    five-term exact sequence H_1(N, M)_Q -> H_1(G, M) -> H_1(Q, M) -> 0 of
+    1 -> N -> G -> Q -> 1 (Brown, Cohomology of Groups, VII.6): N acts
+    trivially, so H_1(N, M) = N^ab ⊗ M, spanned by the x ⊗ m that come
+    from H_1(<x>, M) = <x> ⊗ M for x in N, and those cyclic images lie in
+    the denominator (module docstring).  A cover built earlier steers
+    neither the quotient nor the head.  `s_nc_used` is read over G, since a
+    non-cyclic S entry can have a cyclic image in Q.
     """
     # quick_vanish validates the scenario; without it, validate here
     if not use_shortcuts:
@@ -369,18 +370,17 @@ def defect(sc: Scenario, *, use_shortcuts: bool = True) -> DefectResult:
     elif (short := quick_vanish(sc)) is not None:
         return short
     s_nc = _noncyclic_positions(sc.group, sc.s_subgroups)
-    # a cover built already is reused, over G
-    if use_shortcuts and sc.module._cover is None:
+    if use_shortcuts:
         sc = _faithful_quotient(sc)
         if sc is None:
             return DefectResult(FinAbInvariants(), s_nc)
     M = sc.module
     # the head whose matrices have fewer rows (module docstring)
-    if M._cover is None and M.n * len(M.group.generating_positions) < _greedy_scan(M)[1]:
+    if M.n * len(M.group.generating_positions) < _greedy_scan(M)[1]:
         head = _bar_head(M)
     else:
         head = _y_head(free_cover(M).kernel)
-    return DefectResult(_image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups)[0], s_nc)
+    return DefectResult(_image_quotient(sc.group, *head, sc.s_subgroups, sc.sc_subgroups), s_nc)
 
 
 def ch1_torus(
@@ -394,7 +394,7 @@ def ch1_torus(
         raise ModuleError("a torus cocharacter module must be relation-free")
     sc = Scenario(group, y_module, s_subgroups, sc_subgroups)
     validate_scenario(sc)
-    return _image_quotient(group, *_y_head(y_module), sc.s_subgroups, sc.sc_subgroups)[0]
+    return _image_quotient(group, *_y_head(y_module), sc.s_subgroups, sc.sc_subgroups)
 
 
 def verify_cover(cover: FreeCover) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from .engine import Scenario, validate_scenario
+from .engine import Scenario
 from .groups import (
     DEFAULT_ORDER_CAP,
     CayleyGroup,
@@ -29,7 +29,7 @@ from .groups import (
     subgroup_closure,
 )
 from .linalg import FinAbInvariants, IntMatrix
-from .modules import GammaModule
+from .modules import GammaModule, validate
 
 __all__ = [
     "SchemaError",
@@ -192,9 +192,9 @@ def parse_scenario(doc: object, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenar
     sc_subgroups = tuple(
         _parse_subgroup(h, group, f"S_complement[{k}]") for k, h in enumerate(doc["S_complement"])
     )
-    sc = Scenario(group=group, module=module, s_subgroups=s_subgroups, sc_subgroups=sc_subgroups)
-    validate_scenario(sc)
-    return sc
+    # the subgroups are closures in `group`, on which the module is built
+    validate(module)
+    return Scenario(group=group, module=module, s_subgroups=s_subgroups, sc_subgroups=sc_subgroups)
 
 
 def load_scenario(path, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from wadefect import catalog, scenario_io
 from wadefect.cli import main
-from wadefect.engine import quick_vanish
+from wadefect.engine import defect, quick_vanish
 from wadefect.scenario_io import (
     SCHEMA_VERSION,
     SchemaError,
@@ -37,6 +38,32 @@ def klein_doc():
 
 def load_json_output(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def psl_2_7_doc():
+    """PSL(2,7) on the 8 points of P^1(F_7) (|G| = 168), on the augmentation kernel, with S = {G}.
+
+    The basis is f_j = e_j - e_7, so p f_j = f_p(j) - f_p(7) with f_7 = 0.
+    """
+    perms = [(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)]
+    action = [[[(p[j] == i) - (p[7] == i) for j in range(7)] for i in range(7)] for p in perms]
+    return {
+        "group": {"permutation_generators": [list(p) for p in perms]},
+        "module": {"generators": 7, "relations": [], "action": action},
+        "S": [{"elements": list(range(168))}],
+        "S_complement": [],
+    }
+
+
+def ladder_documents():
+    """The torus-ladder rows of bench/workloads.py, by name; the benchmark module is only read."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return {row[0]: workloads.ladder_document(row) for row in workloads.LADDER}
 
 
 class TestComputeCommand:
@@ -121,22 +148,50 @@ class TestComputeCommand:
         assert load_json_output(capsys)["invariant_factors"] == [2]
 
     def test_oracle_reaches_psl_2_7(self, tmp_path, capsys):
-        # PSL(2,7) on the 8 points of P^1(F_7) (|G| = 168) on the augmentation
-        # kernel, basis f_j = e_j - e_7: p f_j = f_p(j) - f_p(7) with f_7 = 0.
-        # The bar oracle walks the whole group, where H_1 is Z/6
-        perms = [(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)]
-        action = [[[(p[j] == i) - (p[7] == i) for j in range(7)] for i in range(7)] for p in perms]
-        doc = {
-            "group": {"permutation_generators": [list(p) for p in perms]},
-            "module": {"generators": 7, "relations": [], "action": action},
-            "S": [{"elements": list(range(168))}],
-            "S_complement": [],
-        }
-        path = write_scenario(tmp_path, doc)
+        # the bar oracle walks the whole group, where H_1 is Z/6
+        path = write_scenario(tmp_path, psl_2_7_doc())
         assert main(["compute", path, "--check", "--oracle", "bar", "--emit", "json"]) == 0
         assert load_json_output(capsys)["invariant_factors"] == [2]
         assert main(["h1", path, "--subgroup", "full", "--oracle", "bar", "--emit", "json"]) == 0
         assert load_json_output(capsys)["invariant_factors"] == [6]
+
+    def test_check_and_oracle_leave_the_output_unchanged(self, tmp_path, capsys):
+        # the defect's route reads the scenario alone, so neither flag changes a byte
+        # of the output, timings aside, over the catalog, the torus ladder and PSL(2,7)
+        docs = {name: catalog.catalog_document(name) for name in catalog.catalog_names()}
+        docs.update(ladder_documents())
+        docs["psl-2-7-points8"] = psl_2_7_doc()
+        assert len(docs) == 20
+        for name, doc in docs.items():
+            path = write_scenario(tmp_path, doc, f"{name}.json")
+            for emit in ("json", "text"):
+                outputs = set()
+                for flags in ([], ["--check"], ["--check", "--oracle", "bar"]):
+                    code = main(["compute", path, "--emit", emit, *flags])
+                    out = capsys.readouterr().out
+                    out = re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', out)
+                    outputs.add((code, re.sub(r"^timings \(ms\): .*$", "", out, flags=re.M)))
+                assert len(outputs) == 1, (name, emit, outputs)
+                assert next(iter(outputs))[0] == 0, name
+
+    def test_check_on_psl_2_7_verifies_its_own_cover_beside_the_bar_head(self, tmp_path, capsys, monkeypatch):
+        # n k = 14 rows against a cover kernel of rank 161: the defect builds
+        # no cover, and --check builds the scenario module's one
+        import wadefect.engine as engine_mod
+        from wadefect.modules import FreeCover
+
+        heads = []
+        real_bar, real_y = engine_mod._bar_head, engine_mod._y_head
+        monkeypatch.setattr(engine_mod, "_bar_head", lambda M: heads.append("bar") or real_bar(M))
+        monkeypatch.setattr(engine_mod, "_y_head", lambda Y: heads.append("cover") or real_y(Y))
+        built = []
+        real_init = FreeCover.__init__
+        monkeypatch.setattr(FreeCover, "__init__", lambda self, *args: built.append(self) or real_init(self, *args))
+        path = write_scenario(tmp_path, psl_2_7_doc())
+        assert main(["compute", path, "--check", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == [2]
+        assert heads == ["bar"] and len(built) == 1
+        assert built[0].module.group.order == 168 and built[0].module.n == 7
 
     def test_missing_file_is_schema_error(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 1
@@ -465,6 +520,28 @@ class TestScenarioParsing:
         doc["schema_version"] = 2
         with pytest.raises(SchemaError):
             parse_scenario(doc)
+
+    def test_each_listed_subgroup_is_checked_once(self, monkeypatch):
+        # parse_scenario checks the module only; defect checks every listed entry, once
+        import wadefect.engine as engine_mod
+        from wadefect import groups
+
+        checked = []
+        real = groups.is_subgroup
+
+        def counting(G, H):
+            checked.append(H.elements)
+            return real(G, H)
+
+        monkeypatch.setattr(groups, "is_subgroup", counting)
+        monkeypatch.setattr(engine_mod, "is_subgroup", counting)
+        doc = klein_doc()
+        doc["S"] = [{"elements": [0, 1, 2, 3]}, {"generator_words": [[0], [1]]}]
+        doc["S_complement"] = [{"elements": [0, 1]}]
+        sc = parse_scenario(doc)
+        assert checked == []
+        assert defect(sc).invariants == FinAbInvariants((2,))
+        assert checked == [(0, 1, 2, 3), (0, 1, 2, 3), (0, 1)]
 
     def test_generator_words_subgroup(self):
         doc = klein_doc()

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from copy import deepcopy
 
 import pytest
 
@@ -944,17 +945,47 @@ PSL_2_11 = [
 ]
 
 
-def test_psl_2_11_norm_one_defect_is_z2():
+def route_log(monkeypatch):
+    """Spy on `defect`'s route: ("quotient", |Q| or None for N = G) per faithful quotient, then the head's name."""
+    import wadefect.engine as engine_mod
+
+    log = []
+    real_quotient, real_bar, real_y = engine_mod._faithful_quotient, engine_mod._bar_head, engine_mod._y_head
+
+    def quotient(sc):
+        Q = real_quotient(sc)
+        log.append(("quotient", None if Q is None else Q.group.order))
+        return Q
+
+    def bar_head(M):
+        log.append("bar")
+        return real_bar(M)
+
+    def y_head(Y):
+        log.append("cover")
+        return real_y(Y)
+
+    monkeypatch.setattr(engine_mod, "_faithful_quotient", quotient)
+    monkeypatch.setattr(engine_mod, "_bar_head", bar_head)
+    monkeypatch.setattr(engine_mod, "_y_head", y_head)
+    return log
+
+
+def test_psl_2_11_norm_one_defect_is_z2(monkeypatch):
+    log = route_log(monkeypatch)
     M = points_norm_one_module(PSL_2_11)
     G = M.group
     assert (G.order, M.n) == (660, 11)
     sc = Scenario(G, M, (full_subgroup(G),), ())
     assert defect(sc).invariants == FinAbInvariants((2,))
     # n k = 22 rows of T(B) against a cover kernel of rank 649: no cover
-    assert M._cover is None
-    # with a cover in place, defect takes the cover route and keeps it
+    assert M._cover is None and log == [("quotient", 660), "bar"]
+    # a cover built already is a memo only: defect still takes the bar head, and leaves the cover in place
     cover = free_cover(M)
-    assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
+    log.clear()
+    for shortcuts in (True, False):
+        assert defect(sc, use_shortcuts=shortcuts).invariants == FinAbInvariants((2,))
+    assert log == [("quotient", 660), "bar", "bar"]
     assert M._cover is cover
 
 
@@ -992,8 +1023,6 @@ def test_psl_2_11_norm_one_defect_keeps_its_form(variant, order, factors):
 
 
 def test_trivial_action_gives_a_zero_defect_with_no_shortcut(monkeypatch):
-    import wadefect.engine as engine_mod
-
     G = klein()
     M = trivial_module(G, 2)
     sc = Scenario(G, M, (full_subgroup(G),) * 2, ())
@@ -1001,14 +1030,11 @@ def test_trivial_action_gives_a_zero_defect_with_no_shortcut(monkeypatch):
     assert defect(sc) == DefectResult(FinAbInvariants(), (0, 1))
     assert M._scan is None and M._cover is None
     assert defect(sc, use_shortcuts=False).invariants.is_trivial()
-    # a cover built already is reused over G, with no quotient
+    # a cover built already changes nothing: the quotient still runs, finds N = G, and no head runs
     free_cover(M)
-
-    def no_quotient(sc):
-        raise AssertionError("the quotient ran beside a built cover")
-
-    monkeypatch.setattr(engine_mod, "_faithful_quotient", no_quotient)
+    log = route_log(monkeypatch)
     assert defect(sc) == DefectResult(FinAbInvariants(), (0, 1))
+    assert log == [("quotient", None)]
 
 
 def test_psl_2_7_norm_one_defect_is_z2_without_a_cover():
@@ -1022,6 +1048,50 @@ def test_psl_2_7_norm_one_defect_is_z2_without_a_cover():
         assert defect(sc, use_shortcuts=shortcuts).invariants == FinAbInvariants((2,))
     assert M._cover is None
     assert defect_by_both_routes(sc) == FinAbInvariants((2,))
+
+
+def test_a_built_cover_steers_neither_the_quotient_nor_the_head(monkeypatch):
+    # each scenario runs four times on its own deep copy: with shortcuts on
+    # and off, each with and without the scenario module's cover built first
+    log = route_log(monkeypatch)
+    rng = random.Random(3232)
+    groups = group_zoo() + [z2_cubed()]
+    scenarios = []
+    for draw in range(48):
+        G = rng.choice(groups)
+        if draw % 3 == 0:
+            sc = norm_one_based_scenario(rng, G)
+        else:
+            # random_module twists by a sign character and adds relations to about half
+            M = random_module(rng, G)
+            s = (full_subgroup(G) if rng.random() < 0.5 else random_subgroup(rng, G), random_subgroup(rng, G))
+            sc = Scenario(G, M, s, tuple(random_subgroup(rng, G) for _ in range(rng.randint(0, 2))))
+        scenarios.append(inflation(sc, rng.choice((2, 3)), rng.random() < 0.3) if draw % 4 == 1 else sc)
+    # the norm-one modules of A4 and S4 on 4 points take the bar head, here over G and inflated
+    for perms in ([(1, 2, 0, 3), (1, 0, 3, 2)], [(1, 2, 3, 0), (1, 0, 2, 3)]):
+        M = points_norm_one_module(perms)
+        sc = Scenario(M.group, M, (full_subgroup(M.group),), ())
+        scenarios += [sc, inflation(sc, 2, False), inflation(sc, 3, True)]
+    M = points_norm_one_module([(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)])
+    scenarios.append(Scenario(M.group, M, (full_subgroup(M.group),), ()))
+    routes, heads = {}, Counter()
+    for k, sc in enumerate(scenarios):
+        for shortcuts in (True, False):
+            runs = []
+            for build in (False, True):
+                copy = deepcopy(sc)
+                if build:
+                    free_cover(copy.module)
+                log.clear()
+                runs.append((defect(copy, use_shortcuts=shortcuts), tuple(log)))
+            assert runs[0] == runs[1], (k, shortcuts)
+            routes[k, shortcuts] = route = runs[0][1]
+            if route[-1:] in (("bar",), ("cover",)):
+                heads[route[-1], not shortcuts or route[0] == ("quotient", sc.group.order)] += 1
+    # PSL(2,7): n k = 14 rows against a kernel of rank 161, with or without a cover
+    assert (routes[k, True], routes[k, False]) == ((("quotient", 168), "bar"), ("bar",))
+    # both heads run, over G and over a proper quotient
+    assert all(heads[head, over_g] >= 3 for head in ("bar", "cover") for over_g in (True, False)), heads
 
 
 @pytest.mark.parametrize(
@@ -1047,7 +1117,7 @@ def defect_by_both_routes(sc):
     via_bar = _image_quotient(sc.group, *_bar_head(M), sc.s_subgroups, sc.sc_subgroups)
     via_cover = _image_quotient(sc.group, *_y_head(free_cover(M).kernel), sc.s_subgroups, sc.sc_subgroups)
     assert via_bar == via_cover, (sc.s_subgroups, sc.sc_subgroups)
-    return via_bar[0]
+    return via_bar
 
 
 def test_the_bar_and_cover_routes_agree_on_seeded_scenarios():
