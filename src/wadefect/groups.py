@@ -321,8 +321,8 @@ def is_subgroup(G: CayleyGroup, H: Subgroup) -> bool:
 
 
 def is_cyclic_subgroup(G: CayleyGroup, H: Subgroup) -> bool:
-    target = set(H.elements)
-    return any(set(_cycle(G, g)) == target for g in H.elements)
+    # both are sorted tuples of distinct elements
+    return any(_cycle(G, g) == H.elements for g in H.elements)
 
 
 def subgroup_cayley(G: CayleyGroup, H: Subgroup) -> CayleyGroup:

@@ -2,13 +2,13 @@
 
 A :class:`GammaModule` presents the abelian group Z^n modulo a relation
 lattice, together with one action matrix per designated group generator.
-An element's action matrix is derived the first time it is asked for,
-along the group's spanning tree `CayleyGroup.tree`, and is only required
-to satisfy the group law modulo the relation lattice.  A relation-free
-module is a lattice, and its action matrices satisfy the group law
-exactly.  :func:`validate` checks the law once per module.  :func:`free_cover`
-builds one cover per module; its kernel solves each matrix from the left
-translation that defines it, so only `engine.verify_cover` checks it.
+The action matrices are only required to satisfy the group law modulo the
+relation lattice.  A relation-free module is a lattice, and its action
+matrices satisfy the group law exactly.  :func:`validate` derives every
+element's action matrix along the group's spanning tree `CayleyGroup.tree`
+and checks the law once per module.  :func:`free_cover` builds one cover
+per module; its kernel solves each matrix from the left translation that
+defines it, when it is first read, so only `engine.verify_cover` checks it.
 The stock modules are relation-free and come from one builder, each
 from a rule giving the (row, entry) pairs of every generator's columns.
 
@@ -70,9 +70,10 @@ class GammaModule:
     """Z^n modulo a relation lattice, with a group acting by integer matrices.
 
     `action` holds the given matrix of each designated generator, and
-    `_matrices` the element matrices derived so far along `group.tree`; a
-    :class:`_CoverKernel` solves its matrices instead.  `_scan` and
-    `_cover` cache the greedy scan and the free cover.
+    `_matrices` the element matrices that :func:`validate` derives along
+    `group.tree`, read through `element_matrix`; a :class:`_CoverKernel`
+    solves its matrices instead.  `_scan` and `_cover` cache the greedy scan
+    and the free cover.
     """
 
     __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_scan", "_cover")
@@ -82,7 +83,7 @@ class GammaModule:
         self.n = int(n)
         self.relations = relations
         self.action = tuple(action)
-        # element matrices derived so far; the identity is seeded on first use
+        # filled by validate, in tree order
         self._matrices: dict[int, IntMatrix] = {}
         self._validated = False
         self._scan: tuple[tuple[int, ...], int] | None = None
@@ -101,39 +102,23 @@ class GammaModule:
     def validated(self) -> bool:
         return self._validated
 
-    def _derive(self, g: int) -> IntMatrix:
-        # D[g] from the action of the generating positions: climb the tree to
-        # an element already derived, then store D[h] = D[parent] A[k] on the
-        # way back down; iterative, since a cyclic group on one generator has
-        # a tree of depth |G| - 1
-        derived, tree = self._matrices, self.group.tree
-        if not derived:
-            derived[self.group.identity] = IntMatrix.identity(self.n)
-        path = []
-        h = g
-        while h not in derived:
-            path.append(h)
-            h = tree[h][0]
-        for h in reversed(path):
-            parent, k = tree[h]
-            derived[h] = derived[parent] @ self.action[k]
-        return derived[g]
-
     def element_matrix(self, g: int) -> IntMatrix:
-        """Action matrix of an arbitrary element, derived on first use."""
+        """Action matrix of an arbitrary element, as `validate` derived it."""
         validate(self)
-        return self._derive(g)
+        mats = self._matrices  # empty only on a trivial group with no designated generator
+        return IntMatrix.identity(self.n) if not mats and g == self.group.identity else mats[g]
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
         validate(self)
-        return tuple(self._derive(g) for g in range(self.group.order))
+        mats = self._matrices  # a cover kernel solves the ones it has not stored
+        return tuple(mats[g] if g in mats else self.element_matrix(g) for g in range(self.group.order))
 
     def __repr__(self) -> str:
         return f"GammaModule(n={self.n}, relations={self.relations.cols}, group_order={self.group.order})"
 
 
 class _DerivedAction(Sequence):
-    """A cover kernel's action: entry k is `module._derive(s_k)`, its element matrix itself.
+    """A cover kernel's action: entry k is `module.element_matrix(s_k)`, its element matrix itself.
 
     It reads, slices, iterates and compares as a tuple of one matrix per
     designated generator, and copies and pickles with its module.
@@ -149,7 +134,7 @@ class _DerivedAction(Sequence):
 
     def __getitem__(self, k):
         g = self.module.group.generator_indices[k]  # an IndexError past the end stops iteration
-        return tuple(map(self.module._derive, g)) if isinstance(k, slice) else self.module._derive(g)
+        return tuple(map(self.module.element_matrix, g)) if isinstance(k, slice) else self.module.element_matrix(g)
 
     def __eq__(self, other) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, _DerivedAction) else other)
@@ -159,8 +144,9 @@ def validate(M: GammaModule) -> None:
     """Check all module invariants, then mark M validated.
 
     Every generating position's matrix must preserve the relation lattice.
-    Each element's matrix D[g] is derived along the spanning tree `G.tree`
-    from D[e] = I by D[p s_k] = D[p] A[k].  Every (element, generating
+    Each element's matrix D[g] is then derived in `G.tree` order from
+    D[e] = I by D[p s_k] = D[p] A[k] (D[s_k] = A[k] itself) and stored on
+    M, where `element_matrix` reads it.  Every (element, generating
     position) pair off the tree must agree with it, D[g] A[k] = D[g s_k],
     and each designated generator j must have A[j] = D[s_j].  Equalities
     hold modulo the relations R; a violation raises :class:`ModuleError`
@@ -193,16 +179,21 @@ def validate(M: GammaModule) -> None:
             raise ModuleError(
                 f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
             )
+    D = M._matrices
+    if G.generator_indices:  # a trivial group with none builds no n x n matrix
+        D[G.identity] = IntMatrix.identity(M.n)
+    for h, (p, k) in G.tree.items():
+        D[h] = M.action[k] if p == G.identity else D[p] @ M.action[k]
     for g in (G.identity, *G.tree):
         for k in G.generating_positions:
             gen_elem = G.generator_indices[k]
             product = G.table[g][gen_elem]
             if G.tree.get(product) == (g, k):
                 continue
-            if not agree(M._derive(g) @ M.action[k], M._derive(product)):
+            if not agree(D[g] @ M.action[k], D[product]):
                 raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
     for k, gen_elem in enumerate(G.generator_indices):
-        if not agree(M.action[k], M._derive(gen_elem)):
+        if not agree(M.action[k], D[gen_elem]):
             raise ModuleError(f"incompatible action of generator {k} (element {gen_elem})")
     M._validated = True
 
@@ -261,7 +252,7 @@ class _CoverKernel(GammaModule):
         self._matrices, self._validated, self._scan, self._cover = {}, True, None, None
         self._solver, self._d = solver, d
 
-    def _derive(self, g: int) -> IntMatrix:
+    def element_matrix(self, g: int) -> IntMatrix:
         mat = self._matrices.get(g)
         if mat is None:
             mat = self._solver.solve(_cover_shift_rows(self.group, self._d, self._solver.basis, g))
@@ -336,7 +327,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
 
     kernel = _CoverKernel(G, ColumnSolver(basis), d)
     for k in G.generating_positions:
-        kernel._derive(G.generator_indices[k])
+        kernel.element_matrix(G.generator_indices[k])
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
     return M._cover
 

@@ -274,6 +274,22 @@ class TestCyclicSubgroups:
         assert is_cyclic_subgroup(G, subgroup_closure(G, (1,)))
         assert not is_cyclic_subgroup(G, full_subgroup(G))
         assert is_cyclic_subgroup(q8(), subgroup_closure(q8(), (2,)))
+        # every subgroup of the zoo, and element sets that are no subgroup:
+        # H is cyclic when some element's powers are exactly its elements
+        rng = random.Random(33)
+        for G in group_zoo():
+            sets = [H.elements for H in all_subgroups_2gen(G)]
+            sets += [rng.sample(range(G.order), rng.randint(1, G.order)) for _ in range(20)]
+            powers = []
+            for g in range(G.order):
+                seen, x = {G.identity}, g
+                while x not in seen:
+                    seen.add(x)
+                    x = G.table[x][g]
+                powers.append(seen)
+            for elements in sets:
+                expected = any(powers[g] == set(elements) for g in elements)
+                assert is_cyclic_subgroup(G, Subgroup(elements)) == expected, (G.order, elements)
 
 
 class TestConjugation:
