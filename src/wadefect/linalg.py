@@ -16,8 +16,13 @@ off (:func:`split_unit_pivots`): a unit-pivot row is zero in every other
 column, so that row and its column are a zero summand of the quotient.
 Every column reduction in the Hermite form and in back-substitution walks
 only the support (the nonzero rows) of the column it subtracts; a pivot's
-support is recomputed whenever it changes, and a product walks only the
-nonzero entries of its right factor.
+support is recomputed whenever it changes.  A product is two private
+steps, which `@` runs together: the right factor's nonzero entries are
+read once, row by row (`_prepared`), then applied to a left factor
+(`_times_prepared`), so a caller with many left factors against one right
+factor reads it once.  A membership test (`ColumnSolver.contains`) runs
+the back-substitution of a solve but stops at the first column outside the
+span and builds no solution.
 
 Lattices and presentations are plain matrices: a lattice is the column span
 of an integer matrix, and a finitely presented abelian group is Z^rows
@@ -126,10 +131,14 @@ class IntMatrix(_Frozen):
     """Immutable dense matrix over the integers, stored row-major.
 
     The public constructors coerce every entry with `int` and check the
-    count.  `_trusted` skips both, for entries the package makes as ints
-    itself: results computed here from other matrices (products, sums,
-    stacks, normal forms, solves), and in `modules` the stock builders and
-    the left translations of a cover kernel basis.
+    count.  `_trusted` and `_from_columns` skip both, for entries that are
+    ints already and come in the right number: results computed here from
+    other matrices (products, sums, stacks, normal forms, solves); in
+    `modules` the stock builders, the left translations of a cover kernel
+    basis, the orbit columns of the greedy scan, the cover's projection
+    and the bar complex's matrices; and in `scenario_io` the action and
+    relation rows of a document, once its own checks have turned every
+    entry into an int and counted every row.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -212,21 +221,7 @@ class IntMatrix(_Frozen):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        # the nonzero (column, entry) pairs of each row of the right factor,
-        # found by `compress` without a Python loop over the zeros
-        brows = [b[t * m : (t + 1) * m] for t in range(k)]
-        sparse = [[(j, row[j]) for j in compress(range(m), row)] for row in brows]
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            base = i * m
-            for t in compress(range(k), arow):
-                av = arow[t]
-                for j, e in sparse[t]:
-                    out[base + j] += av * e
-        return IntMatrix._trusted(n, m, out)
+        return _times_prepared(self, _prepared(other))
 
     def times_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -252,6 +247,32 @@ class IntMatrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})" if self.rows else f"IntMatrix(0, {self.cols}, ())"
+
+
+def _prepared(B: IntMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    # the right factor of a product, read once: its width and the nonzero
+    # (column, entry) pairs of each of its rows, found by `compress` without
+    # a Python loop over the zeros
+    m, b = B.cols, B.entries
+    cols = tuple(range(m))  # a tuple hands out its ints; a range makes each anew
+    rows = (b[t * m : (t + 1) * m] for t in range(B.rows))
+    return m, [[(j, row[j]) for j in compress(cols, row)] for row in rows]
+
+
+def _times_prepared(A: IntMatrix, right: tuple[int, list[list[tuple[int, int]]]]) -> IntMatrix:
+    # A @ B for `right` = _prepared(B), with A.cols == B.rows left to the caller
+    m, sparse = right
+    n, k, a = A.rows, A.cols, A.entries
+    inner = tuple(range(k))
+    out = [0] * (n * m)
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        base = i * m
+        for t in compress(inner, arow):
+            av = arow[t]
+            for j, e in sparse[t]:
+                out[base + j] += av * e
+    return IntMatrix._trusted(n, m, out)
 
 
 def hstack(mats: Sequence[IntMatrix], rows: int | None = None) -> IntMatrix:
@@ -288,6 +309,44 @@ class SmithDecomposition(_Frozen):
         object.__setattr__(self, "diagonal", diagonal)
 
 
+def _least_entry(W: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
+    # (row, column) of the least nonzero |entry| of the block of rows
+    # t..m-1 and columns t..n-1, the first in row order on a tie; None
+    # when the block is zero
+    best, at = 0, None
+    for i in range(t, m):
+        r = W[i]
+        for j in range(t, n):
+            e = r[j]
+            if e:
+                e = abs(e)
+                if e < best or not best:
+                    if e == 1:
+                        return i, j
+                    best, at = e, (i, j)
+    return at
+
+
+def _divisibility_scan(
+    W: list[list[int]], t: int, m: int, n: int, p: int
+) -> tuple[list[int] | None, tuple[int, int] | None]:
+    # one pass over the block of rows and columns t and beyond: the first
+    # row with an entry that p does not divide, else (None, the block's
+    # `_least_entry`)
+    best, at = 0, None
+    for i in range(t, m):
+        r = W[i]
+        for j in range(t, n):
+            e = r[j]
+            if e:
+                if e % p:
+                    return r, None
+                e = abs(e)
+                if e < best or not best:
+                    best, at = e, (i, j)
+    return None, at
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form by one pivot rule on one working matrix.
 
@@ -315,17 +374,19 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     go to the first entry in row order) and leaves a remainder in row t.
     On leaving step t, p is alone in its row and column and divides the
     block, which every later operation keeps, so the chain holds.
+
+    Each pass scans the block once: the scan for step 4 that finds no
+    entry p fails to divide also finds the least entry of the next block,
+    which is step t + 1's pivot (`_divisibility_scan`).
     """
     m, n = A.rows, A.cols
     # row i < m of W is row i of A and of U; row m + k is row k of V
     W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     W += [[int(k == j) for j in range(n)] for k in range(n)]
     t, size = 0, min(m, n)
-    while t < size:
-        least = min(((abs(e), i, j) for i in range(t, m) for j, e in enumerate(W[i][t:n], t) if e), default=None)
-        if least is None:
-            break
-        _, i, j = least
+    least = _least_entry(W, 0, m, n)
+    while least is not None:
+        i, j = least
         W[t], W[i] = W[i], W[t]
         if j != t:
             for r in W:
@@ -339,10 +400,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 for r in W:
                     r[j] -= q * r[t]
         if any(W[i][t] for i in range(t + 1, m)) or any(row[t + 1 : n]):
+            least = _least_entry(W, t, m, n)
             continue
-        bad = next((r for r in W[t + 1 : m] if any(e % p for e in r[t + 1 : n])), None)
+        bad, least = _divisibility_scan(W, t + 1, m, n, p)
         if bad is not None:
             W[t] = list(map(add, row, bad))
+            least = _least_entry(W, t, m, n)
             continue
         if p < 0:
             W[t] = list(map(neg, row))
@@ -473,38 +536,50 @@ class ColumnSolver:
     own basis.  Each basis column is stored as its support, the nonzero
     (row, entry) pairs, the first of them its pivot: back-substitution takes
     x_j from the remainder at column j's pivot row and walks only the
-    support.
+    support.  `contains(B)` is `solve(B) is not None` without building X.
     """
 
     def __init__(self, A: IntMatrix):
         self.basis = hermite_column_form(A)
         self._supports = [[(i, e) for i, e in enumerate(c) if e] for c in self.basis.columns()]
 
+    def _columns(self, B: IntMatrix):
+        # B's columns as fresh lists, once the row counts match
+        if B.rows != self.basis.rows:
+            raise DimensionError(f"cannot solve {self.basis.rows}x{self.basis.cols} against {B.rows} rows")
+        return map(list, map(B.column, range(B.cols)))
+
+    def _back_substitute(self, r: list[int]) -> list[int]:
+        # reduce r in place against the basis and return the multiples taken;
+        # r is left zero exactly when it lies in the span
+        x = []
+        for support in self._supports:
+            p, piv = support[0]
+            # later basis columns are zero at row p, so a remainder there
+            # survives to the caller's check
+            q = r[p] // piv
+            if q:
+                for i, e in support:
+                    r[i] -= q * e
+            x.append(q)
+        return x
+
     def solve(self, B: IntMatrix) -> IntMatrix | None:
         """Return X with basis @ X = B, or None if some column of B is outside the span."""
-        basis = self.basis
-        if B.rows != basis.rows:
-            raise DimensionError(f"cannot solve {basis.rows}x{basis.cols} against {B.rows} rows")
-        xcols: list[list[int]] = []
-        for j in range(B.cols):
-            r = list(B.column(j))
-            x = []
-            for support in self._supports:
-                p, piv = support[0]
-                # later basis columns are zero at row p, so a remainder there
-                # survives to the final check
-                q = r[p] // piv
-                if q:
-                    for i, e in support:
-                        r[i] -= q * e
-                x.append(q)
+        xcols = []
+        for r in self._columns(B):
+            xcols.append(self._back_substitute(r))
             if any(r):
                 return None
-            xcols.append(x)
-        return _from_columns(xcols, basis.cols)
+        return _from_columns(xcols, self.basis.cols)
 
     def contains(self, B: IntMatrix) -> bool:
-        return self.solve(B) is not None
+        """Whether every column of B lies in the span; stops at the first that does not, and builds no X."""
+        for r in self._columns(B):
+            self._back_substitute(r)
+            if any(r):
+                return False
+        return True
 
 
 class FinAbInvariants(_Frozen):

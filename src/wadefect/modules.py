@@ -37,6 +37,9 @@ from .linalg import (
     FinAbInvariants,
     IntMatrix,
     QuotientNotFiniteError,
+    _from_columns,
+    _prepared,
+    _times_prepared,
     cokernel_invariants,
     hermite_column_form,
     hstack,
@@ -151,7 +154,12 @@ def validate(M: GammaModule) -> None:
     and each designated generator j must have A[j] = D[s_j].  Equalities
     hold modulo the relations R; a violation raises :class:`ModuleError`
     naming it.  A relation-free module is compared exactly, matrix by
-    matrix, with no solve.
+    matrix, with no solve, and so is a pair that is equal entry for entry;
+    any other pair is a membership test of the difference in span(R).
+    Each generating position's matrix A[k] is the right factor of every
+    product D[g] A[k], on the tree and off it, so its nonzero entries are
+    read once (`linalg._prepared`) and applied to each D[g]; R is read once
+    for the lattice checks.
 
     Together this is the group law on all pairs.  Congruences survive right
     multiplication by any matrix and left multiplication by a lattice-stable
@@ -172,25 +180,29 @@ def validate(M: GammaModule) -> None:
     rel_solver = ColumnSolver(M.relations) if M.relations.cols else None
 
     def agree(a: IntMatrix, b: IntMatrix) -> bool:
-        return a == b if rel_solver is None else rel_solver.contains(a - b)
+        return a == b or (rel_solver is not None and rel_solver.contains(a - b))
 
-    for k in G.generating_positions:
-        if rel_solver is not None and not rel_solver.contains(M.action[k] @ M.relations):
-            raise ModuleError(
-                f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
-            )
+    if rel_solver is not None:
+        relations = _prepared(M.relations)
+        for k in G.generating_positions:
+            if not rel_solver.contains(_times_prepared(M.action[k], relations)):
+                raise ModuleError(
+                    f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
+                )
+    # each generating position's matrix is the right factor of |G| products
+    right = {k: _prepared(M.action[k]) for k in G.generating_positions}
     D = M._matrices
     if G.generator_indices:  # a trivial group with none builds no n x n matrix
         D[G.identity] = IntMatrix.identity(M.n)
     for h, (p, k) in G.tree.items():
-        D[h] = M.action[k] if p == G.identity else D[p] @ M.action[k]
+        D[h] = M.action[k] if p == G.identity else _times_prepared(D[p], right[k])
     for g in (G.identity, *G.tree):
         for k in G.generating_positions:
             gen_elem = G.generator_indices[k]
             product = G.table[g][gen_elem]
             if G.tree.get(product) == (g, k):
                 continue
-            if not agree(D[g] @ M.action[k], D[product]):
+            if not agree(_times_prepared(D[g], right[k]), D[product]):
                 raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
     for k, gen_elem in enumerate(G.generator_indices):
         if not agree(M.action[k], D[gen_elem]):
@@ -280,7 +292,7 @@ def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
             if i in unit:
                 continue
             kept.append(i)
-            orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
+            orbit = _from_columns([mats[g].column(i) for g in range(G.order)], n)
             span = hermite_column_form(hstack([span, orbit]))
             unit = split_unit_pivots(span)[2]
         M._scan = (tuple(kept), G.order * len(kept) - free_rank)
@@ -318,7 +330,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
     mats = M.element_matrices()
     d = len(kept)
     cover_rank = G.order * d
-    projection = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order) for i in kept], rows=M.n)
+    projection = _from_columns([mats[g].column(i) for g in range(G.order) for i in kept], M.n)
     basis = preimage(projection, M.relations)
     if basis.cols != expected_rank:
         raise AssertionError(
@@ -399,9 +411,11 @@ def _bar_walk(M: GammaModule, gens: Sequence[int]) -> tuple[dict[int, list[tuple
                 order.append(c)
     cols = n * len(edges)
     if M.relations.cols:
-        edges += [(IntMatrix.from_rows(T[a], cols=n) @ M.relations).to_rows() for a in order]
+        R = _prepared(M.relations)  # read once for every T[a] R
+        for a in order:
+            edges.append(_times_prepared(IntMatrix._trusted(rows, n, chain.from_iterable(T[a])), R).to_rows())
         cols += M.relations.cols * len(order)
-    den = IntMatrix.from_rows([list(chain.from_iterable(e[t] for e in edges)) for t in range(rows)], cols=cols)
+    den = IntMatrix._trusted(rows, cols, chain.from_iterable(e[t] for t in range(rows) for e in edges))
     return T, den
 
 
@@ -485,9 +499,8 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
         raise GroupError("subgroup generators do not generate its element set")
     gens, dl = closure.generators, delta.elements
     T, cycles, X = _bar_homology(M, gens)
-    T_all = IntMatrix.from_rows(
-        [list(chain.from_iterable(T[g][t] for g in dl)) for t in range(cycles.basis.rows)], cols=M.n * len(dl)
-    )
+    rows = cycles.basis.rows
+    T_all = IntMatrix._trusted(rows, M.n * len(dl), chain.from_iterable(T[g][t] for t in range(rows) for g in dl))
     if not ColumnSolver(M.relations).contains(_bar_d1(M, gens) @ T_all - _bar_d1(M, dl)):
         raise ContainmentError(
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"

@@ -28,7 +28,7 @@ from .groups import (
     from_table,
     subgroup_closure,
 )
-from .linalg import FinAbInvariants, IntMatrix
+from .linalg import FinAbInvariants, IntMatrix, _from_columns
 from .modules import GammaModule, validate
 
 __all__ = [
@@ -58,7 +58,7 @@ def _as_int(value: object, where: str) -> int:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not integers")
     if isinstance(value, int):
-        return value
+        return int(value)  # a plain int: the matrices built from these skip coercion
     if isinstance(value, str):
         body = value[1:] if value[:1] in "+-" else value
         if body.isascii() and body.isdigit():
@@ -87,8 +87,8 @@ def _as_matrix_rows(value: object, rows: int, cols: int, where: str) -> IntMatri
         r = _as_int_list(row, f"{where}[{i}]")
         if len(r) != cols:
             raise SchemaError(f"{where}[{i}]: expected {cols} entries, got {len(r)}")
-        data.append(r)
-    return IntMatrix.from_rows(data, cols=cols)
+        data.extend(r)
+    return IntMatrix._trusted(rows, cols, data)
 
 
 def _check_keys(obj: object, allowed: set[str], where: str) -> None:
@@ -135,7 +135,7 @@ def _parse_module(doc: object, group: CayleyGroup) -> GammaModule:
         if len(c) != n:
             raise SchemaError(f"module.relations[{k}]: expected length {n}, got {len(c)}")
         columns.append(c)
-    relations = IntMatrix.from_columns(columns, rows=n)
+    relations = _from_columns(columns, n)
     raw_action = doc["action"]
     if not isinstance(raw_action, list):
         raise SchemaError("module.action: expected an array of matrices")

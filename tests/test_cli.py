@@ -508,6 +508,59 @@ class TestScenarioParsing:
         doc["module"]["relations"] = [[str(big), 0, 0], [0, big, 0], [0, 0, str(-big)]]
         sc = parse_scenario(doc)
         assert sc.module.relations[0, 0] == big
+        # action entries shifted by multiples of big, every other one given
+        # as a decimal string, come out as the same ints, and the shifted
+        # action is the catalog's modulo the relations, so it validates
+        plain = sc.module.action
+        rng = random.Random(3)
+        shifts = [[[rng.randint(-2, 2) * big for _ in row] for row in mat] for mat in doc["module"]["action"]]
+        doc["module"]["action"] = [
+            [
+                [str(e + s) if (i + j) % 2 else e + s for j, (e, s) in enumerate(zip(row, srow))]
+                for i, (row, srow) in enumerate(zip(mat, smat))
+            ]
+            for mat, smat in zip(doc["module"]["action"], shifts)
+        ]
+        action = parse_scenario(doc).module.action
+        for mat, want, smat in zip(action, plain, shifts):
+            assert all(type(e) is int for e in mat.entries)
+            assert mat.to_rows() == [[e + s for e, s in zip(row, srow)] for row, srow in zip(want.to_rows(), smat)]
+        assert any(abs(e) > 2**64 for mat in action for e in mat.entries)
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("action", True, "module.action[1][2][1]: booleans are not integers"),
+            ("action", 1.0, "module.action[1][2][1]: expected an integer, got float"),
+            ("action", "0x1", "module.action[1][2][1]: '0x1' is not a decimal integer string"),
+            ("action", " 1", "module.action[1][2][1]: ' 1' is not a decimal integer string"),
+            ("action", "ragged", "module.action[0][1]: expected 3 entries, got 2"),
+            ("action", "extra row", "module.action[1]: expected 3 rows"),
+            ("action", "missing row", "module.action[1]: expected 3 rows"),
+            ("relations", False, "module.relations[0][2]: booleans are not integers"),
+            ("relations", 2.5, "module.relations[0][2]: expected an integer, got float"),
+            ("relations", "+-2", "module.relations[0][2]: '+-2' is not a decimal integer string"),
+            ("relations", "ragged", "module.relations[0]: expected length 3, got 2"),
+        ],
+    )
+    def test_bad_matrix_entries_keep_their_messages(self, where, value, message):
+        # the checked rows become matrices with no second coercion, so every
+        # bad entry and shape must be refused by the schema checks themselves
+        doc = klein_doc()
+        module = doc["module"]
+        if where == "relations":
+            module["relations"] = [[2, 0]] if value == "ragged" else [[2, 0, value]]
+        elif value == "ragged":
+            module["action"][0][1] = module["action"][0][1][:-1]
+        elif value == "extra row":
+            module["action"][1].append([0, 0, 0])
+        elif value == "missing row":
+            module["action"][1].pop()
+        else:
+            module["action"][1][2][1] = value
+        with pytest.raises(SchemaError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == message
 
     def test_bool_rejected(self):
         doc = klein_doc()

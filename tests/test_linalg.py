@@ -21,6 +21,7 @@ from wadefect.linalg import (
     torsion_generators,
     xgcd,
 )
+from wadefect.linalg import _prepared, _times_prepared
 from wadefect.oracles import box_preimage_vectors, det_bareiss, hermite_reference
 from wadefect.zoo import group_zoo, random_module, random_unimodular
 
@@ -122,6 +123,26 @@ class TestIntMatrix:
             product = a @ b
             assert (product.rows, product.cols) == (n, m)
             assert product.to_rows() == reference(a, b)
+        # `@` prepares its right factor and applies it; one prepared factor
+        # serves every left factor, of any height, 0 x k included, and a
+        # k x 0 factor gives empty rows
+        big, past_64_bits = 2**64, 0
+        shapes = [(3, 0), (0, 3), (0, 0)] + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(60)]
+        for k, m in shapes:
+            b = draw(rng, k, m)
+            if rng.random() < 0.5:
+                b = IntMatrix(k, m, (e * (big + rng.randint(0, 9)) for e in b.entries))
+            right = _prepared(b)
+            for n in (0, 1, rng.randint(2, 6)):
+                a = draw(rng, n, k)
+                if rng.random() < 0.5:
+                    a = IntMatrix(n, k, (e * big for e in a.entries))
+                product = _times_prepared(a, right)
+                assert (product.rows, product.cols) == (n, m)
+                assert product.to_rows() == reference(a, b)
+                assert product == a @ b
+                past_64_bits += any(abs(e) > big for e in product.entries)
+        assert past_64_bits
 
     def test_computed_entries_are_ints(self):
         rng = random.Random(313)
@@ -239,6 +260,51 @@ class TestSmith:
     def test_deterministic(self):
         a = IntMatrix.from_rows([[3, 1, -2], [0, 4, 1]])
         assert smith_normal_form(a) == smith_normal_form(a)
+
+    def test_one_scan_per_pass_keeps_every_pivot(self):
+        # the pivot rule with a fresh scan of the block for the least entry
+        # on every pass and a separate scan for a row that p does not
+        # divide; the routine scans the block once per pass, and must pick
+        # the same pivots, so the same U, D and V
+        def two_scans(A):
+            m, n = A.rows, A.cols
+            W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+            W += [[int(k == j) for j in range(n)] for k in range(n)]
+            t = 0
+            while t < min(m, n):
+                entries = [(abs(e), i, j) for i in range(t, m) for j in range(t, n) if (e := W[i][j])]
+                if not entries:
+                    break
+                _, i, j = min(entries)
+                W[t], W[i] = W[i], W[t]
+                for r in W:
+                    r[t], r[j] = r[j], r[t]
+                row, p = W[t], W[t][t]
+                for i in range(t + 1, m):
+                    q = W[i][t] // p
+                    W[i] = [a - q * b for a, b in zip(W[i], row)]
+                for j in range(t + 1, n):
+                    q = row[j] // p
+                    for r in W:
+                        r[j] -= q * r[t]
+                if any(W[i][t] for i in range(t + 1, m)) or any(row[t + 1 : n]):
+                    continue
+                bad = [r for r in W[t + 1 : m] if any(e % p for e in r[t + 1 : n])]
+                if bad:
+                    W[t] = [a + b for a, b in zip(row, bad[0])]
+                    continue
+                if p < 0:
+                    W[t] = [-a for a in row]
+                t += 1
+            return [r[n:] for r in W[:m]], [r[:n] for r in W[:m]], W[m:]
+
+        rng = random.Random(107)
+        for _ in range(400):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            density = rng.choice((0.3, 0.7, 1.0))
+            a = IntMatrix(r, c, (rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(r * c)))
+            snf = smith_normal_form(a)
+            assert (snf.U.to_rows(), snf.D.to_rows(), snf.V.to_rows()) == two_scans(a)
 
 
 class TestKernel:
@@ -483,8 +549,33 @@ class TestMembershipSolve:
             solver = ColumnSolver(a)
             sol = solver.solve(b)
             assert (sol is None) == outside
+            assert solver.contains(b) == (not outside)
             if sol is not None:
                 assert solver.basis @ sol == b
+        # contains stops at the first column outside the span and builds no
+        # solution, but answers as solve does: on lattices of every rank, the
+        # empty basis among them, and on B of 0 to 3 columns mixing members
+        # of the span with arbitrary vectors; a row mismatch raises from both
+        answers = set()
+        for t in range(200):
+            a = random_matrix(rng, max_dim=5, bound=4)
+            if t % 5 == 0:
+                a = IntMatrix(a.rows, 0, ())
+            solver = ColumnSolver(a)
+            columns = []
+            for _ in range(t % 4):
+                if rng.random() < 0.6:
+                    columns.append(a.times_vector([rng.randint(-3, 3) for _ in range(a.cols)]))
+                else:
+                    columns.append([rng.randint(-4, 4) for _ in range(a.rows)])
+            b = IntMatrix.from_columns(columns, rows=a.rows)
+            answers.add(solver.contains(b))
+            assert solver.contains(b) == (solver.solve(b) is not None)
+            wrong = zeros(a.rows + 1, b.cols)
+            for check in (solver.solve, solver.contains):
+                with pytest.raises(DimensionError):
+                    check(wrong)
+        assert answers == {True, False}
 
     def test_a_canonical_matrix_is_its_own_basis(self):
         # Hermite forms and preimages are canonical, so a solve against one

@@ -150,6 +150,25 @@ class TestValidate:
                 for h in range(G.order):
                     assert mats[g] @ mats[h] == mats[G.table[g][h]]
 
+    def test_stored_matrices_match_products_along_the_tree(self):
+        # validate multiplies by each generating position's matrix through
+        # one prepared right factor; what it stores must be, entry for entry
+        # and in tree order, the plain `@` derivation of `trusted`
+        rng = random.Random(37)
+        kinds = {True: 0, False: 0}
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for i in range(4):
+                    M = random_module(rng, G)
+                    if i % 2 and not M.relations.cols:
+                        M = _with_orbit_relations(rng, M, 1)
+                    kinds[bool(M.relations.cols)] += 1
+                    reference = trusted(GammaModule(G, M.n, M.relations, M.action))._matrices
+                    validate(M)
+                    assert list(M._matrices) == list(reference)
+                    assert all(M._matrices[g].entries == D.entries for g, D in reference.items())
+        assert min(kinds.values()) >= 10
+
     def test_pruned_law_check_matches_all_pairs_on_table_groups(self):
         # validate checks the law along a search over the generating positions
         # plus one congruence per designated generator; a brute-force check on
