@@ -6,7 +6,10 @@ of them when the file was recorded:
 * ``scenarios``: the five catalog entries, the norm-one module of Z[G]
   with S = {G} over Klein, S3, D4, Q8, (Z/2)^3 and A4, the augmentation
   kernels of the points modules A4/4, S4/4 and F20/5, and PSL(2,7) on the
-  8 points of the projective line over F_7.
+  8 points of the projective line over F_7.  Four carry relations: the
+  Klein norm-one module under `with_doubled_generators` and modulo 4 (the
+  relations 4 e_i), Z[D4 / Z(D4)] doubled, which D4 acts on through
+  D4 / Z(D4), and the PSL(2,7) points module doubled.
 * ``cli``: for each of them, the exit code and stdout of `compute`,
   `compute --check --oracle bar`, `h1 --subgroup full --oracle bar` and
   `h1 --subgroup S0`, all with `--emit json` and timings masked.
