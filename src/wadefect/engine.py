@@ -76,7 +76,6 @@ from .groups import (
     is_subgroup,
 )
 from .linalg import (
-    ColumnSolver,
     FinAbInvariants,
     IntMatrix,
     _Frozen,
@@ -93,9 +92,9 @@ from .modules import (
     ModuleError,
     _bar_d1,
     _bar_homology,
+    _congruent,
     _cover_shift_rows,
     _greedy_scan,
-    _minus_identity,
     coinvariants,
     free_cover,
     validate,
@@ -309,22 +308,17 @@ def quick_vanish(sc: Scenario) -> DefectResult | None:
 def _faithful_quotient(sc: Scenario) -> Scenario | None:
     """The scenario over Q = G/N for N the kernel of the action: sc itself when N = 1, None when N = G.
 
-    N is the set of g with D[g] ≡ I modulo the relations, read from the
+    N is the g with D[g] ≡ I modulo R (`modules._congruent`), read from the
     element matrices `validate` derived.  Q's elements are the left cosets
     of N, indexed by `groups._left_cosets`, and its designated generators
     are the images of G's generating positions, acting by their matrices.
     Each listed entry is replaced by its image.  The module docstring says
     why the defect does not change.  N acts trivially modulo R, so the
-    generators' matrices define the module over Q.
+    generators' matrices define Q's module, which reduces R for itself.
     """
     G, M = sc.group, sc.module
-    if M.relations.cols:
-        rel = ColumnSolver(M.relations)
-        acts_trivially = lambda D: rel.contains(_minus_identity(D))
-    else:
-        identity = IntMatrix.identity(M.n)
-        acts_trivially = lambda D: D == identity
-    kernel = [g for g, D in enumerate(M.element_matrices()) if acts_trivially(D)]
+    identity = IntMatrix.identity(M.n)
+    kernel = [g for g, D in enumerate(M.element_matrices()) if _congruent(M, D, identity)]
     if len(kernel) == 1:
         return sc
     if len(kernel) == G.order:
@@ -403,9 +397,9 @@ def verify_cover(cover: FreeCover) -> None:
     The kernel action is pinned by the identity that defines it.  Let B be
     `kernel_basis` and P_g left translation by g on Z[G]^d.  Each
     generating position k must have B A[k] = P_{s_k} B, and the projection
-    must kill the kernel modulo the module relations.  Only the generating
-    positions' stored matrices are read, so nothing is solved here; a tuple
-    assigned to `kernel.action` later is checked on them only.
+    must kill the kernel modulo the relations (`modules._congruent`).  Only
+    the generating positions' stored matrices are read, so no kernel matrix
+    is solved; a tuple later assigned to `kernel.action` is checked on them.
 
     B has full column rank (a Hermite basis: its columns have distinct
     pivot rows), so D[g] is the unique X with B X = P_g B, which is how
@@ -423,6 +417,5 @@ def verify_cover(cover: FreeCover) -> None:
     for k in G.generating_positions:
         if B @ Y.action[k] != _cover_shift_rows(G, d, B, gens[k]):
             raise AssertionError(f"cover kernel: generator {k} does not act by left translation")
-    rel = ColumnSolver(cover.module.relations)
-    if not rel.contains(cover.projection @ B):
+    if not _congruent(cover.module, cover.projection @ B):
         raise AssertionError("projection does not kill the cover kernel")

@@ -309,30 +309,14 @@ class SmithDecomposition(_Frozen):
         object.__setattr__(self, "diagonal", diagonal)
 
 
-def _least_entry(W: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    # (row, column) of the least nonzero |entry| of the block of rows
-    # t..m-1 and columns t..n-1, the first in row order on a tie; None
-    # when the block is zero
-    best, at = 0, None
-    for i in range(t, m):
-        r = W[i]
-        for j in range(t, n):
-            e = r[j]
-            if e:
-                e = abs(e)
-                if e < best or not best:
-                    if e == 1:
-                        return i, j
-                    best, at = e, (i, j)
-    return at
-
-
-def _divisibility_scan(
+def _block_scan(
     W: list[list[int]], t: int, m: int, n: int, p: int
 ) -> tuple[list[int] | None, tuple[int, int] | None]:
     # one pass over the block of rows and columns t and beyond: the first
-    # row with an entry that p does not divide, else (None, the block's
-    # `_least_entry`)
+    # row with an entry that p does not divide, else (None, the (row, column)
+    # of the least nonzero |entry|, first in row order on a tie, or None for
+    # a zero block).  p = 1 finds the least entry alone; a unit ends the
+    # scan, and is reached only when |p| = 1, as a larger p fails to divide it
     best, at = 0, None
     for i in range(t, m):
         r = W[i]
@@ -343,6 +327,8 @@ def _divisibility_scan(
                     return r, None
                 e = abs(e)
                 if e < best or not best:
+                    if e == 1:
+                        return None, (i, j)
                     best, at = e, (i, j)
     return None, at
 
@@ -375,16 +361,16 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     On leaving step t, p is alone in its row and column and divides the
     block, which every later operation keeps, so the chain holds.
 
-    Each pass scans the block once: the scan for step 4 that finds no
-    entry p fails to divide also finds the least entry of the next block,
-    which is step t + 1's pivot (`_divisibility_scan`).
+    Each pass scans the block once, in `_block_scan`: the scan for step 4
+    that finds no entry p fails to divide also finds the least entry of the
+    next block, which is step t + 1's pivot.
     """
     m, n = A.rows, A.cols
     # row i < m of W is row i of A and of U; row m + k is row k of V
     W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     W += [[int(k == j) for j in range(n)] for k in range(n)]
     t, size = 0, min(m, n)
-    least = _least_entry(W, 0, m, n)
+    least = _block_scan(W, 0, m, n, 1)[1]
     while least is not None:
         i, j = least
         W[t], W[i] = W[i], W[t]
@@ -399,17 +385,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if q := row[j] // p:
                 for r in W:
                     r[j] -= q * r[t]
-        if any(W[i][t] for i in range(t + 1, m)) or any(row[t + 1 : n]):
-            least = _least_entry(W, t, m, n)
-            continue
-        bad, least = _divisibility_scan(W, t + 1, m, n, p)
-        if bad is not None:
+        if not any(W[i][t] for i in range(t + 1, m)) and not any(row[t + 1 : n]):
+            bad, least = _block_scan(W, t + 1, m, n, p)
+            if bad is None:
+                if p < 0:
+                    W[t] = list(map(neg, row))
+                t += 1
+                continue
             W[t] = list(map(add, row, bad))
-            least = _least_entry(W, t, m, n)
-            continue
-        if p < 0:
-            W[t] = list(map(neg, row))
-        t += 1
+        least = _block_scan(W, t, m, n, 1)[1]
     return SmithDecomposition(
         U=IntMatrix._trusted(m, m, chain.from_iterable(r[n:] for r in W[:m])),
         D=IntMatrix._trusted(m, n, chain.from_iterable(r[:n] for r in W[:m])),

@@ -75,11 +75,11 @@ class GammaModule:
     `action` holds the given matrix of each designated generator, and
     `_matrices` the element matrices that :func:`validate` derives along
     `group.tree`, read through `element_matrix`; a :class:`_CoverKernel`
-    solves its matrices instead.  `_scan` and `_cover` cache the greedy scan
-    and the free cover.
+    solves its matrices instead.  `_scan`, `_cover` and `_relation_solver`
+    cache the greedy scan, the free cover and the `ColumnSolver` of R.
     """
 
-    __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_scan", "_cover")
+    __slots__ = ("group", "n", "relations", "action", "_matrices", "_validated", "_scan", "_cover", "_relation_solver")
 
     def __init__(self, group: CayleyGroup, n: int, relations: IntMatrix, action: Sequence[IntMatrix]):
         self.group = group
@@ -91,6 +91,7 @@ class GammaModule:
         self._validated = False
         self._scan: tuple[tuple[int, ...], int] | None = None
         self._cover: FreeCover | None = None
+        self._relation_solver: ColumnSolver | None = None
         if relations.rows != self.n:
             raise ModuleError(f"relations have {relations.rows} rows for a rank-{self.n} presentation")
         if len(self.action) != len(group.generator_indices):
@@ -118,6 +119,19 @@ class GammaModule:
 
     def __repr__(self) -> str:
         return f"GammaModule(n={self.n}, relations={self.relations.cols}, group_order={self.group.order})"
+
+
+def _relation_lattice(M: GammaModule) -> ColumnSolver:
+    # the one reduction of M's relations, built on first need
+    if M._relation_solver is None:
+        M._relation_solver = ColumnSolver(M.relations)
+    return M._relation_solver
+
+
+def _congruent(M: GammaModule, a: IntMatrix, b: IntMatrix | None = None) -> bool:
+    # a ≡ b (b = 0 if omitted) modulo M's relations: exactly first, and only exactly if there are none
+    b = IntMatrix._trusted(a.rows, a.cols, (0,) * len(a.entries)) if b is None else b
+    return a == b or (M.relations.cols > 0 and _relation_lattice(M).contains(a - b))
 
 
 class _DerivedAction(Sequence):
@@ -153,13 +167,13 @@ def validate(M: GammaModule) -> None:
     position) pair off the tree must agree with it, D[g] A[k] = D[g s_k],
     and each designated generator j must have A[j] = D[s_j].  Equalities
     hold modulo the relations R; a violation raises :class:`ModuleError`
-    naming it.  A relation-free module is compared exactly, matrix by
-    matrix, with no solve, and so is a pair that is equal entry for entry;
+    naming it.  Each check is `_congruent`: a relation-free module is
+    compared exactly, with no solve, and so is a pair equal entry for entry;
     any other pair is a membership test of the difference in span(R).
     Each generating position's matrix A[k] is the right factor of every
     product D[g] A[k], on the tree and off it, so its nonzero entries are
     read once (`linalg._prepared`) and applied to each D[g]; R is read once
-    for the lattice checks.
+    for the lattice checks A[k] R ≡ 0.
 
     Together this is the group law on all pairs.  Congruences survive right
     multiplication by any matrix and left multiplication by a lattice-stable
@@ -177,15 +191,10 @@ def validate(M: GammaModule) -> None:
     if M.validated:
         return
     G = M.group
-    rel_solver = ColumnSolver(M.relations) if M.relations.cols else None
-
-    def agree(a: IntMatrix, b: IntMatrix) -> bool:
-        return a == b or (rel_solver is not None and rel_solver.contains(a - b))
-
-    if rel_solver is not None:
+    if M.relations.cols:
         relations = _prepared(M.relations)
         for k in G.generating_positions:
-            if not rel_solver.contains(_times_prepared(M.action[k], relations)):
+            if not _congruent(M, _times_prepared(M.action[k], relations)):
                 raise ModuleError(
                     f"action of generator {k} (element {G.generator_indices[k]}) does not preserve the relations"
                 )
@@ -202,10 +211,10 @@ def validate(M: GammaModule) -> None:
             product = G.table[g][gen_elem]
             if G.tree.get(product) == (g, k):
                 continue
-            if not agree(_times_prepared(D[g], right[k]), D[product]):
+            if not _congruent(M, _times_prepared(D[g], right[k]), D[product]):
                 raise ModuleError(f"incompatible action on the pair ({g}, {gen_elem})")
     for k, gen_elem in enumerate(G.generator_indices):
-        if not agree(M.action[k], D[gen_elem]):
+        if not _congruent(M, M.action[k], D[gen_elem]):
             raise ModuleError(f"incompatible action of generator {k} (element {gen_elem})")
     M._validated = True
 
@@ -261,7 +270,7 @@ class _CoverKernel(GammaModule):
         n = solver.basis.cols
         self.group, self.n, self.relations = group, n, IntMatrix(n, 0, ())
         self.action = _DerivedAction(self)
-        self._matrices, self._validated, self._scan, self._cover = {}, True, None, None
+        self._matrices, self._validated, self._scan, self._cover, self._relation_solver = {}, True, None, None, None
         self._solver, self._d = solver, d
 
     def element_matrix(self, g: int) -> IntMatrix:
@@ -285,7 +294,7 @@ def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
         G, n = M.group, M.n
         mats = M.element_matrices()
         kept: list[int] = []
-        span = hermite_column_form(M.relations)
+        span = _relation_lattice(M).basis if M.relations.cols else M.relations  # R's Hermite form
         free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
         unit = split_unit_pivots(span)[2]
         for i in range(n):
@@ -501,7 +510,7 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     T, cycles, X = _bar_homology(M, gens)
     rows = cycles.basis.rows
     T_all = IntMatrix._trusted(rows, M.n * len(dl), chain.from_iterable(T[g][t] for t in range(rows) for g in dl))
-    if not ColumnSolver(M.relations).contains(_bar_d1(M, gens) @ T_all - _bar_d1(M, dl)):
+    if not _congruent(M, _bar_d1(M, gens) @ T_all, _bar_d1(M, dl)):
         raise ContainmentError(
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"
         )

@@ -1,12 +1,12 @@
 """Scenario and result documents.
 
-Scenario files are strict JSON: unknown members are rejected, booleans and
-floats are rejected wherever an integer is expected, and integers may be
-given either as JSON numbers or as decimal strings, an optional sign and
-ASCII digits with nothing around them (the "int_str" fallback for
-toolchains that cannot emit big integers).  Either form may be as long
-as the interpreter converts from decimal text, 4,300 digits by default
-(`sys.get_int_max_str_digits`); a longer one is a schema error.
+Scenario files are strict JSON: unknown and repeated members are rejected,
+booleans and floats are rejected wherever an integer is expected, and
+integers may be given either as JSON numbers or as decimal strings, an
+optional sign and ASCII digits with nothing around them (the "int_str"
+fallback for toolchains that cannot emit big integers).  Either form may
+be as long as the interpreter converts from decimal text, 4,300 digits by
+default (`sys.get_int_max_str_digits`); a longer one is a schema error.
 
 Structural problems raise :class:`SchemaError`; mathematically invalid
 groups, modules, or subgroups raise the corresponding GroupError /
@@ -197,12 +197,24 @@ def parse_scenario(doc: object, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenar
     return Scenario(group=group, module=module, s_subgroups=s_subgroups, sc_subgroups=sc_subgroups)
 
 
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    # json keeps the last of repeated members; a scenario file may not repeat one
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"member {key!r} is given more than once in one object")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path, *, group_cap: int = DEFAULT_ORDER_CAP) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except SchemaError:
+        raise  # a repeated member, before the ValueError below can rename it
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc)) from exc
     except RecursionError as exc:

@@ -282,6 +282,26 @@ class TestComputeCommand:
         assert main(["compute", path]) == 1
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "member, old, new",
+        [
+            # json keeps the last value: S would become empty and the answer 0
+            ("S", '"S_complement": []}', '"S_complement": [], "S": []}'),
+            ("schema_version", '"schema_version": 1', '"schema_version": 2, "schema_version": 1'),
+            ("generators", '"generators": 3', '"generators": 3, "generators": 3'),
+        ],
+    )
+    def test_repeated_member_rejected(self, tmp_path, capsys, member, old, new):
+        path = tmp_path / "scenario.json"
+        assert main(["compute", write_scenario(tmp_path, klein_doc())]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        assert main(["compute", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"schema error: member {member!r} is given more than once in one object\n"
+
     def test_non_integer_entry_rejected(self, tmp_path, capsys):
         doc = klein_doc()
         doc["module"]["relations"] = [[0.5, 0, 0]]

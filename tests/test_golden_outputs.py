@@ -16,6 +16,9 @@ of them when the file was recorded:
 * ``zoo``: seeded `zoo.random_module` scenarios over `zoo.group_zoo()`,
   stored as documents, with `defect`'s factors and shortcut label with
   shortcuts on and off.
+
+`golden_guard.py` fails unless every case of an earlier file is still
+here unchanged; CI runs it against the base commit's file.
 """
 
 import json
@@ -54,3 +57,22 @@ def test_zoo_defects_match_the_recording():
             result = defect(parse_scenario(case["scenario"]), use_shortcuts=use_shortcuts)
             got = {"factors": list(result.invariants.factors), "shortcut": result.shortcut}
             assert got == case[key], (k, key)
+
+
+def test_guard_keeps_every_recorded_case():
+    # CI runs golden_guard.py against the base commit's file; one changed or
+    # dropped case of any kind must fail it, and a new case must not
+    from golden_guard import missing_cases
+
+    assert missing_cases(GOLDEN, GOLDEN) == []
+    edits = {
+        "scenario 'a4-regular'": lambda g: g["scenarios"]["a4-regular"]["S"].clear(),
+        "cli case 7": lambda g: g["cli"][7].update(exit=3),
+        "zoo case 3": lambda g: g["zoo"][3]["shortcuts_on"].update(factors=[9]),
+        "zoo case 95": lambda g: g["zoo"].pop(),
+    }
+    for missing, edit in edits.items():
+        head = json.loads(json.dumps(GOLDEN))
+        edit(head)
+        assert missing_cases(GOLDEN, head) == [missing]
+        assert missing_cases(head, GOLDEN) == ([] if missing == "zoo case 95" else [missing])

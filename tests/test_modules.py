@@ -372,6 +372,61 @@ class TestFreeCover:
                     assert solver.solve(basis @ x) == x, G.order
 
 
+class TestRelationLattice:
+    def test_each_module_reduces_its_relations_at_most_once(self, monkeypatch):
+        # every "modulo R" question of validate, the faithful quotient, the
+        # greedy scan, verify_cover and h1_bar's check of d1 along the tree
+        # is answered from one Hermite form of R per module object, and a
+        # relation-free module never reduces its empty R
+        import wadefect.engine as engine_mod
+        import wadefect.linalg as linalg_mod
+
+        real_hnf, real_quotient = linalg_mod.hermite_column_form, engine_mod._faithful_quotient
+        reduced, quotients = [], []
+
+        def counting_hnf(B):
+            reduced.append(B)
+            return real_hnf(B)
+
+        def recording_quotient(sc):
+            Q = real_quotient(sc)
+            if Q is not None and Q is not sc:
+                quotients.append(Q.module)
+            return Q
+
+        monkeypatch.setattr(linalg_mod, "hermite_column_form", counting_hnf)
+        monkeypatch.setattr(modules, "hermite_column_form", counting_hnf)
+        monkeypatch.setattr(engine_mod, "_faithful_quotient", recording_quotient)
+
+        def reductions(M):
+            return sum(B is M.relations for B in reduced)
+
+        rng = random.Random(53)
+        cases = []
+        for G in group_zoo():
+            M = _with_orbit_relations(rng, random_module(rng, G), 1)
+            cases += [M, with_doubled_generators(M)]
+            cases += [norm_one_module(G), induced_module(G, random_subgroup(rng, G)), trivial_module(G, 2)]
+        kinds = {True: 0, False: 0}
+        for M in cases:
+            G = M.group
+            sc = Scenario(G, M, (full_subgroup(G), random_subgroup(rng, G)))
+            validate(M)
+            engine_mod._faithful_quotient(sc)
+            once = int(M.relations.cols > 0)
+            assert reductions(M) == once
+            built = len(quotients)
+            defect(sc, use_shortcuts=False)
+            verify_cover(free_cover(M))
+            assert h1(M, full_subgroup(G)) == h1_bar(M, full_subgroup(G))
+            assert reductions(M) == once
+            defect(sc)
+            # a proper quotient's module is a new object on the same R, and reduces it once for itself
+            assert reductions(M) <= once * (1 + len(quotients) - built)
+            kinds[bool(M.relations.cols)] += 1
+        assert quotients and kinds == {True: 16, False: 24}
+
+
 class TestConjugate:
     def test_the_action_is_intertwined_and_the_relations_move(self):
         rng = random.Random(59)
