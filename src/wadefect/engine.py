@@ -314,7 +314,9 @@ def _faithful_quotient(sc: Scenario) -> Scenario | None:
     are the images of G's generating positions, acting by their matrices.
     Each listed entry is replaced by its image.  The module docstring says
     why the defect does not change.  N acts trivially modulo R, so the
-    generators' matrices define Q's module, which reduces R for itself.
+    generators' matrices define Q's module.  It has the same R object, so it
+    shares M's one reduction of R, which the test D[g] ≡ I has built
+    whenever some D[g] differs from I and R is not empty.
     """
     G, M = sc.group, sc.module
     identity = IntMatrix.identity(M.n)
@@ -336,9 +338,11 @@ def _faithful_quotient(sc: Scenario) -> Scenario | None:
         gens = {coset_of[h] for h in H.generators} - {Q.identity}
         return Subgroup({coset_of[h] for h in H.elements}, gens)
 
+    module = GammaModule(Q, M.n, M.relations, [M.action[k] for k in positions])
+    module._relation_solver = M._relation_solver
     return Scenario(
         Q,
-        GammaModule(Q, M.n, M.relations, [M.action[k] for k in positions]),
+        module,
         [image(H) for H in sc.s_subgroups],
         [image(H) for H in sc.sc_subgroups],
     )

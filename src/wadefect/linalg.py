@@ -3,17 +3,25 @@
 Smith and Hermite normal forms, saturated kernels and preimages, finite
 lattice quotients, and invariant factors of finitely presented abelian
 groups.  Everything runs on Python's arbitrary-precision integers; there is
-no overflow mode.  A preimage (a kernel is the preimage of the zero
-lattice) comes from one column Hermite form of the input stacked over
-[I 0], whose size reduction keeps entries small; a lattice quotient is
-the cokernel of one such preimage (:func:`finite_quotient`).  A solve
-back-substitutes on the Hermite basis of its lattice
-(:class:`ColumnSolver`), so its solutions are coordinates in that basis.
-There is one Smith routine, :func:`smith_normal_form`, used only for the
-invariant factors, generators and coordinates of a torsion subgroup, and
-only on the block of a Hermite form left once its unit pivots are split
-off (:func:`split_unit_pivots`): a unit-pivot row is zero in every other
-column, so that row and its column are a zero summand of the quotient.
+no overflow mode.
+
+One column-major chain does every reduction: Hermite → split → Smith.
+`_hnf` takes columns as lists and returns the pivot rows with the reduced
+columns; :func:`hermite_column_form` wraps it, and :func:`preimage`
+passes it the columns of the input stacked over [I 0] directly, whose
+size reduction keeps entries small.  The split (`_split`,
+:func:`split_unit_pivots` for a given matrix) reads the unit pivots off
+those pivot rows: a unit-pivot row is zero in every other column, so that
+row and its column are a zero summand of the quotient.  The block left
+goes to one pivot rule, `_diagonalize`, to which each caller adds only
+the transforms it reads: :func:`smith_normal_form` both U and V,
+:func:`torsion_generators` V alone, and :func:`cokernel_invariants` and
+a lattice quotient (:func:`finite_quotient`, the cokernel of one
+preimage, whose canonical form is split as it comes) neither;
+:func:`torsion_coordinates` reads U from :func:`smith_normal_form`.  A
+solve back-substitutes on the Hermite basis of its lattice
+(:class:`ColumnSolver`), so its solutions are coordinates in that basis;
+a basis that is canonical already is adopted with no second reduction.
 Every column reduction in the Hermite form and in back-substitution walks
 only the support (the nonzero rows) of the column it subtracts; a pivot's
 support is recomputed whenever it changes.  A product is two private
@@ -34,7 +42,7 @@ canonical forms are equal, entry for entry.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from math import prod
@@ -187,11 +195,13 @@ class IntMatrix(_Frozen):
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: Iterable[int]) -> "IntMatrix":
-        # rows * cols entries, all ints already: no coercion, no count check
+        # rows * cols entries, all ints already: no coercion, no count check;
+        # the slots are set through their own descriptors, the cheapest way
+        # past the immutable __setattr__
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, tuple(entries))
         return self
 
     @classmethod
@@ -247,6 +257,9 @@ class IntMatrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})" if self.rows else f"IntMatrix(0, {self.cols}, ())"
+
+
+_set_rows, _set_cols, _set_entries = (vars(IntMatrix)[f].__set__ for f in IntMatrix.__slots__)
 
 
 def _prepared(B: IntMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -333,18 +346,13 @@ def _block_scan(
     return None, at
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by one pivot rule on one working matrix.
+def _diagonalize(W: list[list[int]], m: int, n: int) -> tuple[int, ...]:
+    """Diagonalize the top-left m x n block of W in place; return its diagonal.
 
-    Returns U, D, V with U @ A @ V = D exactly and U, V unimodular; the
-    diagonal of D is nonnegative and satisfies the divisibility chain
-    d1 | d2 | ..., so it is uniquely determined by A.
-
-    The working matrix is W = [[A, I_m], [I_n, 0]], its zero block not
-    stored.  A row operation on the first m rows updates A and U together,
-    and a column operation on the first n columns updates A and V together,
-    so the top-left block is always U @ A @ V.  Step t, on the trailing
-    block of rows and columns t and beyond:
+    Row operations act on whole rows of W and column operations on every
+    row of W, so columns beyond n carry a row transform U and rows beyond m
+    a column transform V, and a caller adds only those it reads.  Step t,
+    on the trailing block of rows and columns t and beyond:
 
     1. its least nonzero entry becomes the pivot p, swapped to (t, t);
     2. floor-division multiples of row t and of column t are subtracted
@@ -359,17 +367,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     fold either a smaller entry exists or p is picked again at (t, t) (ties
     go to the first entry in row order) and leaves a remainder in row t.
     On leaving step t, p is alone in its row and column and divides the
-    block, which every later operation keeps, so the chain holds.
+    block, which every later operation keeps, so the chain d1 | d2 | ...
+    holds.  Only the block steers the rule, so the diagonal and each
+    transform are the same whichever transforms ride along.
 
     Each pass scans the block once, in `_block_scan`: the scan for step 4
     that finds no entry p fails to divide also finds the least entry of the
     next block, which is step t + 1's pivot.
     """
-    m, n = A.rows, A.cols
-    # row i < m of W is row i of A and of U; row m + k is row k of V
-    W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
-    W += [[int(k == j) for j in range(n)] for k in range(n)]
-    t, size = 0, min(m, n)
+    t = 0
     least = _block_scan(W, 0, m, n, 1)[1]
     while least is not None:
         i, j = least
@@ -394,11 +400,32 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 continue
             W[t] = list(map(add, row, bad))
         least = _block_scan(W, t, m, n, 1)[1]
+    return tuple(W[i][i] for i in range(min(m, n)))
+
+
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form by one pivot rule on one working matrix.
+
+    Returns U, D, V with U @ A @ V = D exactly and U, V unimodular; the
+    diagonal of D is nonnegative and satisfies the divisibility chain
+    d1 | d2 | ..., so it is uniquely determined by A.
+
+    The working matrix is W = [[A, I_m], [I_n, 0]], its zero block not
+    stored, diagonalized by `_diagonalize`: a row operation on the first m
+    rows updates A and U together, and a column operation on the first n
+    columns updates A and V together, so the top-left block is always
+    U @ A @ V.
+    """
+    m, n = A.rows, A.cols
+    # row i < m of W is row i of A and of U; row m + k is row k of V
+    W = [list(A.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+    W += [[int(k == j) for j in range(n)] for k in range(n)]
+    diagonal = _diagonalize(W, m, n)
     return SmithDecomposition(
         U=IntMatrix._trusted(m, m, chain.from_iterable(r[n:] for r in W[:m])),
         D=IntMatrix._trusted(m, n, chain.from_iterable(r[:n] for r in W[:m])),
         V=IntMatrix._trusted(n, n, chain.from_iterable(W[m:])),
-        diagonal=tuple(W[i][i] for i in range(size)),
+        diagonal=diagonal,
     )
 
 
@@ -456,20 +483,15 @@ def _hnf_insert(
         row += 1
 
 
-def hermite_column_form(B: IntMatrix) -> IntMatrix:
-    """Canonical column Hermite normal form of the lattice spanned by B's columns.
+def _hnf(columns: Iterable[list[int]], m: int) -> tuple[list[int], list[list[int]]]:
+    """(pivot rows, columns) of the canonical column Hermite form of the given columns.
 
-    Zero columns are dropped; pivot rows strictly increase left to right,
-    pivots are positive, and within a pivot row every entry to the left of
-    the pivot is reduced into [0, pivot).  The result is a basis, and two
-    column spans are equal iff their forms are equal.
-
-    Columns are inserted one at a time.  Subtracting a multiple of a pivot
-    column walks only that column's support, the rows where it is nonzero;
-    a support is recomputed whenever its column changes, that is when the
-    column becomes a pivot and after each xgcd merge into it.
+    The columns are lists of length m, reduced in place and inserted one at
+    a time; the pivot rows ascend and each returned column is the one whose
+    pivot row stands at its position.  This is the one reduction under
+    :func:`hermite_column_form`, :func:`preimage` and the invariants, which
+    read its pivot rows instead of scanning for them.
     """
-    m = B.rows
     pivots: dict[int, list[int]] = {}
     # support[r]: ascending rows i >= r where pivots[r] is nonzero.  It is
     # exact after every insertion.  The back-reduction below leaves it stale
@@ -477,8 +499,8 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
     # columns j < k, which no later step reads from.
     support: dict[int, list[int]] = {}
     rows: list[int] = []
-    for j in range(B.cols):
-        _hnf_insert(list(B.column(j)), pivots, rows, support, m)
+    for v in columns:
+        _hnf_insert(v, pivots, rows, support, m)
     cols = [pivots[r] for r in rows]
     for k, r in enumerate(rows):
         ck = cols[k]
@@ -490,7 +512,42 @@ def hermite_column_form(B: IntMatrix) -> IntMatrix:
             if q:
                 for i in sk:
                     cj[i] -= q * ck[i]
-    return _from_columns(cols, m)
+    return rows, cols
+
+
+def _columns_of(B: IntMatrix) -> Iterable[list[int]]:
+    # B's columns as fresh lists, for `_hnf` to reduce in place
+    return map(list, map(B.column, range(B.cols)))
+
+
+def hermite_column_form(B: IntMatrix) -> IntMatrix:
+    """Canonical column Hermite normal form of the lattice spanned by B's columns.
+
+    Zero columns are dropped; pivot rows strictly increase left to right,
+    pivots are positive, and within a pivot row every entry to the left of
+    the pivot is reduced into [0, pivot).  The result is a basis, and two
+    column spans are equal iff their forms are equal.
+
+    Columns are inserted one at a time (`_hnf`).  Subtracting a multiple of
+    a pivot column walks only that column's support, the rows where it is
+    nonzero; a support is recomputed whenever its column changes, that is
+    when the column becomes a pivot and after each xgcd merge into it.
+    """
+    return _from_columns(_hnf(_columns_of(B), B.rows)[1], B.rows)
+
+
+def _preimage(A: IntMatrix, R: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    # :func:`preimage` as `_hnf` gives it: pivot rows and columns
+    m, n = A.rows, A.cols
+    if R.rows != m:
+        raise DimensionError(f"preimage of a map into Z^{m} modulo a lattice in Z^{R.rows}")
+    stack = chain(
+        (list(A.column(j)) + [0] * j + [1] + [0] * (n - j - 1) for j in range(n)),
+        (list(R.column(j)) + [0] * n for j in range(R.cols)),
+    )
+    rows, cols = _hnf(stack, m + n)
+    k = bisect_left(rows, m)  # the first column with zero top
+    return [r - m for r in rows[k:]], [col[m:] for col in cols[k:]]
 
 
 def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
@@ -501,37 +558,44 @@ def preimage(A: IntMatrix, R: IntMatrix) -> IntMatrix:
     (A x + R z; x).  Those with zero top have A x = -R z.  Pivot rows
     increase left to right, so the Hermite columns with zero top come last,
     and their bottoms are a basis, in canonical Hermite form, of the whole
-    preimage lattice, not a finite-index sublattice.
+    preimage lattice, not a finite-index sublattice.  The stack's columns
+    go straight to `_hnf`, and no matrix of it is built.
     """
-    S = hstack([A, R])
-    m, c, n = S.rows, S.cols, A.cols
-    flat = list(S.entries)
-    for i in range(n):
-        flat += [0] * i + [1] + [0] * (c - i - 1)
-    cols = hermite_column_form(IntMatrix._trusted(m + n, c, flat)).columns()
-    return _from_columns([col[m:] for col in cols if not any(col[:m])], n)
+    return _from_columns(_preimage(A, R)[1], A.cols)
 
 
 class ColumnSolver:
     """Exact integral solving in the Hermite basis of span(A).
 
     `basis` is `hermite_column_form(A)`, and `solve(B)` returns X with
-    basis @ X = B.  A canonical A, such as a :func:`preimage` result, is its
-    own basis.  Each basis column is stored as its support, the nonzero
-    (row, entry) pairs, the first of them its pivot: back-substitution takes
-    x_j from the remainder at column j's pivot row and walks only the
-    support.  `contains(B)` is `solve(B) is not None` without building X.
+    basis @ X = B.  A basis that is canonical already, such as a
+    :func:`preimage` result, is adopted as it is by `_canonical`, with no
+    second Hermite form.  Each basis column is stored as its support, the
+    nonzero (row, entry) pairs, the first of them its pivot:
+    back-substitution takes x_j from the remainder at column j's pivot row
+    and walks only the support.  `contains(B)` is `solve(B) is not None`
+    without building X.
     """
 
     def __init__(self, A: IntMatrix):
-        self.basis = hermite_column_form(A)
-        self._supports = [[(i, e) for i, e in enumerate(c) if e] for c in self.basis.columns()]
+        self._adopt(hermite_column_form(A))
+
+    @classmethod
+    def _canonical(cls, basis: IntMatrix) -> "ColumnSolver":
+        # a solver on a basis already in canonical Hermite form
+        self = cls.__new__(cls)
+        self._adopt(basis)
+        return self
+
+    def _adopt(self, basis: IntMatrix) -> None:
+        self.basis = basis
+        self._supports = [[(i, e) for i, e in enumerate(c) if e] for c in basis.columns()]
 
     def _columns(self, B: IntMatrix):
         # B's columns as fresh lists, once the row counts match
         if B.rows != self.basis.rows:
             raise DimensionError(f"cannot solve {self.basis.rows}x{self.basis.cols} against {B.rows} rows")
-        return map(list, map(B.column, range(B.cols)))
+        return _columns_of(B)
 
     def _back_substitute(self, r: list[int]) -> list[int]:
         # reduce r in place against the basis and return the multiples taken;
@@ -605,6 +669,31 @@ class FinAbInvariants(_Frozen):
         return self.pretty()
 
 
+def _pivot_rows(cols: Sequence[Sequence[int]], m: int) -> list[int]:
+    # each column's first nonzero row, in a column Hermite form with m rows
+    rows, start = [], 0
+    for col in cols:
+        # pivot rows strictly increase, so each search starts below the last
+        start = next(i for i in range(start, m) if col[i])
+        rows.append(start)
+        start += 1
+    return rows
+
+
+def _unit_pivots(rows: Sequence[int], cols: Sequence[Sequence[int]]) -> dict[int, Sequence[int]]:
+    # each unit pivot row of a column Hermite form, mapped to its column
+    return {r: c for r, c in zip(rows, cols) if c[r] == 1}
+
+
+def _split(
+    rows: Sequence[int], cols: Sequence[Sequence[int]], m: int
+) -> tuple[list[Sequence[int]], list[int], dict[int, Sequence[int]]]:
+    # (non-unit-pivot columns, kept rows, unit) of :func:`split_unit_pivots`,
+    # from the pivot rows of an m-row column Hermite form
+    unit = _unit_pivots(rows, cols)
+    return [c for r, c in zip(rows, cols) if r not in unit], [i for i in range(m) if i not in unit], unit
+
+
 def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int], dict[int, tuple[int, ...]]]:
     """Split the unit pivots off a column Hermite form: return (block, rows, unit).
 
@@ -617,26 +706,24 @@ def split_unit_pivots(H: IntMatrix) -> tuple[IntMatrix, list[int], dict[int, tup
     Z^H.rows on `rows` induces Z^len(rows) / span(block) ≅ Z^H.rows / span(H).
     `unit` maps each unit-pivot row r to its column c, and gives the map
     back: a kept row is its own class, and e_r that of e_r - c, which is
-    -c on the kept rows and zero on the unit-pivot ones.
+    -c on the kept rows and zero on the unit-pivot ones.  The package's own
+    callers take the pivot rows from `_hnf` instead of scanning H for them.
     """
-    unit: dict[int, tuple[int, ...]] = {}
-    rest = []
-    start = 0
-    for col in H.columns():
-        # pivot rows strictly increase, so each search starts below the last
-        start = next(i for i in range(start, H.rows) if col[i])
-        if col[start] == 1:
-            unit[start] = col
-        else:
-            rest.append(col)
-        start += 1
-    rows = [i for i in range(H.rows) if i not in unit]
-    return _from_columns([[col[i] for i in rows] for col in rest], len(rows)), rows, unit
+    cols = H.columns()
+    rest, rows, unit = _split(_pivot_rows(cols, H.rows), cols, H.rows)
+    return _from_columns([[c[i] for i in rows] for c in rest], len(rows)), rows, unit
 
 
-def _split_smith(relations: IntMatrix) -> tuple[IntMatrix, list[int], dict[int, tuple[int, ...]], SmithDecomposition]:
-    block, rows, unit = split_unit_pivots(hermite_column_form(relations))
-    return block, rows, unit, smith_normal_form(block)
+def _split_relations(relations: IntMatrix) -> tuple[list[Sequence[int]], list[int], dict[int, Sequence[int]]]:
+    # `_split` of the relations' Hermite form, its pivot rows read from `_hnf`
+    return _split(*_hnf(_columns_of(relations), relations.rows), relations.rows)
+
+
+def _cokernel(rest: Sequence[Sequence[int]], rows: list[int]) -> FinAbInvariants:
+    # Z^rows / span(rest) for the split of a Hermite form: the Smith diagonal
+    # of the block, with no transform built
+    diagonal = _diagonalize([[c[i] for c in rest] for i in rows], len(rows), len(rest))
+    return FinAbInvariants(tuple(d for d in diagonal if d > 1), len(rows) - len(rest))
 
 
 def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
@@ -644,10 +731,10 @@ def cokernel_invariants(relations: IntMatrix) -> FinAbInvariants:
 
     The relations are compressed to a Hermite basis and its unit pivots are
     split off (:func:`split_unit_pivots`); only the remaining block, whose
-    rank is its width, goes through the Smith form.
+    rank is its width, is diagonalized, and only its diagonal is read.
     """
-    block, rows, _, snf = _split_smith(relations)
-    return FinAbInvariants(tuple(d for d in snf.diagonal if d > 1), len(rows) - block.cols)
+    rest, rows, _ = _split_relations(relations)
+    return _cokernel(rest, rows)
 
 
 def torsion_generators(relations: IntMatrix) -> IntMatrix:
@@ -659,16 +746,23 @@ def torsion_generators(relations: IntMatrix) -> IntMatrix:
     zeros on the split-off rows.  With U @ block @ V = D the Smith form of
     the block, block @ V = U^-1 @ D.  The columns of U^-1 at diagonal
     entries >= 2 generate the block's torsion, one per torsion invariant
-    factor, and column i of block @ V is d_i times column i of U^-1.
+    factor, and column i of block @ V is d_i times column i of U^-1.  So
+    only V is built.  The block's columns are the non-unit-pivot columns,
+    which are zero on the split-off rows, so those columns combine by V to
+    the padded generators directly.
     """
-    block, rows, _, snf = _split_smith(relations)
-    BV = block @ snf.V
+    rest, rows, _ = _split_relations(relations)
+    k, r, m = len(rows), len(rest), relations.rows
+    W = [[c[i] for c in rest] for i in rows] + [[int(a == b) for b in range(r)] for a in range(r)]
     gens = []
-    for i, d in enumerate(snf.diagonal):
+    for i, d in enumerate(_diagonalize(W, k, r)):
         if d > 1:
-            col = dict(zip(rows, BV.column(i)))
-            gens.append([col.get(r, 0) // d for r in range(relations.rows)])
-    return _from_columns(gens, relations.rows)
+            col = [0] * m
+            for c, v in zip(rest, W[k:]):
+                if q := v[i]:
+                    col = [a + q * b for a, b in zip(col, c)]
+            gens.append([e // d for e in col])
+    return _from_columns(gens, m)
 
 
 def torsion_coordinates(relations: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
@@ -679,7 +773,8 @@ def torsion_coordinates(relations: IntMatrix) -> tuple[IntMatrix, tuple[int, ...
     Smith U behind both, Phi is the rows of U at d_i >= 2 times the classes
     of :func:`split_unit_pivots`, each row reduced mod its d_i.
     """
-    _, rows, unit, snf = _split_smith(relations)
+    rest, rows, unit = _split_relations(relations)
+    snf = smith_normal_form(_from_columns([[c[i] for i in rows] for c in rest], len(rows)))
     phi, moduli = [], []
     for u, d in zip(map(snf.U.row, range(len(rows))), snf.diagonal):
         if d > 1:
@@ -696,12 +791,14 @@ def finite_quotient(num: IntMatrix, den: IntMatrix) -> FinAbInvariants:
     span(den)), and span(num) / span(den) when den lies in num.  The map
     x -> num @ x + span(den) sends Z^cols onto it with kernel
     preimage(num, den), so the quotient is the cokernel of that one
-    preimage; neither matrix is reduced first.  It must be finite: a
+    preimage; neither matrix is reduced first, and the preimage's Hermite
+    form is split as `_hnf` returns it, not reduced again.  It must be finite: a
     positive free rank raises QuotientNotFiniteError.
     """
     if num.rows != den.rows:
         raise DimensionError(f"quotient of spans in Z^{num.rows} and Z^{den.rows}")
-    inv = cokernel_invariants(preimage(num, den))
+    rest, rows, _ = _split(*_preimage(num, den), num.cols)
+    inv = _cokernel(rest, rows)
     if inv.free_rank:
         raise QuotientNotFiniteError(
             f"quotient has free rank {inv.free_rank}; lattice ranks differ"

@@ -37,14 +37,17 @@ from .linalg import (
     FinAbInvariants,
     IntMatrix,
     QuotientNotFiniteError,
+    _columns_of,
     _from_columns,
+    _hnf,
+    _pivot_rows,
     _prepared,
     _times_prepared,
+    _unit_pivots,
     cokernel_invariants,
     hermite_column_form,
     hstack,
     preimage,
-    split_unit_pivots,
 )
 
 __all__ = [
@@ -294,16 +297,18 @@ def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
         G, n = M.group, M.n
         mats = M.element_matrices()
         kept: list[int] = []
-        span = _relation_lattice(M).basis if M.relations.cols else M.relations  # R's Hermite form
-        free_rank = n - span.cols  # of M, read off before the scan adds orbits to the span
-        unit = split_unit_pivots(span)[2]
+        # R's Hermite form, then the span so far as `_hnf` returns it
+        cols = list(_columns_of(_relation_lattice(M).basis)) if M.relations.cols else []
+        rows = _pivot_rows(cols, n)
+        free_rank = n - len(cols)  # of M, read off before the scan adds orbits to the span
+        unit = _unit_pivots(rows, cols)
         for i in range(n):
             if i in unit:
                 continue
             kept.append(i)
-            orbit = _from_columns([mats[g].column(i) for g in range(G.order)], n)
-            span = hermite_column_form(hstack([span, orbit]))
-            unit = split_unit_pivots(span)[2]
+            # the span's columns, then the orbit's
+            rows, cols = _hnf(chain(cols, (list(mats[g].column(i)) for g in range(G.order))), n)
+            unit = _unit_pivots(rows, cols)
         M._scan = (tuple(kept), G.order * len(kept) - free_rank)
     return M._scan
 
@@ -325,12 +330,13 @@ def free_cover(M: GammaModule) -> "FreeCover":
     :func:`_greedy_scan`.
 
     The kernel is one `preimage` of the relations of M under the
-    projection, so it comes out saturated and in canonical form, which is
-    its own `ColumnSolver` basis: the solves give kernel coordinates.  Only
-    the generating positions are solved here, so an unstable kernel fails
-    at once; a table group designates all |G| elements, and `coinvariants`
-    reads only a subgroup's generators.  The cover is built once per
-    module and cached on it.
+    projection, so it comes out saturated and in canonical form, and its
+    `ColumnSolver` adopts it as its basis with no second reduction: the
+    solves give kernel coordinates.  Only the generating positions are
+    solved here, so an unstable kernel fails at once; a table group
+    designates all |G| elements, and `coinvariants` reads only a
+    subgroup's generators.  The cover is built once per module and cached
+    on it.
     """
     if M._cover is not None:
         return M._cover
@@ -346,7 +352,7 @@ def free_cover(M: GammaModule) -> "FreeCover":
             f"cover kernel has rank {basis.cols}, exactness requires {expected_rank}"
         )
 
-    kernel = _CoverKernel(G, ColumnSolver(basis), d)
+    kernel = _CoverKernel(G, ColumnSolver._canonical(basis), d)
     for k in G.generating_positions:
         kernel.element_matrix(G.generator_indices[k])
     M._cover = FreeCover(M, cover_rank, projection, basis, kernel)
@@ -438,12 +444,13 @@ def _bar_homology(
 ) -> tuple[dict[int, list[tuple[int, ...]]], ColumnSolver, IntMatrix]:
     """(T, cycles, X) for H_1 = Z / T(B) = coker X on the blocks of `gens` (:func:`h1_bar`).
 
-    The cycles Z = preimage(d1_red, R) are canonical, so they are their own
-    `ColumnSolver` basis, and X is the Hermite form of T(B) solved in it.
+    The cycles Z = preimage(d1_red, R) are canonical, so their
+    `ColumnSolver` adopts them as its basis with no second reduction, and X
+    is the Hermite form of T(B) solved in it.
     A failed solve is check (a) of :func:`h1_bar` and raises ContainmentError.
     """
     T, den = _bar_walk(M, gens)
-    cycles = ColumnSolver(preimage(_bar_d1(M, gens), M.relations))
+    cycles = ColumnSolver._canonical(preimage(_bar_d1(M, gens), M.relations))
     X = cycles.solve(hermite_column_form(den))
     if X is None:
         raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")

@@ -581,17 +581,18 @@ class TestSumQuotient:
     def test_one_hermite_form_per_lattice(self, monkeypatch):
         # one Hermite form per torsion image, one of the ambient L_G for T's
         # coordinates, one of D in those coordinates for the T / D exit, and
-        # two inside finite_quotient: its preimage and that preimage's
-        # cokernel; no Hermite form is taken of D over Y
+        # one inside finite_quotient: its preimage, whose canonical form is
+        # split as it comes; no Hermite form is taken of D over Y.  Every
+        # Hermite form runs through linalg._hnf, which is counted
         import wadefect.engine as engine_mod
         import wadefect.linalg as linalg_mod
 
         hnf_calls, torsion_calls = [], []
-        real_hnf, real_torsion = linalg_mod.hermite_column_form, engine_mod.torsion_generators
+        real_hnf, real_torsion = linalg_mod._hnf, engine_mod.torsion_generators
 
-        def counting_hnf(B):
-            hnf_calls.append((B.rows, B.cols))
-            return real_hnf(B)
+        def counting_hnf(columns, m):
+            hnf_calls.append(m)
+            return real_hnf(columns, m)
 
         def counting_torsion(relations):
             torsion_calls.append(relations.cols)
@@ -600,7 +601,7 @@ class TestSumQuotient:
         G = s4()
         M = norm_one_module(G)
         kernel = free_cover(M).kernel
-        monkeypatch.setattr(linalg_mod, "hermite_column_form", counting_hnf)
+        monkeypatch.setattr(linalg_mod, "_hnf", counting_hnf)
         monkeypatch.setattr(engine_mod, "torsion_generators", counting_torsion)
         sc = Scenario(G, M, (full_subgroup(G),) * 2, (random_subgroup(random.Random(1), G),))
         assert defect(sc, use_shortcuts=False).invariants == FinAbInvariants((2,))
@@ -609,7 +610,7 @@ class TestSumQuotient:
         # and 2; T = Z/2 drops the one of order 3, and the cyclic complement
         # entry lies in a conjugate of a kept one
         assert len(torsion_calls) == 3
-        assert len(hnf_calls) == len(torsion_calls) + 4
+        assert len(hnf_calls) == len(torsion_calls) + 3
 
     def test_quotient_receives_the_s_side_images_alone(self, monkeypatch):
         # D is not passed beside the S-side images: finite_quotient forms

@@ -90,6 +90,19 @@ class TestIntMatrix:
         with pytest.raises(AttributeError):
             m.rows = 5
 
+    def test_trusted_matrices_are_immutable_too(self):
+        # _trusted sets its slots through their descriptors, past __setattr__,
+        # which must still refuse every assignment and deletion afterwards
+        for m in (IntMatrix._trusted(2, 2, (1, 2, 3, 4)), IntMatrix.identity(3), hermite_column_form(cols((2, 4)))):
+            before = (m.rows, m.cols, m.entries)
+            for field in ("rows", "cols", "entries", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(m, field, 1)
+                with pytest.raises(AttributeError):
+                    delattr(m, field)
+            assert (m.rows, m.cols, m.entries) == before
+        assert IntMatrix._trusted(1, 2, iter([5, 6])) == IntMatrix(1, 2, (5, 6))
+
     def test_matmul_and_vector(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -896,25 +909,27 @@ class TestFiniteQuotient:
             moved_cases += 1
         assert moved_cases >= 20
 
-    def test_two_hermite_forms_per_call(self, monkeypatch):
+    def test_one_hermite_form_per_call(self, monkeypatch):
+        # the preimage's Hermite form, the stack [num den; I 0], is the only
+        # reduction: its canonical columns are split as they come
         import wadefect.linalg as linalg_mod
 
         calls = []
-        real = linalg_mod.hermite_column_form
+        real = linalg_mod._hnf
 
-        def counting(B):
-            calls.append((B.rows, B.cols))
-            return real(B)
+        def counting(columns, m):
+            calls.append(m)
+            return real(columns, m)
 
         def refuse(*args):
             raise AssertionError("finite_quotient solved against its numerator")
 
-        monkeypatch.setattr(linalg_mod, "hermite_column_form", counting)
+        monkeypatch.setattr(linalg_mod, "_hnf", counting)
         monkeypatch.setattr(linalg_mod, "ColumnSolver", refuse)
         # span(num) is Z x 2Z and span(den) 2Z x 4Z
         num, den = cols((1, 0), (0, 2), (1, 2), rows=2), cols((2, 0), (0, 4), rows=2)
         assert finite_quotient(num, den) == FinAbInvariants((2, 2))
-        assert len(calls) == 2
+        assert calls == [num.rows + num.cols]
 
 
 class TestOracles:

@@ -249,11 +249,10 @@ class TestFreeCover:
 
     def test_unit_pivot_scan_against_the_column_scan(self, monkeypatch):
         # the earlier rule kept e_i unless e_i was a column of the span's
-        # Hermite form; covers built under it serve as the reference
-        def column_scan_rows(H):
-            columns = H.columns()
-            units = {i: e for i in range(H.rows) if (e := tuple(int(r == i) for r in range(H.rows))) in columns}
-            return None, [i for i in range(H.rows) if i not in units], units
+        # Hermite form; covers built under it serve as the reference.  The
+        # scan reads the unit pivots of each span from its pivot rows
+        def column_scan_units(rows, cols):
+            return {r: c for r, c in zip(rows, cols) if c[r] == 1 and sum(map(abs, c)) == 1}
 
         rng = random.Random(17)
         cases = []
@@ -264,21 +263,26 @@ class TestFreeCover:
                 cases.append((M, GammaModule(G, M.n, M.relations, M.action), sc))
         spans = []
 
-        def recording(H):
-            spans.append(H)
-            return split_unit_pivots(H)
+        def recording(rows, cols):
+            # the scan reduces these columns again with the next orbit
+            spans.append((list(rows), [tuple(c) for c in cols]))
+            return unit_pivots(rows, cols)
 
+        unit_pivots = modules._unit_pivots
         with monkeypatch.context() as patch:
-            patch.setattr(modules, "split_unit_pivots", column_scan_rows)
+            patch.setattr(modules, "_unit_pivots", column_scan_units)
             references = [free_cover(ref) for _, ref, _ in cases]
-            patch.setattr(modules, "split_unit_pivots", recording)
+            patch.setattr(modules, "_unit_pivots", recording)
             covers = [free_cover(M) for M, _, _ in cases]
         # on any one span, the rule keeps a subset of what the column rule
         # keeps; the scan is greedy, so a whole cover can still come out larger
         # one split per span: the relations' and one after each kept orbit
         assert len(spans) == sum(cover.cover_rank // M.group.order + 1 for (M, _, _), cover in zip(cases, covers))
-        for H in spans:
-            assert set(split_unit_pivots(H)[1]) <= set(column_scan_rows(H)[1])
+        for rows, cols in spans:
+            # each recorded span is a canonical Hermite form, its pivot rows those given
+            H = IntMatrix.from_columns(cols, rows=len(cols[0])) if cols else None
+            assert H is None or hermite_column_form(H) == H and split_unit_pivots(H)[2] == unit_pivots(rows, cols)
+            assert set(column_scan_units(rows, cols)) <= set(unit_pivots(rows, cols))
         smaller = nontrivial = 0
         for (M, ref, sc), cover, old in zip(cases, covers, references):
             smaller += cover.cover_rank < old.cover_rank
@@ -376,8 +380,9 @@ class TestRelationLattice:
     def test_each_module_reduces_its_relations_at_most_once(self, monkeypatch):
         # every "modulo R" question of validate, the faithful quotient, the
         # greedy scan, verify_cover and h1_bar's check of d1 along the tree
-        # is answered from one Hermite form of R per module object, and a
-        # relation-free module never reduces its empty R
+        # is answered from one Hermite form of R per relation matrix, shared
+        # by the faithful quotient's module, and a relation-free module never
+        # reduces its empty R
         import wadefect.engine as engine_mod
         import wadefect.linalg as linalg_mod
 
@@ -408,6 +413,7 @@ class TestRelationLattice:
             cases += [M, with_doubled_generators(M)]
             cases += [norm_one_module(G), induced_module(G, random_subgroup(rng, G)), trivial_module(G, 2)]
         kinds = {True: 0, False: 0}
+        shared = 0
         for M in cases:
             G = M.group
             sc = Scenario(G, M, (full_subgroup(G), random_subgroup(rng, G)))
@@ -421,10 +427,77 @@ class TestRelationLattice:
             assert h1(M, full_subgroup(G)) == h1_bar(M, full_subgroup(G))
             assert reductions(M) == once
             defect(sc)
-            # a proper quotient's module is a new object on the same R, and reduces it once for itself
-            assert reductions(M) <= once * (1 + len(quotients) - built)
+            # a proper quotient's module is a new object on the same R, and
+            # shares M's reduction of it, so R is reduced once in all
+            assert reductions(M) == once
+            shared += sum(Q.relations.cols > 0 for Q in quotients[built:])
             kinds[bool(M.relations.cols)] += 1
-        assert quotients and kinds == {True: 16, False: 24}
+        assert quotients and shared and kinds == {True: 16, False: 24}
+
+
+
+class TestCanonicalBasesReducedOnce:
+    def test_cycles_and_kernel_basis_come_from_one_reduction(self, monkeypatch):
+        # h1_bar's cycles and free_cover's kernel basis are each one
+        # preimage, already in canonical Hermite form, and the solver on
+        # each adopts that very matrix: no Hermite form is taken of it again.
+        # Every reduction runs through linalg._hnf: h1_bar takes three (the
+        # cycles' stack, T(B) and the cokernel of X) once R's lattice is
+        # built, and free_cover one per kept orbit and one for the kernel
+        import wadefect.linalg as linalg_mod
+
+        real_preimage, real_hnf = modules.preimage, linalg_mod.hermite_column_form
+        real_core, real_homology = getattr(linalg_mod, "_hnf", None), modules._bar_homology
+        bases, hnf_inputs, solvers, core_calls = [], [], [], []
+
+        def recording_preimage(A, R):
+            out = real_preimage(A, R)
+            bases.append(out)
+            return out
+
+        def recording_hnf(B):
+            hnf_inputs.append(B)
+            return real_hnf(B)
+
+        def counting_core(columns, m):
+            core_calls.append(m)
+            return real_core(columns, m)
+
+        def recording_homology(M, gens):
+            out = real_homology(M, gens)
+            solvers.append(out[1])
+            return out
+
+        monkeypatch.setattr(modules, "preimage", recording_preimage)
+        for mod in (linalg_mod, modules):
+            monkeypatch.setattr(mod, "hermite_column_form", recording_hnf)
+        for mod in (linalg_mod, modules):
+            monkeypatch.setattr(mod, "_hnf", counting_core, raising=False)
+        monkeypatch.setattr(modules, "_bar_homology", recording_homology)
+
+        rng = random.Random(59)
+        checked = 0
+        for G in group_zoo():
+            for M in (norm_one_module(G), _with_orbit_relations(rng, random_module(rng, G), 1)):
+                validate(M)
+                if M.relations.cols:
+                    modules._relation_lattice(M)
+                for run in ("h1_bar", "free_cover"):
+                    del bases[:], hnf_inputs[:], solvers[:], core_calls[:]
+                    if run == "h1_bar":
+                        h1_bar(M, full_subgroup(G))
+                        (solver,) = solvers
+                        reductions = 3
+                    else:
+                        cover = free_cover(M)
+                        solver = cover.kernel._solver
+                        reductions = cover.cover_rank // G.order + 1
+                    (basis,) = bases
+                    assert solver.basis is basis
+                    assert not any(B is basis for B in hnf_inputs)
+                    assert len(core_calls) == reductions
+                    checked += basis.cols > 0
+        assert checked >= 20
 
 
 class TestConjugate:
