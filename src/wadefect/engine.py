@@ -63,7 +63,6 @@ answer:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import chain
 from math import gcd, prod
 
 from .groups import (
@@ -245,12 +244,12 @@ def _bar_head(M: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Sub
     of Groups, III.8).  Those are cycles of G exactly when the action obeys
     the group law, so a failed image solve raises AssertionError.
     """
-    T, cycles, X = _bar_homology(M, full_subgroup(M.group).generators)
+    T, cycles, X, _ = _bar_homology(M, full_subgroup(M.group).generators)
     rows = cycles.basis.rows
 
     def image(H: Subgroup) -> IntMatrix:
-        blocks = [IntMatrix._trusted(rows, M.n, chain.from_iterable(T[h])) for h in H.generators]
-        x = cycles.solve(hstack(blocks, rows=rows) @ preimage(_bar_d1(M, H.generators), M.relations))
+        chains = hstack([T[h] for h in H.generators], rows=rows)
+        x = cycles.solve(chains @ preimage(_bar_d1(M, H.generators), M.relations))
         if x is None:
             raise AssertionError("bar chains are not cycles: the action breaks the group law")
         return x

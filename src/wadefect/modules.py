@@ -395,43 +395,46 @@ def h1(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     return tate_h_minus1(free_cover(M).kernel, delta)
 
 
-def _bar_walk(M: GammaModule, gens: Sequence[int]) -> tuple[dict[int, list[tuple[int, ...]]], IntMatrix]:
-    """(T, T(B)) of :func:`h1_bar` on the blocks of `gens`, distinct and not e.
+def _bar_walk(
+    M: GammaModule, gens: Sequence[int]
+) -> tuple[dict[int, IntMatrix], dict[int, tuple[int, int]], IntMatrix]:
+    """(T, tree, T(B)) of :func:`h1_bar` on the blocks of `gens`, distinct and not e.
 
     T maps each element c of the subgroup that `gens` generate, in the
-    order the breadth-first tree reaches it, to the rows of the n k x n
-    matrix T[c].  T(B) has one block of n columns per non-tree edge, then,
+    order the breadth-first tree reaches it, to the n k x n matrix T[c],
+    and `tree` maps each c but e to its tree edge (a, j), c = a s_j, in
+    that order.  T(B) has one block of n columns per non-tree edge, then,
     when M has relations R, T[a] R for each a in that order.
     """
     G, n = M.group, M.n
-    rows = n * len(gens)
-    mats = M.element_matrices()
-    # T[c] as its rows; a tree edge replaces block j of its parent's rows
-    # and shares the others.  Each non-tree edge (a, s_j) contributes
-    # T(boundary of [a|s_j]) = (T[a] + D[a^{-1}] in block j) - T[c].
-    T = {G.identity: [(0,) * n] * rows}
+    rows, size = n * len(gens), n * n
+    # T[c]'s row-major entries: a tree edge adds D[a^{-1}] to block j of
+    # its parent's, whose n x n entries are contiguous.  Each non-tree edge
+    # (a, s_j) contributes T(boundary of [a|s_j]) = (T[a] + D[a^{-1}] in
+    # block j) - T[c], kept with its width for T(B)'s rows.
+    T = {G.identity: IntMatrix._trusted(rows, n, (0,) * (rows * n))}
+    tree: dict[int, tuple[int, int]] = {}
     order = [G.identity]
-    edges: list[list[Sequence[int]]] = []
+    edges: list[tuple[tuple[int, ...], int]] = []
     for a in order:
-        Ta = T[a]
-        inv = mats[G.inverses[a]]
+        Ta = T[a].entries
+        inv = M.element_matrix(G.inverses[a]).entries
         for j, s in enumerate(gens):
-            lo = j * n
-            step = Ta[:lo] + [tuple(map(add, Ta[lo + i], inv.row(i))) for i in range(n)] + Ta[lo + n :]
+            lo, hi = j * size, (j + 1) * size
+            step = Ta[:lo] + tuple(map(add, Ta[lo:hi], inv)) + Ta[hi:]
             c = G.table[a][s]
             if c in T:
-                edges.append([tuple(map(sub, x, y)) for x, y in zip(step, T[c])])
+                edges.append((tuple(map(sub, step, T[c].entries)), n))
             else:
-                T[c] = step
+                T[c] = IntMatrix._trusted(rows, n, step)
+                tree[c] = (a, j)
                 order.append(c)
-    cols = n * len(edges)
     if M.relations.cols:
         R = _prepared(M.relations)  # read once for every T[a] R
-        for a in order:
-            edges.append(_times_prepared(IntMatrix._trusted(rows, n, chain.from_iterable(T[a])), R).to_rows())
-        cols += M.relations.cols * len(order)
-    den = IntMatrix._trusted(rows, cols, chain.from_iterable(e[t] for t in range(rows) for e in edges))
-    return T, den
+        edges += [(_times_prepared(T[a], R).entries, M.relations.cols) for a in order]
+    entries = chain.from_iterable(e[t * w : (t + 1) * w] for t in range(rows) for e, w in edges)
+    den = IntMatrix._trusted(rows, sum(w for _, w in edges), entries)
+    return T, tree, den
 
 
 def _bar_d1(M: GammaModule, elements: Sequence[int]) -> IntMatrix:
@@ -441,20 +444,30 @@ def _bar_d1(M: GammaModule, elements: Sequence[int]) -> IntMatrix:
 
 def _bar_homology(
     M: GammaModule, gens: Sequence[int]
-) -> tuple[dict[int, list[tuple[int, ...]]], ColumnSolver, IntMatrix]:
-    """(T, cycles, X) for H_1 = Z / T(B) = coker X on the blocks of `gens` (:func:`h1_bar`).
+) -> tuple[dict[int, IntMatrix], ColumnSolver, IntMatrix, dict[int, tuple[int, int]]]:
+    """(T, cycles, X, tree) for H_1 = Z / T(B) = coker X on the blocks of `gens` (:func:`h1_bar`).
 
     The cycles Z = preimage(d1_red, R) are canonical, so their
     `ColumnSolver` adopts them as its basis with no second reduction, and X
-    is the Hermite form of T(B) solved in it.
+    is the Hermite form of T(B) solved in it.  `tree` is the walk's.
     A failed solve is check (a) of :func:`h1_bar` and raises ContainmentError.
     """
-    T, den = _bar_walk(M, gens)
+    T, tree, den = _bar_walk(M, gens)
     cycles = ColumnSolver._canonical(preimage(_bar_d1(M, gens), M.relations))
     X = cycles.solve(hermite_column_form(den))
     if X is None:
         raise ContainmentError("bar boundaries are not cycles: the action breaks the group law")
-    return T, cycles, X
+    return T, cycles, X, tree
+
+
+def _bar_tree_law(M: GammaModule, gens: Sequence[int], tree: dict[int, tuple[int, int]]) -> bool:
+    # check (b) of :func:`h1_bar`: D[s_j^{-1}] D[a^{-1}] ≡ D[c^{-1}] modulo R
+    # on every tree edge c = a s_j; D[e] = I, so an edge at e holds as it stands
+    G, D = M.group, M.element_matrix
+    left = [D(G.inverses[s]) for s in gens]
+    return all(
+        _congruent(M, left[j] @ D(G.inverses[a]), D(G.inverses[c])) for c, (a, j) in tree.items() if a != G.identity
+    )
 
 
 def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
@@ -505,6 +518,17 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     induction down the tree, since d1 kills the tree-edge boundaries modulo
     R, and then (a).
 
+    Check (b) needs no T.  With L[c] = d1_red T[c], the recursion of T
+    gives L[e] = 0 and, on each tree edge c = a s_j,
+        L[c] = L[a] + (D[s_j^{-1}] - I) D[a^{-1}],
+    so L[c] - (D[c^{-1}] - I) = (L[a] - (D[a^{-1}] - I))
+    + (D[s_j^{-1}] D[a^{-1}] - D[c^{-1}]), and at e it is I - D[e] = 0.
+    By induction down the tree, (b) holds exactly when
+    D[s_j^{-1}] D[a^{-1}] ≡ D[c^{-1}] modulo R on every tree edge, which
+    holds as it stands on the edges at e: the group law on the tree's
+    edges, one n x n product each (:func:`_bar_tree_law`), with no T of H's
+    elements stacked and no d1 on all of C1 built.
+
     Independent of the free-cover route: it shares only the element
     matrices and the subgroup's generators, and uses no kernel, cover or
     solve from it.
@@ -513,11 +537,8 @@ def h1_bar(M: GammaModule, delta: Subgroup) -> FinAbInvariants:
     closure = subgroup_closure(M.group, delta.generators)
     if closure.elements != delta.elements:
         raise GroupError("subgroup generators do not generate its element set")
-    gens, dl = closure.generators, delta.elements
-    T, cycles, X = _bar_homology(M, gens)
-    rows = cycles.basis.rows
-    T_all = IntMatrix._trusted(rows, M.n * len(dl), chain.from_iterable(T[g][t] for t in range(rows) for g in dl))
-    if not _congruent(M, _bar_d1(M, gens) @ T_all, _bar_d1(M, dl)):
+    _, _, X, tree = _bar_homology(M, closure.generators)
+    if not _bar_tree_law(M, closure.generators, tree):
         raise ContainmentError(
             "the generator blocks do not carry d1 along the tree: the action breaks the group law"
         )

@@ -1084,6 +1084,54 @@ class TestBarBoundaryRoute:
         assert cases == 48
         assert differ >= 8
 
+    def test_tree_law_is_d1_equal_to_d1_red_t(self):
+        # check (b), d1_red T[c] ≡ D[c^-1] - I modulo R on every c, telescopes
+        # down the walk's tree to the group law D[s_j^-1] D[a^-1] ≡ D[c^-1]
+        # on its edges c = a s_j: the walk must grow T by that recursion, and
+        # _bar_tree_law must give the verdict of (b) itself, whether or not
+        # the action obeys the group law
+        rng = random.Random(37)
+        cases = with_relations = perturbed = broken = 0
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for t in range(4):
+                    M = random_module(rng, G)
+                    if t % 2:
+                        M = _with_orbit_relations(rng, M, 1)
+                    if t >= 2:
+                        # one action entry off by one, marked validated
+                        k = rng.randrange(len(M.action))
+                        rows = M.action[k].to_rows()
+                        rows[rng.randrange(M.n)][rng.randrange(M.n)] += rng.choice((-1, 1))
+                        action = list(M.action)
+                        action[k] = IntMatrix.from_rows(rows)
+                        M = trusted(GammaModule(G, M.n, M.relations, action))
+                        perturbed += 1
+                    with_relations += bool(M.relations.cols)
+                    for K in (full_subgroup(G), random_subgroup(rng, G)):
+                        gens = subgroup_closure(G, K.generators).generators
+                        n, rows = M.n, M.n * len(gens)
+                        T, tree, _ = modules._bar_walk(M, gens)
+                        assert T.keys() == set(K.elements) and tree.keys() == T.keys() - {G.identity}
+                        assert T[G.identity] == IntMatrix(rows, n, [0] * (rows * n))
+                        for c, (a, j) in tree.items():
+                            assert G.table[a][gens[j]] == c
+                            step = T[a].to_rows()
+                            inv = M.element_matrix(G.inverses[a]).to_rows()
+                            for i in range(n):
+                                step[j * n + i] = [x + y for x, y in zip(step[j * n + i], inv[i])]
+                            assert T[c] == IntMatrix.from_rows(step, cols=n)
+                        dl = K.elements
+                        T_all = hstack([T[g] for g in dl], rows=rows)
+                        check_b = modules._congruent(M, modules._bar_d1(M, gens) @ T_all, modules._bar_d1(M, dl))
+                        assert modules._bar_tree_law(M, gens, tree) == check_b, (G.order, K.elements)
+                        broken += not check_b
+                        cases += 1
+        assert cases == 128
+        assert with_relations >= 32 and perturbed == 32
+        assert broken >= 8
+
+
 
 class TestBarReach:
     def test_norm_one_of_order_48_and_60(self):
