@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 schema error, 2 group/module validation error,
-3 oracle mismatch (a bug trap; never expected on a healthy build).
+Exit codes: 0 success, 1 schema error or a failed `selfcheck` check,
+2 group/module validation error, 3 oracle mismatch (a bug trap; never
+expected on a healthy build).
 """
 
 from __future__ import annotations

@@ -680,17 +680,12 @@ def _pivot_rows(cols: Sequence[Sequence[int]], m: int) -> list[int]:
     return rows
 
 
-def _unit_pivots(rows: Sequence[int], cols: Sequence[Sequence[int]]) -> dict[int, Sequence[int]]:
-    # each unit pivot row of a column Hermite form, mapped to its column
-    return {r: c for r, c in zip(rows, cols) if c[r] == 1}
-
-
 def _split(
     rows: Sequence[int], cols: Sequence[Sequence[int]], m: int
 ) -> tuple[list[Sequence[int]], list[int], dict[int, Sequence[int]]]:
     # (non-unit-pivot columns, kept rows, unit) of :func:`split_unit_pivots`,
     # from the pivot rows of an m-row column Hermite form
-    unit = _unit_pivots(rows, cols)
+    unit = {r: c for r, c in zip(rows, cols) if c[r] == 1}
     return [c for r, c in zip(rows, cols) if r not in unit], [i for i in range(m) if i not in unit], unit
 
 

@@ -39,11 +39,9 @@ from .linalg import (
     QuotientNotFiniteError,
     _columns_of,
     _from_columns,
-    _hnf,
-    _pivot_rows,
+    _hnf_insert,
     _prepared,
     _times_prepared,
-    _unit_pivots,
     cokernel_invariants,
     hermite_column_form,
     hstack,
@@ -289,26 +287,27 @@ class _CoverKernel(GammaModule):
 def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
     """(kept, kernel rank) of `free_cover`'s scan, run once per module and cached on it.
 
-    The cover on the kept basis vectors has rank |G| len(kept), and by
-    exactness its kernel has that rank minus the free rank of M.
+    One running column echelon form takes R's Hermite basis, then each kept
+    vector's |G| orbit columns, each once (`linalg._hnf_insert`), with no
+    back-reduction.  Its pivots are the canonical form's: each is a lattice
+    invariant up to sign, and kept positive.  The cover on the kept basis
+    vectors has rank |G| len(kept), and by exactness its kernel has that
+    rank minus the free rank of M.
     """
     if M._scan is None:
         validate(M)
         G, n = M.group, M.n
         mats = M.element_matrices()
         kept: list[int] = []
-        # R's Hermite form, then the span so far as `_hnf` returns it
-        cols = list(_columns_of(_relation_lattice(M).basis)) if M.relations.cols else []
-        rows = _pivot_rows(cols, n)
-        free_rank = n - len(cols)  # of M, read off before the scan adds orbits to the span
-        unit = _unit_pivots(rows, cols)
+        pivots, rows, support = {}, [], {}  # the running form, in `_hnf_insert`'s terms
+        for v in _columns_of(_relation_lattice(M).basis) if M.relations.cols else ():
+            _hnf_insert(v, pivots, rows, support, n)
+        free_rank = n - len(rows)  # of M, read off before the scan adds orbits to the span
         for i in range(n):
-            if i in unit:
-                continue
-            kept.append(i)
-            # the span's columns, then the orbit's
-            rows, cols = _hnf(chain(cols, (list(mats[g].column(i)) for g in range(G.order))), n)
-            unit = _unit_pivots(rows, cols)
+            if i not in pivots or pivots[i][i] != 1:
+                kept.append(i)
+                for g in range(G.order):
+                    _hnf_insert(list(mats[g].column(i)), pivots, rows, support, n)
         M._scan = (tuple(kept), G.order * len(kept) - free_rank)
     return M._scan
 
@@ -316,18 +315,18 @@ def _greedy_scan(M: GammaModule) -> tuple[tuple[int, ...], int]:
 def free_cover(M: GammaModule) -> "FreeCover":
     """Free cover of M on a greedy generating set, with its kernel module.
 
-    Basis vectors of M are scanned in order.  Let H be the canonical Hermite
-    form of the span so far: the relations and the orbits of the vectors
-    kept so far.  e_i is kept unless row i of H has a unit pivot.  Every
-    e_j ends up in the final span, by descending induction on j: a kept e_j
-    lies in its own orbit, and a skipped e_j is its unit-pivot column minus
-    a combination of the later e_j', all in the final span, which contains
-    every earlier span.  On any one span the rule skips every e_i already
-    in it: if e_i lies in span(H), its first nonzero entry, a 1 in row i,
-    is a multiple of row i's pivot, so that pivot is 1.  The scan is
-    greedy, so a cover is not minimal, and it can come out larger than a
-    scan that skips only the e_i in the span.  It runs once per module, in
-    :func:`_greedy_scan`.
+    Basis vectors of M are scanned in order.  Let H be a column echelon form
+    of the span so far, with positive pivots: the relations and the orbits
+    of the vectors kept so far.  e_i is kept unless row i of H has a unit
+    pivot.  Every e_j ends up in the final span, by descending induction on
+    j: a kept e_j lies in its own orbit, and a skipped e_j is its unit-pivot
+    column minus a combination of the later e_j', all in the final span,
+    which contains every earlier span.  On any one span the rule skips
+    every e_i already in it: if e_i lies in span(H), its first nonzero
+    entry, a 1 in row i, is a multiple of row i's pivot, so that pivot is 1.
+    The scan is greedy, so a cover is not minimal, and it can come out
+    larger than a scan that skips only the e_i in the span.  It runs once
+    per module, in :func:`_greedy_scan`, on one running form.
 
     The kernel is one `preimage` of the relations of M under the
     projection, so it comes out saturated and in canonical form, and its

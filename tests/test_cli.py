@@ -214,6 +214,18 @@ class TestComputeCommand:
         assert main(["compute", write_scenario(tmp_path, doc)]) == 0
         assert "result: 0" in capsys.readouterr().out
 
+    def test_wide_module_checked_against_the_bar_complex(self, tmp_path, capsys):
+        # the same 133 bytes under --check --oracle bar: the cover of the
+        # rank-2,000 module comes from a scan that reduces no span again
+        doc = {
+            "group": {"permutation_generators": []},
+            "module": {"generators": 2000, "relations": [], "action": []},
+            "S": [],
+            "S_complement": [],
+        }
+        assert main(["compute", write_scenario(tmp_path, doc), "--check", "--oracle", "bar"]) == 0
+        assert "result: 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "case",
         [

@@ -65,6 +65,34 @@ def sign_module(G):
     return GammaModule(G, 1, IntMatrix(1, 0, ()), [IntMatrix.from_rows([[-1]])] * len(G.generator_indices))
 
 
+def unit_rows(H):
+    # the rows of a canonical Hermite form H whose e_i the scan skips
+    return set(split_unit_pivots(H)[2])
+
+
+def column_rows(H):
+    # the earlier rule's rows: those r with e_r a column of H
+    return {r for r, c in split_unit_pivots(H)[2].items() if sum(map(abs, c)) == 1}
+
+
+def canonical_span_scan(M, skipped):
+    """(kept, kernel rank, spans) of the greedy scan, with each span in canonical Hermite form.
+
+    `skipped(H)` gives the rows of the span H whose e_i the scan skips, and
+    `spans` lists H for the relations and after each kept orbit.
+    """
+    G, n = M.group, M.n
+    mats = M.element_matrices()
+    spans = [hermite_column_form(M.relations)]
+    kept = []
+    for i in range(n):
+        if i not in skipped(spans[-1]):
+            kept.append(i)
+            orbit = IntMatrix.from_columns([mats[g].column(i) for g in range(G.order)], rows=n)
+            spans.append(hermite_column_form(hstack([spans[-1], orbit])))
+    return tuple(kept), G.order * len(kept) - (n - spans[0].cols), spans
+
+
 class TestValidate:
     def test_trivial_action_ok(self):
         validate(trivial_module(klein(), 2))
@@ -250,10 +278,8 @@ class TestFreeCover:
     def test_unit_pivot_scan_against_the_column_scan(self, monkeypatch):
         # the earlier rule kept e_i unless e_i was a column of the span's
         # Hermite form; covers built under it serve as the reference.  The
-        # scan reads the unit pivots of each span from its pivot rows
-        def column_scan_units(rows, cols):
-            return {r: c for r, c in zip(rows, cols) if c[r] == 1 and sum(map(abs, c)) == 1}
-
+        # scan keeps one running echelon form, and a test-local scan that
+        # takes each span's canonical form gives the same kept set
         rng = random.Random(17)
         cases = []
         for G in group_zoo():
@@ -261,28 +287,41 @@ class TestFreeCover:
                 M = _conjugate(M, random_unimodular(rng, M.n))
                 sc = Scenario(G, M, (full_subgroup(G), random_subgroup(rng, G)), (random_subgroup(rng, G),))
                 cases.append((M, GammaModule(G, M.n, M.relations, M.action), sc))
-        spans = []
+        references = []
+        for _, ref, _ in cases:
+            # free_cover, and defect's route, read the scan cached on the module
+            ref._scan = canonical_span_scan(ref, column_rows)[:2]
+            references.append(free_cover(ref))
+        # per insertion into the running form: the column given, and the
+        # form's unit-pivot rows after it
+        inserted = []
+        real_insert = modules._hnf_insert
 
-        def recording(rows, cols):
-            # the scan reduces these columns again with the next orbit
-            spans.append((list(rows), [tuple(c) for c in cols]))
-            return unit_pivots(rows, cols)
+        def recording(v, pivots, rows, support, m):
+            column = tuple(v)
+            real_insert(v, pivots, rows, support, m)
+            inserted.append((column, {r for r, c in pivots.items() if c[r] == 1}))
 
-        unit_pivots = modules._unit_pivots
-        with monkeypatch.context() as patch:
-            patch.setattr(modules, "_unit_pivots", column_scan_units)
-            references = [free_cover(ref) for _, ref, _ in cases]
-            patch.setattr(modules, "_unit_pivots", recording)
-            covers = [free_cover(M) for M, _, _ in cases]
-        # on any one span, the rule keeps a subset of what the column rule
-        # keeps; the scan is greedy, so a whole cover can still come out larger
-        # one split per span: the relations' and one after each kept orbit
-        assert len(spans) == sum(cover.cover_rank // M.group.order + 1 for (M, _, _), cover in zip(cases, covers))
-        for rows, cols in spans:
-            # each recorded span is a canonical Hermite form, its pivot rows those given
-            H = IntMatrix.from_columns(cols, rows=len(cols[0])) if cols else None
-            assert H is None or hermite_column_form(H) == H and split_unit_pivots(H)[2] == unit_pivots(rows, cols)
-            assert set(column_scan_units(rows, cols)) <= set(unit_pivots(rows, cols))
+        covers = []
+        for M, _, _ in cases:
+            del inserted[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(modules, "_hnf_insert", recording)
+                covers.append(free_cover(M))
+            kept, rank, spans = canonical_span_scan(M, unit_rows)
+            assert modules._greedy_scan(M) == (kept, rank)
+            # the relations' span and one after each kept orbit: the running
+            # form's unit-pivot rows are those of the span's canonical form
+            ends = [spans[0].cols + M.group.order * j for j in range(len(kept) + 1)]
+            assert len(inserted) == ends[-1]
+            for end, H in zip(ends, spans):
+                so_far = hermite_column_form(IntMatrix.from_columns([c for c, _ in inserted[:end]], rows=M.n))
+                assert so_far == H
+                assert (inserted[end - 1][1] if end else set()) == set(split_unit_pivots(so_far)[2])
+                # on any one span, the rule keeps a subset of what the column
+                # rule keeps; the scan is greedy, so a whole cover can still
+                # come out larger
+                assert column_rows(H) <= unit_rows(H)
         smaller = nontrivial = 0
         for (M, ref, sc), cover, old in zip(cases, covers, references):
             smaller += cover.cover_rank < old.cover_rank
@@ -295,6 +334,39 @@ class TestFreeCover:
             assert got == defect(ref_sc, use_shortcuts=False)
             nontrivial += not got.invariants.is_trivial()
         assert smaller >= 3 and nontrivial >= 3
+
+    def test_scan_inserts_each_column_once_and_reduces_no_span(self, monkeypatch):
+        # one running echelon form: R's Hermite basis, then each kept
+        # vector's |G| orbit columns, each given to the insertion step once,
+        # rank(R) + |G| d in all, and no Hermite form of any span
+        import wadefect.linalg as linalg_mod
+
+        def refuse(*args):
+            raise AssertionError("the scan reduced a span again")
+
+        rng = random.Random(83)
+        cases = [trivial_module(cyclic(1), 60)]
+        for G in group_zoo():
+            T = from_table(G.table)
+            for M in (random_module(rng, G), _with_orbit_relations(rng, random_module(rng, G), 1), norm_one_module(G)):
+                # a table group designates every element, in index order
+                cases += [M, GammaModule(T, M.n, M.relations, M.element_matrices())]
+        received = []
+        real_insert = modules._hnf_insert
+        kinds = {True: 0, False: 0}
+        for M in cases:
+            validate(M)
+            basis = modules._relation_lattice(M).basis  # R's one reduction, before the scan
+            del received[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(modules, "_hnf_insert", lambda v, *state: received.append(tuple(v)) or real_insert(v, *state))
+                patch.setattr(linalg_mod, "_hnf", refuse)
+                kept, _ = modules._greedy_scan(M)
+            mats = M.element_matrices()
+            assert received == basis.columns() + [mats[g].column(i) for i in kept for g in range(M.group.order)]
+            assert len(received) == basis.cols + M.group.order * len(kept)
+            kinds[bool(M.relations.cols)] += 1
+        assert kinds == {True: 24, False: 25}
 
     def test_free_rank_one_presentation_needs_no_correction(self):
         # Z[G] presented with a single module generator: the cover is bijective
@@ -443,7 +515,8 @@ class TestCanonicalBasesReducedOnce:
         # each adopts that very matrix: no Hermite form is taken of it again.
         # Every reduction runs through linalg._hnf: h1_bar takes three (the
         # cycles' stack, T(B) and the cokernel of X) once R's lattice is
-        # built, and free_cover one per kept orbit and one for the kernel
+        # built, and free_cover one, the kernel's preimage; its scan inserts
+        # into one running echelon form and reduces no span
         import wadefect.linalg as linalg_mod
 
         real_preimage, real_hnf = modules.preimage, linalg_mod.hermite_column_form
@@ -491,7 +564,7 @@ class TestCanonicalBasesReducedOnce:
                     else:
                         cover = free_cover(M)
                         solver = cover.kernel._solver
-                        reductions = cover.cover_rank // G.order + 1
+                        reductions = 1
                     (basis,) = bases
                     assert solver.basis is basis
                     assert not any(B is basis for B in hnf_inputs)
