@@ -16,7 +16,7 @@ import time
 
 from . import catalog
 from .engine import Scenario, ScenarioError, defect, verify_cover
-from .groups import DEFAULT_ORDER_CAP, GroupError, Subgroup, cyclic_subgroups, full_subgroup, is_cyclic_subgroup
+from .groups import DEFAULT_ORDER_CAP, GroupError, Subgroup, cyclic_subgroups, full_subgroup
 from .linalg import FinAbInvariants
 from .modules import GammaModule, ModuleError, free_cover, h1, h1_bar
 from .scenario_io import SchemaError, _as_int, dumps_result, load_scenario, render_text, result_document
@@ -51,14 +51,10 @@ def _emit(doc: dict, emit: str) -> None:
 
 
 def _oracle_subgroups(sc: Scenario) -> list[Subgroup]:
-    G = sc.group
+    # every cyclic subgroup is enumerated first, so a listed cyclic entry gives way to its enumerated twin
     seen: dict[tuple[int, ...], Subgroup] = {}
-    for H in list(sc.s_subgroups) + list(sc.sc_subgroups):
-        if not is_cyclic_subgroup(G, H):
-            seen.setdefault(H.elements, H)
-    for C in cyclic_subgroups(G):
-        seen.setdefault(C.elements, C)
-    seen.setdefault(tuple(range(G.order)), full_subgroup(G))
+    for H in [*cyclic_subgroups(sc.group), *sc.s_subgroups, *sc.sc_subgroups, full_subgroup(sc.group)]:
+        seen.setdefault(H.elements, H)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -68,7 +68,7 @@ from math import gcd, prod
 from .groups import (
     CayleyGroup,
     Subgroup,
-    _left_cosets,
+    _quotient,
     cyclic_subgroups,
     full_subgroup,
     is_cyclic_subgroup,
@@ -258,30 +258,21 @@ def _bar_head(M: GammaModule) -> tuple[IntMatrix, tuple[int, ...], Callable[[Sub
 
 
 def _is_detectably_free(M: GammaModule) -> bool:
-    # relation-free, the generating positions permute the basis (a validated
-    # relation-free action is invertible, so one 1 per column and zeros
-    # elsewhere make a permutation), and every orbit has |G| elements: by
-    # orbit-stabilizer no nonidentity element fixes a basis vector, so the
-    # basis splits into regular orbits and the module is free
+    # relation-free, and the generating positions permute the basis (a
+    # validated relation-free action is invertible, so one 1 per column and
+    # zeros elsewhere make a permutation).  Then every D[g] that `validate`
+    # stored permutes it too, and g fixes e_i exactly when D[g] has a 1 at
+    # (i, i).  By orbit-stabilizer every orbit has |G| elements exactly when
+    # no g ≠ e fixes a basis vector, and then the basis splits into regular
+    # orbits and the module is free
     if M.relations.cols:
         return False
     validate(M)
-    perms = []
     for k in M.group.generating_positions:
-        cols = M.action[k].columns()
-        if any(c.count(1) != 1 or c.count(0) != M.n - 1 for c in cols):
+        if any(c.count(1) != 1 or c.count(0) != M.n - 1 for c in M.action[k].columns()):
             return False
-        perms.append([c.index(1) for c in cols])
-    unseen = set(range(M.n))
-    while unseen:
-        orbit = [unseen.pop()]
-        for x in orbit:
-            step = {p[x] for p in perms} & unseen
-            unseen -= step
-            orbit += step
-        if len(orbit) != M.group.order:
-            return False
-    return True
+    e = M.group.identity
+    return not any(1 in D.entries[:: M.n + 1] for g, D in enumerate(M.element_matrices()) if g != e)
 
 
 def quick_vanish(sc: Scenario) -> DefectResult | None:
@@ -308,36 +299,30 @@ def _faithful_quotient(sc: Scenario) -> Scenario | None:
     """The scenario over Q = G/N for N the kernel of the action: sc itself when N = 1, None when N = G.
 
     N is the g with D[g] ≡ I modulo R (`modules._congruent`), read from the
-    element matrices `validate` derived.  Q's elements are the left cosets
-    of N, indexed by `groups._left_cosets`, and its designated generators
-    are the images of G's generating positions, acting by their matrices.
-    Each listed entry is replaced by its image.  The module docstring says
-    why the defect does not change.  N acts trivially modulo R, so the
-    generators' matrices define Q's module.  It has the same R object, so it
-    shares M's one reduction of R, which the test D[g] ≡ I has built
-    whenever some D[g] differs from I and R is not empty.
+    element matrices `validate` derived, D[e] = I among them.  Q is
+    `groups._quotient(G, N)`: its elements are the left cosets of N, and
+    its designated generators are the images of G's generating positions,
+    acting by their matrices.  Each listed entry is replaced by its image.
+    The module docstring says why the defect does not change.  N acts
+    trivially modulo R, so the generators' matrices define Q's module.  It
+    has the same R object, so it shares M's one reduction of R, which the
+    test D[g] ≡ I has built whenever some D[g] differs from I and R is not
+    empty.
     """
     G, M = sc.group, sc.module
-    identity = IntMatrix.identity(M.n)
+    identity = M.element_matrix(G.identity)
     kernel = [g for g, D in enumerate(M.element_matrices()) if _congruent(M, D, identity)]
     if len(kernel) == 1:
         return sc
     if len(kernel) == G.order:
         return None
-    coset_of, reps = _left_cosets(G, kernel)
-    positions = G.generating_positions
-    Q = CayleyGroup(
-        table=[[coset_of[G.table[a][b]] for b in reps] for a in reps],
-        identity=coset_of[G.identity],
-        inverses=[coset_of[G.inverses[a]] for a in reps],
-        generator_indices=[coset_of[G.generator_indices[k]] for k in positions],
-    )
+    Q, coset_of = _quotient(G, kernel)
 
     def image(H: Subgroup) -> Subgroup:
         gens = {coset_of[h] for h in H.generators} - {Q.identity}
         return Subgroup({coset_of[h] for h in H.elements}, gens)
 
-    module = GammaModule(Q, M.n, M.relations, [M.action[k] for k in positions])
+    module = GammaModule(Q, M.n, M.relations, [M.action[k] for k in G.generating_positions])
     module._relation_solver = M._relation_solver
     return Scenario(
         Q,

@@ -348,6 +348,22 @@ def _left_cosets(G: CayleyGroup, elements: Sequence[int]) -> tuple[dict[int, int
     return coset_of, reps
 
 
+def _quotient(G: CayleyGroup, N: Sequence[int]) -> tuple[CayleyGroup, dict[int, int]]:
+    """(G/N, coset index of each element) for a normal subgroup N given by its elements.
+
+    Q's elements are the left cosets of N in `_left_cosets` order, and its
+    designated generators are the images of G's generating positions.
+    """
+    coset_of, reps = _left_cosets(G, N)
+    Q = CayleyGroup(
+        table=[[coset_of[G.table[a][b]] for b in reps] for a in reps],
+        identity=coset_of[G.identity],
+        inverses=[coset_of[G.inverses[a]] for a in reps],
+        generator_indices=[coset_of[G.generator_indices[k]] for k in G.generating_positions],
+    )
+    return Q, coset_of
+
+
 def _invariants_from_orders(orders: Sequence[int]) -> FinAbInvariants:
     """Invariant factors of a finite abelian group A from the orders of its elements.
 
@@ -375,22 +391,13 @@ def abelianization(G: CayleyGroup) -> FinAbInvariants:
     """Invariant factors of G modulo its commutator subgroup.
 
     The subgroup generated by all commutators is already normal, so one
-    closure suffices; the abelian quotient is then decomposed from the
-    orders of its cosets.
+    closure suffices; the abelian quotient (`_quotient`) is then decomposed
+    from the orders of its elements.
     """
     comms = set()
     for a in range(G.order):
         ainv = G.inverses[a]
         for b in range(G.order):
             comms.add(G.table[G.table[G.table[a][b]][ainv]][G.inverses[b]])
-    coset_of, reps = _left_cosets(G, subgroup_closure(G, sorted(comms)).elements)
-    commutators = coset_of[G.identity]
-    orders = []
-    for a in reps:
-        x = a
-        k = 1
-        while coset_of[x] != commutators:
-            x = G.table[x][a]
-            k += 1
-        orders.append(k)
-    return _invariants_from_orders(orders)
+    Q, _ = _quotient(G, subgroup_closure(G, sorted(comms)).elements)
+    return _invariants_from_orders([len(_cycle(Q, q)) for q in range(Q.order)])

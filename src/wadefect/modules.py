@@ -110,8 +110,10 @@ class GammaModule:
     def element_matrix(self, g: int) -> IntMatrix:
         """Action matrix of an arbitrary element, as `validate` derived it."""
         validate(self)
-        mats = self._matrices  # empty only on a trivial group with no designated generator
-        return IntMatrix.identity(self.n) if not mats and g == self.group.identity else mats[g]
+        mats = self._matrices
+        if not mats and g == self.group.identity:  # a trivial group with no designated generator
+            mats[g] = IntMatrix.identity(self.n)  # validate stored none; built once, on first read
+        return mats[g]
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
         validate(self)

@@ -11,8 +11,8 @@ from importlib.resources import files
 import pytest
 
 from wadefect import catalog, scenario_io
-from wadefect.cli import main
-from wadefect.engine import defect, quick_vanish
+from wadefect.cli import _oracle_subgroups, main
+from wadefect.engine import Scenario, defect, quick_vanish
 from wadefect.scenario_io import (
     SCHEMA_VERSION,
     SchemaError,
@@ -20,10 +20,18 @@ from wadefect.scenario_io import (
     result_document,
     scenario_document,
 )
-from wadefect.groups import DEFAULT_ORDER_CAP, GroupError, from_permutations, full_subgroup
-from wadefect.linalg import FinAbInvariants
+from wadefect.groups import (
+    DEFAULT_ORDER_CAP,
+    GroupError,
+    Subgroup,
+    cyclic_subgroups,
+    from_permutations,
+    full_subgroup,
+    is_cyclic_subgroup,
+)
+from wadefect.linalg import FinAbInvariants, IntMatrix
 from wadefect.modules import norm_one_module, validate
-from wadefect.zoo import a4, klein
+from wadefect.zoo import a4, group_zoo, klein, random_subgroup
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -174,6 +182,44 @@ class TestComputeCommand:
                 assert len(outputs) == 1, (name, emit, outputs)
                 assert next(iter(outputs))[0] == 0, name
 
+    def test_oracle_subgroups_match_the_classifying_list(self):
+        # the list with no cyclicity test is the one that kept only the
+        # non-cyclic listed entries: same subgroups, generators and order
+        def classifying(sc):
+            G = sc.group
+            seen = {}
+            for H in list(sc.s_subgroups) + list(sc.sc_subgroups):
+                if not is_cyclic_subgroup(G, H):
+                    seen.setdefault(H.elements, H)
+            for C in cyclic_subgroups(G):
+                seen.setdefault(C.elements, C)
+            seen.setdefault(tuple(range(G.order)), full_subgroup(G))
+            return [seen[k] for k in sorted(seen)]
+
+        def listed(sc):
+            return [(H.elements, H.generators) for H in _oracle_subgroups(sc)]
+
+        docs = [catalog.catalog_document(name) for name in catalog.catalog_names()]
+        docs += [*ladder_documents().values(), psl_2_7_doc()]
+        assert len(docs) == 20
+        scenarios = [parse_scenario(doc) for doc in docs]
+        # listed cyclic entries on two generators, whose one-generator twins must win
+        rng = random.Random(3939)
+        twins = 0
+        for _ in range(60):
+            G = rng.choice(group_zoo())
+            entries = [random_subgroup(rng, G) for _ in range(rng.randint(0, 3))]
+            for C in cyclic_subgroups(G):
+                if C.order > 2 and rng.random() < 0.5:
+                    entries.append(Subgroup(C.elements, rng.sample([g for g in C.elements if g != G.identity], 2)))
+                    twins += 1
+            rng.shuffle(entries)
+            cut = rng.randint(0, len(entries))
+            scenarios.append(Scenario(G, norm_one_module(G), entries[:cut], entries[cut:]))
+        assert twins >= 30
+        for sc in scenarios:
+            assert listed(sc) == [(H.elements, H.generators) for H in classifying(sc)]
+
     def test_check_on_psl_2_7_verifies_its_own_cover_beside_the_bar_head(self, tmp_path, capsys, monkeypatch):
         # n k = 14 rows against a cover kernel of rank 161: the defect builds
         # no cover, and --check builds the scenario module's one
@@ -225,6 +271,23 @@ class TestComputeCommand:
         }
         assert main(["compute", write_scenario(tmp_path, doc), "--check", "--oracle", "bar"]) == 0
         assert "result: 0" in capsys.readouterr().out
+
+    def test_wide_module_builds_one_identity_under_check_and_oracle(self, tmp_path, capsys, monkeypatch):
+        # validate stores no element matrix on a trivial group with no
+        # designated generator; the first read stores the 2,000 x 2,000
+        # identity, and the scan, the cover and the oracle all reuse it
+        built = []
+        real = IntMatrix.identity
+        monkeypatch.setattr(IntMatrix, "identity", classmethod(lambda cls, n: built.append(n) or real(n)))
+        doc = {
+            "group": {"permutation_generators": []},
+            "module": {"generators": 2000, "relations": [], "action": []},
+            "S": [],
+            "S_complement": [],
+        }
+        assert main(["compute", write_scenario(tmp_path, doc), "--check", "--oracle", "bar", "--emit", "json"]) == 0
+        assert load_json_output(capsys)["invariant_factors"] == []
+        assert built == [2000]
 
     @pytest.mark.parametrize(
         "case",

@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import math
+import os
 import random
+import sys
 from collections import Counter
 from copy import deepcopy
 
@@ -22,7 +25,10 @@ from wadefect.engine import (
     verify_cover,
 )
 from wadefect.groups import (
+    CayleyGroup,
     Subgroup,
+    _left_cosets,
+    _quotient,
     conjugate_subgroup,
     cyclic_subgroups,
     from_permutations,
@@ -185,8 +191,10 @@ class TestQuickVanish:
 
 
     def test_generator_orbits_match_the_element_scan(self):
-        # the shortcut reads the generating positions only; the reference
-        # scans every element matrix for a fixed-point-free permutation action
+        # the shortcut tests the generating positions for permutations, then
+        # reads the diagonals of the element matrices; the reference checks
+        # every element matrix column by column for a fixed-point-free
+        # permutation action
         def element_scan(M):
             if M.relations.cols or M.n % M.group.order:
                 return False
@@ -1240,3 +1248,48 @@ def test_inflations_by_a_trivially_acting_cyclic_factor_keep_the_defect(monkeypa
         kinds["table"] += as_table or len(G.generator_indices) == G.order > 2
     assert nontrivial >= 50 and kinds["proper"] >= 50 and kinds["N = G"] >= 5, (nontrivial, kinds)
     assert kinds["relations"] >= 10 and kinds["table"] >= 10, kinds
+
+
+def test_quotient_builds_the_coset_table(monkeypatch):
+    # every G/N with 1 != N != G that the faithful quotient builds on the
+    # zoo stream of bench/workloads.py (seeds 1-3, only read) and on the
+    # inflation test's scenarios, against a copy of the construction that
+    # the engine made by hand on the cosets of N
+    import wadefect.engine as engine_mod
+
+    def coset_table(G, N):
+        coset_of, reps = _left_cosets(G, N)
+        Q = CayleyGroup(
+            table=[[coset_of[G.table[a][b]] for b in reps] for a in reps],
+            identity=coset_of[G.identity],
+            inverses=[coset_of[G.inverses[a]] for a in reps],
+            generator_indices=[coset_of[G.generator_indices[k]] for k in G.generating_positions],
+        )
+        return Q, coset_of
+
+    reached = []
+
+    def spy(G, N):
+        reached.append((G, tuple(N)))
+        return _quotient(G, N)
+
+    monkeypatch.setattr(engine_mod, "_quotient", spy)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        for item in workloads.zoo_stream_items(seed):
+            defect(item.source)
+    zoo_count = len(reached)
+    test_inflations_by_a_trivially_acting_cyclic_factor_keep_the_defect(monkeypatch)
+    assert zoo_count >= 50 and len(reached) - zoo_count >= 100, (zoo_count, len(reached))
+    for G, N in reached:
+        assert 1 < len(N) < G.order
+        (Q, coset_of), (P, expected) = _quotient(G, N), coset_table(G, N)
+        assert coset_of == expected
+        assert (Q.table, Q.identity, Q.inverses, Q.generator_indices) == (
+            P.table, P.identity, P.inverses, P.generator_indices
+        )

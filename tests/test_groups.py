@@ -10,6 +10,7 @@ from counting_oracles import cyclic_subgroup_count
 from wadefect.groups import (
     CayleyGroup,
     _invariants_from_orders,
+    _left_cosets,
     GroupError,
     Subgroup,
     abelianization,
@@ -341,6 +342,29 @@ class TestAbelianization:
         assert abelianization(d4()) == FinAbInvariants((2, 2))
         assert abelianization(q8()) == FinAbInvariants((2, 2))
         assert abelianization(a4()) == FinAbInvariants((3,))
+
+    def test_matches_the_coset_walk(self):
+        # against a copy of the earlier routine, which walked the cosets of
+        # [G, G] for their orders instead of building the quotient group
+        def coset_walk(G):
+            comms = {G.table[G.table[G.table[a][b]][G.inverses[a]]][G.inverses[b]]
+                     for a in range(G.order) for b in range(G.order)}
+            coset_of, reps = _left_cosets(G, subgroup_closure(G, sorted(comms)).elements)
+            orders = []
+            for a in reps:
+                x, k = a, 1
+                while coset_of[x] != coset_of[G.identity]:
+                    x, k = G.table[x][a], k + 1
+                orders.append(k)
+            return _invariants_from_orders(orders)
+
+        checked = 0
+        for P in group_zoo():
+            for G in (P, from_table(P.table)):
+                for K in [G] + [subgroup_cayley(G, C) for C in cyclic_subgroups(G)]:
+                    assert abelianization(K) == coset_walk(K), (G.order, K.order)
+                    checked += 1
+        assert checked >= 90
 
     @pytest.mark.parametrize(
         "cycles, factors",
